@@ -8,6 +8,12 @@ replicate (config-driven replication studies).
 Exit codes: 0 success, 1 user error (bad flags, unreadable input,
 config violations), 2 numerical failure (non-positive-definite
 estimates, insufficient data, cap exhaustion).
+
+Resume mode (stop --input F --resume S) runs the checkpoint loop of
+stopping.py from the state's next checkpoint up to the complete lines
+of F; an unterminated last line may still be being written and is not
+counted. The state file pins the rule: a passed flag that disagrees
+with it is refused, and the file is replaced atomically.
 """
 from __future__ import annotations
 
@@ -39,14 +45,7 @@ from .experiments import (
 )
 from .regions import ellipse_boundary, make_region, scheffe_interval
 from .samplers import FileChainSource
-from .stopping import (
-    _CHECKS,
-    _final_summary,
-    StoppingConfig,
-    StoppingResult,
-    default_nstar,
-    run_sequential,
-)
+from .stopping import StoppingConfig, default_nstar, drive_checkpoints, run_sequential
 
 _NOT_PD_MSG = "increase n: covariance estimate not positive definite (a_n ≤ p)"
 
@@ -120,15 +119,19 @@ def _build_parser() -> _Parser:
     p_stop.add_argument("--resume", default=None,
                         help="sidecar JSON state path (resume mode)")
     p_stop.add_argument("--format", choices=("csv", "tsv"), default="csv")
-    p_stop.add_argument("--rule", default="relative_sd",
+    # None marks a flag the user did not pass: _stop_config applies the
+    # defaults, and resume rejects only flags that were passed.
+    p_stop.add_argument("--rule", default=None,
                         choices=("relative_sd", "absolute",
-                                 "univariate_bonferroni", "univariate_uncorrected"))
+                                 "univariate_bonferroni", "univariate_uncorrected"),
+                        help="default relative_sd")
     p_stop.add_argument("--eps", type=float, default=None)
-    p_stop.add_argument("--alpha", type=float, default=0.05)
-    p_stop.add_argument("--nstar", default="auto", help="auto or an integer")
-    p_stop.add_argument("--batch", default="nu:0.5")
-    p_stop.add_argument("--growth", type=float, default=0.10)
-    p_stop.add_argument("--nmax", type=int, default=10**8)
+    p_stop.add_argument("--alpha", type=float, default=None, help="default 0.05")
+    p_stop.add_argument("--nstar", default=None,
+                        help="auto (default) or an integer")
+    p_stop.add_argument("--batch", default=None, help="default nu:0.5")
+    p_stop.add_argument("--growth", type=float, default=None, help="default 0.10")
+    p_stop.add_argument("--nmax", type=int, default=None, help="default 10^8")
     p_stop.add_argument("--json", action="store_true")
 
     p_rep = sub.add_parser("replicate",
@@ -270,25 +273,43 @@ def cmd_confregion(args) -> int:
     return 0
 
 
+_STOP_DEFAULTS = {
+    "rule": "relative_sd",
+    "alpha": 0.05,
+    "nstar": "auto",
+    "batch": "nu:0.5",
+    "growth": 0.10,
+    "nmax": 10**8,
+}
+
+
+def _flag(args, name: str):
+    value = getattr(args, name)
+    return _STOP_DEFAULTS[name] if value is None else value
+
+
+def _n_star(nstar: str, p: int, alpha: float, eps: float, policy) -> int:
+    if nstar == "auto":
+        return default_nstar(p, alpha, eps, policy)
+    try:
+        return int(nstar)
+    except ValueError:
+        raise ConfigError("--nstar must be an integer or auto") from None
+
+
 def _stop_config(args, p: int) -> StoppingConfig:
     if args.eps is None:
         raise ConfigError("stop needs --eps")
-    policy = _parse_batch(args.batch)
-    if args.nstar == "auto":
-        n_star = default_nstar(p, args.alpha, args.eps, policy)
-    else:
-        try:
-            n_star = int(args.nstar)
-        except ValueError:
-            raise ConfigError("--nstar must be an integer or auto") from None
+    alpha = _flag(args, "alpha")
+    policy = _parse_batch(_flag(args, "batch"))
     return StoppingConfig(
         epsilon=args.eps,
-        alpha=args.alpha,
-        n_star=n_star,
+        alpha=alpha,
+        n_star=_n_star(_flag(args, "nstar"), p, alpha, args.eps, policy),
         batch_policy=policy,
-        metric=args.rule,
-        check_growth=args.growth,
-        n_max=args.nmax,
+        metric=_flag(args, "rule"),
+        check_growth=_flag(args, "growth"),
+        n_max=_flag(args, "nmax"),
     )
 
 
@@ -333,24 +354,76 @@ def cmd_stop(args) -> int:
     return _stop_resume(args)
 
 
+_STATE_KEYS = ("epsilon", "alpha", "n_star", "metric", "batch",
+               "check_growth", "n_max", "next_checkpoint", "done")
+
+
+def _written_rows(path: str) -> bytes:
+    """The complete lines of a chain file another process may be appending to.
+
+    An unterminated last line may be a number cut short ("0.12" of
+    "0.1234"), so it counts as not yet written.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return raw[: raw.rfind(b"\n") + 1]
+
+
+def _reject_conflicts(args, state: dict, p: int) -> None:
+    """Refuse every passed rule flag that disagrees with the pinned state."""
+    pinned = [
+        ("--eps", "epsilon", args.eps, state["epsilon"]),
+        ("--alpha", "alpha", args.alpha, state["alpha"]),
+        ("--rule", "metric", args.rule, state["metric"]),
+        ("--growth", "check_growth", args.growth, state["check_growth"]),
+        ("--nmax", "n_max", args.nmax, state["n_max"]),
+    ]
+    if args.batch is not None:
+        pinned.append(("--batch", "batch", _parse_batch(args.batch),
+                       _parse_batch(state["batch"])))
+    if args.nstar is not None:
+        n_star = _n_star(args.nstar, p, state["alpha"], state["epsilon"],
+                         _parse_batch(state["batch"]))
+        pinned.append(("--nstar", "n_star", n_star, state["n_star"]))
+    for flag, key, given, saved in pinned:
+        if given is not None and given != saved:
+            raise ConfigError(f"state file pins {key}; rerun without {flag} "
+                              "or delete the state file")
+
+
+def _write_state(path: str, state: dict) -> None:
+    """Replace the state file atomically: a crash leaves the old one intact."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(state, fh, indent=2)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def _stop_resume(args) -> int:
     """Checkpoint an externally grown chain file across invocations.
 
     The sidecar JSON pins the rule parameters and the next checkpoint,
     so repeated invocations walk the same grid no matter how much the
-    user appends between calls.
+    user appends between calls. Each call runs the same checkpoint
+    loop as run_sequential, from the saved checkpoint up to the rows
+    the file holds.
     """
-    chain = load_chain(args.input, format=args.format)
+    chain = load_chain(_written_rows(args.input), format=args.format)
     if os.path.exists(args.resume):
         with open(args.resume) as fh:
             state = json.load(fh)
-        for key in ("epsilon", "alpha", "n_star", "metric", "batch",
-                    "check_growth", "n_max", "next_checkpoint", "done"):
+        for key in _STATE_KEYS:
             if key not in state:
                 raise ConfigError(f"state file missing key {key!r}")
-        if args.eps is not None and args.eps != state["epsilon"]:
-            raise ConfigError("state file pins epsilon; rerun without --eps "
-                              "or delete the state file")
+        _reject_conflicts(args, state, chain.p)
         if state["done"]:
             print("state file marks this run as finished", file=sys.stderr)
             return 0
@@ -364,56 +437,34 @@ def _stop_resume(args) -> int:
             check_growth=state["check_growth"],
             n_max=state["n_max"],
         )
-        next_cp = int(state["next_checkpoint"])
+        start = int(state["next_checkpoint"])
     else:
-        batch_str = args.batch
+        batch_str = _flag(args, "batch")
         config = _stop_config(args, chain.p)
-        next_cp = max(config.n_star, 2)
-    source = FileChainSource(chain)
-    check = _CHECKS[config.metric]
-    verdict = None
-    while next_cp <= chain.n:
-        prefix = source.take(next_cp)
-        if check(prefix, config):
-            verdict = "criterion_met"
-            break
-        if next_cp >= config.n_max:
-            verdict = "n_max_reached"
-            break
-        next_cp = min(next_cp + int(math.ceil(config.check_growth * next_cp)),
-                      config.n_max)
-    with open(args.resume, "w") as fh:
-        json.dump({
-            "epsilon": config.epsilon,
-            "alpha": config.alpha,
-            "n_star": config.n_star,
-            "metric": config.metric,
-            "batch": batch_str,
-            "check_growth": config.check_growth,
-            "n_max": config.n_max,
-            "next_checkpoint": next_cp,
-            "done": verdict is not None,
-        }, fh, indent=2)
-        fh.write("\n")
-    if verdict is None:
+        start = None
+    run = drive_checkpoints(FileChainSource(chain), None, config,
+                            start=start, available=chain.n)
+    _write_state(args.resume, {
+        "epsilon": config.epsilon,
+        "alpha": config.alpha,
+        "n_star": config.n_star,
+        "metric": config.metric,
+        "batch": batch_str,
+        "check_growth": config.check_growth,
+        "n_max": config.n_max,
+        "next_checkpoint": run.next_checkpoint,
+        "done": run.result is not None,
+    })
+    if run.result is None:
         payload = {"command": "stop", "status": "continue",
-                   "next_checkpoint": next_cp, "n_available": chain.n}
+                   "next_checkpoint": run.next_checkpoint, "n_available": chain.n}
         _emit(payload, args.json, [
             "criterion not yet met",
-            f"extend the chain to at least {next_cp} rows and rerun",
+            f"extend the chain to at least {run.next_checkpoint} rows and rerun",
         ])
         return 0
-    final_chain = source.take(min(next_cp, chain.n))
-    ess_val, log_vol = _final_summary(final_chain, config)
-    result = StoppingResult(
-        terminated=(verdict == "criterion_met"),
-        n_final=final_chain.n,
-        ess_at_termination=ess_val,
-        log_volume=log_vol,
-        reason=verdict,
-    )
-    _report_stop(result, chain.p, args.json, {"input": args.input})
-    return 0 if verdict == "criterion_met" else 2
+    _report_stop(run.result, chain.p, args.json, {"input": args.input})
+    return 0 if run.result.reason == "criterion_met" else 2
 
 
 def cmd_replicate(args) -> int:

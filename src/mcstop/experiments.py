@@ -23,9 +23,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import MeanVector, column_means
-from .errors import ConfigError, DomainError, McstopError
-from .estimators import BatchPolicy, batch_size, mbm, sample_covariance, ubm_diag
+from .chain import MeanVector
+from .checkpoint import reference_estimate
+from .errors import ConfigError, DomainError, InsufficientData, McstopError
+from .estimators import BatchPolicy, batch_size, mbm
 from .ess import multivariate_ess
 from .regions import contains, make_region
 from .samplers import (
@@ -38,13 +39,8 @@ from .samplers import (
     ar1_cov,
     load_logit_data,
 )
-from .stopping import (
-    StoppingConfig,
-    default_nstar,
-    rectangle_log_volume,
-    run_sequential,
-)
-from .stopping import _t_star  # shared quantile helper
+from .stopping import StoppingConfig, default_nstar, drive_checkpoints
+from .stopping import _rectangle_log_volume, _t_star  # shared quantile helpers
 
 _METHODS = ("mbm", "ubm_bonferroni", "ubm")
 _METHOD_METRIC = {
@@ -386,12 +382,15 @@ def _aggregate(rows: list, group_keys: list, value_cols: list) -> tuple:
 
 
 def _workers() -> int:
+    """MCSTOP_WORKERS (default 1), capped at the CPU count; < 1 is an error."""
     raw = os.environ.get("MCSTOP_WORKERS", "1")
     try:
         w = int(raw)
     except ValueError:
         raise ConfigError(f"MCSTOP_WORKERS must be an integer, got {raw!r}") from None
-    return max(1, w)
+    if w < 1:
+        raise ConfigError(f"MCSTOP_WORKERS must be >= 1, got {w}")
+    return min(w, os.cpu_count() or 1)
 
 
 def _map_replications(worker, payloads: list) -> list:
@@ -409,35 +408,32 @@ def _map_replications(worker, payloads: list) -> list:
 # coverage study
 
 
-def _rect_covered(chain, truth, alpha: float, b_n: int, bonferroni: bool) -> bool:
-    n, p = chain.n, chain.p
-    a_n = n // b_n
-    sig2 = ubm_diag(chain, b_n)
-    t_star = _t_star(alpha, p, a_n, bonferroni)
-    half = t_star * np.sqrt(sig2) / math.sqrt(n)
-    diff = np.abs(column_means(chain).values - truth)
+def _rect_covered(est, truth, alpha: float, bonferroni: bool) -> bool:
+    t_star = _t_star(alpha, est.p, est.a_n, bonferroni)
+    half = t_star * np.sqrt(est.ubm) / math.sqrt(est.n)
+    diff = np.abs(est.theta - truth)
     return bool((diff < half).all())
 
 
-def _coverage_eval(chain, method: str, truth, alpha: float, policy: BatchPolicy):
-    """(ess, covered, log_volume) for one chain under one method."""
-    n = chain.n
-    b = batch_size(n, policy)
-    sig = mbm(chain, b)
+def _coverage_eval(est, method: str, truth, alpha: float):
+    """(ess, covered, log_volume) under one method, from reference estimates."""
+    n, sig = est.n, est.sigma
+    if sig is None:
+        raise InsufficientData(
+            f"mbm needs at least 2 batches, got a_n={est.a_n} from n={n}, b_n={est.b_n}"
+        )
     ess_val = float("nan")
-    if sig.is_pd:
-        lam = sample_covariance(chain)
-        if lam.is_pd:
-            ess_val = multivariate_ess(lam, sig, n)
+    if sig.is_pd and est.lam.is_pd:
+        ess_val = multivariate_ess(est.lam, sig, n)
     if method == "mbm":
         if not sig.is_pd:
             return ess_val, False, float("nan")
-        region = make_region(column_means(chain), sig, n, alpha)
+        region = make_region(MeanVector(est.theta), sig, n, alpha)
         covered = contains(region, MeanVector(truth))
         return ess_val, covered, region.log_volume
     bonf = method == "ubm_bonferroni"
-    log_vol = rectangle_log_volume(chain, alpha, b, bonf)
-    covered = _rect_covered(chain, truth, alpha, b, bonf)
+    log_vol = _rectangle_log_volume(n, est.p, est.a_n, est.ubm, alpha, bonf)
+    covered = _rect_covered(est, truth, alpha, bonf)
     return ess_val, covered, log_vol
 
 
@@ -455,7 +451,8 @@ def _coverage_rep(payload) -> list:
                 for method in spec.methods:
                     t0 = time.perf_counter()
                     ess_val, covered, log_vol = _coverage_eval(
-                        chain, method, truth, spec.eff_alpha, spec.eff_policy
+                        reference_estimate(chain, spec.eff_policy), method,
+                        truth, spec.eff_alpha,
                     )
                     rows.append({
                         "replication": r,
@@ -476,10 +473,10 @@ def _coverage_rep(payload) -> list:
                     metric = "relative_sd"
                 cfg = dataclasses.replace(config, metric=metric)
                 t0 = time.perf_counter()
-                result = run_sequential(source, None, cfg)
-                chain = source.take(result.n_final)
+                run = drive_checkpoints(source, None, cfg)
+                result = run.result
                 ess_val, covered, log_vol = _coverage_eval(
-                    chain, method, truth, cfg.alpha, cfg.batch_policy
+                    run.final, method, truth, cfg.alpha
                 )
                 rows.append({
                     "replication": r,
@@ -588,13 +585,12 @@ def _sensitivity_rep(payload) -> list:
                 )
                 source = spec.model.make_source(seed)
                 t0 = time.perf_counter()
-                result = run_sequential(source, None, cfg)
-                chain = source.take(result.n_final)
-                b = batch_size(chain.n, cfg.batch_policy)
-                sig = mbm(chain, b)
+                run = drive_checkpoints(source, None, cfg)
+                result = run.result
+                sig = run.final.sigma
                 if sig.is_pd:
                     region = make_region(
-                        column_means(chain), sig, chain.n, cfg.alpha
+                        MeanVector(run.final.theta), sig, result.n_final, cfg.alpha
                     )
                     covered = contains(region, MeanVector(truth))
                     max_eig = float(np.linalg.eigvalsh(sig.matrix)[-1])

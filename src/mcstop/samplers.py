@@ -218,11 +218,16 @@ class ChainSource(Protocol):
 
 
 class _BlockSource:
-    """Shared buffering: subclasses generate rows one block at a time."""
+    """Shared buffering: subclasses generate rows one block at a time.
+
+    Rows go into one capacity-doubling buffer, and take(n) returns a
+    read-only view of its first n rows. Rows below the count are never
+    written again, so earlier views stay valid as the buffer grows.
+    """
 
     def __init__(self, p: int):
         self._p = p
-        self._rows: list = []
+        self._buf = np.empty((0, p))
         self._count = 0
 
     @property
@@ -235,15 +240,21 @@ class _BlockSource:
     def _meta(self, n: int) -> dict:
         return {}
 
+    def _append(self, rows: np.ndarray) -> None:
+        end = self._count + rows.shape[0]
+        if end > self._buf.shape[0]:
+            grown = np.empty((max(end, 2 * self._buf.shape[0]), self._p))
+            grown[: self._count] = self._buf[: self._count]
+            self._buf = grown
+        self._buf[self._count : end] = rows
+        self._count = end
+
     def take(self, n: int) -> ChainMatrix:
         if n < 1:
             raise DomainError(f"take needs n >= 1, got {n}")
         while self._count < n:
-            block = self._generate_block()
-            self._rows.append(block)
-            self._count += block.shape[0]
-        data = np.concatenate(self._rows, axis=0)[:n]
-        return ChainMatrix(np.ascontiguousarray(data), meta=self._meta(n))
+            self._append(self._generate_block())
+        return ChainMatrix(self._buf[:n], meta=self._meta(n))
 
 
 class IidGaussianSource(_BlockSource):
@@ -271,8 +282,7 @@ class Var1Source(_BlockSource):
         d = np.diag(model.phi)
         self._diag_phi = d if np.array_equal(np.diag(d), model.phi) else None
         y0 = self._chol_v @ self._rng.standard_normal(model.p)
-        self._rows.append(y0[None, :])
-        self._count = 1
+        self._append(y0[None, :])
         self._last = y0
 
     def _generate_block(self) -> np.ndarray:
@@ -318,8 +328,7 @@ class RwmLogisticSource(_BlockSource):
         self._cur = beta0
         self._cur_lp = log_posterior_logistic(beta0, model)
         self._accept_flags: list = []
-        self._rows.append(beta0[None, :].copy())
-        self._count = 1
+        self._append(beta0[None, :])
 
     def _generate_block(self) -> np.ndarray:
         model = self._model
@@ -352,7 +361,10 @@ class RwmLogisticSource(_BlockSource):
 
 
 class FileChainSource:
-    """Wrap an already materialized chain as a (finite) source."""
+    """Wrap an already materialized chain as a (finite) source.
+
+    take(n) returns a read-only view of the stored rows, not a copy.
+    """
 
     def __init__(self, chain: ChainMatrix):
         self._chain = chain
@@ -366,7 +378,7 @@ class FileChainSource:
             raise InsufficientData(
                 f"stored chain has {self._chain.n} rows, {n} requested"
             )
-        return ChainMatrix(self._chain.data[:n].copy(), meta=dict(self._chain.meta))
+        return ChainMatrix(self._chain.data[:n], meta=dict(self._chain.meta))
 
 
 def simulate_var1(model: Var1Model, n: int, seed: int) -> ChainMatrix:

@@ -4,20 +4,33 @@ The headline rule terminates when the confidence region's volume,
 normalized to a length scale, drops below a tolerance times a relative
 standard deviation metric. An absolute variant and two univariate
 fixed-width baselines (with and without Bonferroni correction) share
-the same driver, which grows the chain geometrically and recomputes
-every estimate on the full retained output at each checkpoint.
+one checkpoint loop, drive_checkpoints, which grows the chain geometrically.
+
+Each rule is a function of a CheckpointEstimate (θ_n, Λ_n, Σ_n, the uBM
+diagonal and the column variances). When the rule is None, a metric
+name or one of the four public check functions, the loop feeds only
+the new rows of each checkpoint to a streaming CheckpointEngine, so a
+check costs O(new rows) instead of a rescan of the whole prefix. Any
+other callable rule receives the ChainMatrix itself. The public check
+functions evaluate the same rule functions on estimates built by the
+reference batch estimators, and the final summary (ESS and log volume
+at n_final) is computed once, by the reference estimators too. The
+resume protocol of the command line runs the same loop, from a saved
+checkpoint and limited to the rows a file holds so far.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from . import specfns
 from .chain import ChainMatrix
-from .errors import ConfigError, DomainError, InsufficientData, NotPositiveDefinite
-from .estimators import BatchPolicy, batch_size, mbm, sample_covariance, ubm_diag
+from .checkpoint import CheckpointEngine, CheckpointEstimate, reference_estimate
+from .errors import ConfigError, DomainError, InsufficientData
+from .estimators import BatchPolicy, batch_size, ubm_diag
 from .ess import min_ess, multivariate_ess
 from .regions import hotelling_cutoff, region_volume
 
@@ -116,20 +129,53 @@ def default_nstar(p: int, alpha: float, eps: float, batch_policy: BatchPolicy) -
     return max(n_pos(p, batch_policy), int(math.ceil(bound)))
 
 
-def _pd_estimates(chain: ChainMatrix, config: StoppingConfig):
-    """Λ_n, Σ_n, b_n for the elliptical rules; None when not yet PD."""
-    n = chain.n
-    if n < 2:
+# ---------------------------------------------------------------------------
+# the four rules, each a function of one checkpoint estimate
+
+
+def _volume_side(est: CheckpointEstimate, config: StoppingConfig) -> Optional[float]:
+    """Vol^{1/p} + 1/n, or None until both estimates are positive definite."""
+    sig = est.sigma
+    if sig is None or not (sig.is_pd and est.lam.is_pd):
         return None
-    b = batch_size(n, config.batch_policy)
-    try:
-        sig = mbm(chain, b)
-    except InsufficientData:
-        return None
-    lam = sample_covariance(chain)
-    if not (sig.is_pd and lam.is_pd):
-        return None
-    return lam, sig
+    cutoff = hotelling_cutoff(config.alpha, est.p, sig.a_n)
+    log_vol = region_volume(est.n, est.p, cutoff, sig.log_det)
+    return math.exp(log_vol / est.p) + 1.0 / est.n
+
+
+def _relative_sd(est: CheckpointEstimate, config: StoppingConfig) -> bool:
+    lhs = _volume_side(est, config)
+    return lhs is not None and lhs <= config.epsilon * math.exp(
+        est.lam.log_det / (2.0 * est.p)
+    )
+
+
+def _absolute(est: CheckpointEstimate, config: StoppingConfig) -> bool:
+    lhs = _volume_side(est, config)
+    return lhs is not None and lhs <= config.epsilon
+
+
+def _univariate(est: CheckpointEstimate, config: StoppingConfig, bonferroni: bool) -> bool:
+    if est.a_n < 2:
+        return False
+    n = est.n
+    lam = np.sqrt(est.col_var)
+    t_star = _t_star(config.alpha, est.p, est.a_n, bonferroni)
+    lhs = 2.0 * t_star * np.sqrt(est.ubm) / math.sqrt(n) + 1.0 / n
+    return bool((lhs <= config.epsilon * lam).all())
+
+
+_RULES = {
+    "relative_sd": _relative_sd,
+    "absolute": _absolute,
+    "univariate_bonferroni": lambda est, cfg: _univariate(est, cfg, True),
+    "univariate_uncorrected": lambda est, cfg: _univariate(est, cfg, False),
+}
+
+
+def _due(chain: ChainMatrix, config: StoppingConfig) -> bool:
+    """A rule can fire only from n = max(n*, 2) on."""
+    return chain.n >= max(config.n_star, 2)
 
 
 def check_relative_sd(chain: ChainMatrix, config: StoppingConfig) -> bool:
@@ -139,17 +185,9 @@ def check_relative_sd(chain: ChainMatrix, config: StoppingConfig) -> bool:
     and Vol^{1/p} + 1/n ≤ ε |Λ_n|^{1/(2p)}. Estimates that are not yet
     positive definite yield false, never an error.
     """
-    n, p = chain.n, chain.p
-    if n < config.n_star:
-        return False
-    est = _pd_estimates(chain, config)
-    if est is None:
-        return False
-    lam, sig = est
-    cutoff = hotelling_cutoff(config.alpha, p, sig.a_n)
-    log_vol = region_volume(n, p, cutoff, sig.log_det)
-    lhs = math.exp(log_vol / p) + 1.0 / n
-    return lhs <= config.epsilon * math.exp(lam.log_det / (2.0 * p))
+    return _due(chain, config) and _relative_sd(
+        reference_estimate(chain, config.batch_policy), config
+    )
 
 
 def check_absolute(chain: ChainMatrix, config: StoppingConfig) -> bool:
@@ -158,16 +196,9 @@ def check_absolute(chain: ChainMatrix, config: StoppingConfig) -> bool:
     True iff n ≥ n*, estimates are positive definite, and
     Vol^{1/p} + 1/n ≤ ε.
     """
-    n, p = chain.n, chain.p
-    if n < config.n_star:
-        return False
-    est = _pd_estimates(chain, config)
-    if est is None:
-        return False
-    _, sig = est
-    cutoff = hotelling_cutoff(config.alpha, p, sig.a_n)
-    log_vol = region_volume(n, p, cutoff, sig.log_det)
-    return math.exp(log_vol / p) + 1.0 / n <= config.epsilon
+    return _due(chain, config) and _absolute(
+        reference_estimate(chain, config.batch_policy), config
+    )
 
 
 def _t_star(alpha: float, p: int, a_n: int, bonferroni: bool) -> float:
@@ -185,20 +216,20 @@ def check_univariate(
     (uncorrected) or 1 - α/(2p) (Bonferroni). When bonferroni is None
     the choice follows config.metric.
     """
-    n, p = chain.n, chain.p
     if bonferroni is None:
         bonferroni = config.metric == "univariate_bonferroni"
-    if n < max(config.n_star, 2):
-        return False
-    b = batch_size(n, config.batch_policy)
-    a_n = n // b
-    if a_n < 2:
-        return False
-    sig2 = ubm_diag(chain, b)
-    lam = np.sqrt(chain.data.var(axis=0, ddof=1))
-    t_star = _t_star(config.alpha, p, a_n, bonferroni)
-    lhs = 2.0 * t_star * np.sqrt(sig2) / math.sqrt(n) + 1.0 / n
-    return bool((lhs <= config.epsilon * lam).all())
+    return _due(chain, config) and _univariate(
+        reference_estimate(chain, config.batch_policy), config, bonferroni
+    )
+
+
+def _rectangle_log_volume(
+    n: int, p: int, a_n: int, sig2: np.ndarray, alpha: float, bonferroni: bool
+) -> float:
+    t_star = _t_star(alpha, p, a_n, bonferroni)
+    with np.errstate(divide="ignore"):
+        logs = math.log(2.0 * t_star / math.sqrt(n)) + 0.5 * np.log(sig2)
+    return float(logs.sum())
 
 
 def rectangle_log_volume(
@@ -212,70 +243,81 @@ def rectangle_log_volume(
     a_n = n // b_n
     if a_n < 2:
         raise InsufficientData(f"need at least 2 batches, got a_n={a_n}")
-    sig2 = ubm_diag(chain, b_n)
-    t_star = _t_star(alpha, p, a_n, bonferroni)
-    with np.errstate(divide="ignore"):
-        logs = math.log(2.0 * t_star / math.sqrt(n)) + 0.5 * np.log(sig2)
-    return float(logs.sum())
+    return _rectangle_log_volume(n, p, a_n, ubm_diag(chain, b_n), alpha, bonferroni)
 
 
-_CHECKS = {
-    "relative_sd": check_relative_sd,
-    "absolute": check_absolute,
-    "univariate_bonferroni": lambda c, cfg: check_univariate(c, cfg, bonferroni=True),
-    "univariate_uncorrected": lambda c, cfg: check_univariate(c, cfg, bonferroni=False),
-}
-
-
-def _resolve_rule(rule, config: StoppingConfig):
+def _engine_metric(rule, config: StoppingConfig) -> Optional[str]:
+    """The rule the engine evaluates, or None for a ChainMatrix callable."""
     if rule is None:
-        return _CHECKS[config.metric]
+        return config.metric
     if isinstance(rule, str):
-        if rule not in _CHECKS:
+        if rule not in _RULES:
             raise DomainError(f"unknown rule {rule!r}")
-        return _CHECKS[rule]
-    if callable(rule):
         return rule
+    if rule is check_relative_sd:
+        return "relative_sd"
+    if rule is check_absolute:
+        return "absolute"
+    if rule is check_univariate:
+        if config.metric == "univariate_bonferroni":
+            return "univariate_bonferroni"
+        return "univariate_uncorrected"
+    if callable(rule):
+        return None
     raise DomainError("rule must be None, a metric name, or a callable")
 
 
-def _final_summary(chain: ChainMatrix, config: StoppingConfig) -> tuple:
-    """(ESS-hat, log volume) on the final chain; nan when unsupported."""
-    n, p = chain.n, chain.p
+def _final_summary(est: CheckpointEstimate, config: StoppingConfig) -> tuple:
+    """(ESS-hat, log volume) at n_final; nan when unsupported.
+
+    The elliptical log volume needs both estimates positive definite,
+    the rectangle only a_n >= 2.
+    """
+    sig, lam = est.sigma, est.lam
     ess_val = float("nan")
     log_vol = float("nan")
-    if n < 2:
+    if sig is None:
         return ess_val, log_vol
-    b = batch_size(n, config.batch_policy)
-    try:
-        sig = mbm(chain, b)
-        lam = sample_covariance(chain)
-        ess_val = multivariate_ess(lam, sig, n)
-    except (InsufficientData, NotPositiveDefinite):
-        sig = None
-    if config.metric in ("relative_sd", "absolute"):
-        if sig is not None and sig.is_pd:
-            cutoff = hotelling_cutoff(config.alpha, p, sig.a_n)
-            log_vol = region_volume(n, p, cutoff, sig.log_det)
-    else:
+    if sig.is_pd and lam.is_pd:
+        ess_val = multivariate_ess(lam, sig, est.n)
+        if config.metric in ("relative_sd", "absolute"):
+            cutoff = hotelling_cutoff(config.alpha, est.p, sig.a_n)
+            log_vol = region_volume(est.n, est.p, cutoff, sig.log_det)
+    if config.metric not in ("relative_sd", "absolute"):
         bonf = config.metric == "univariate_bonferroni"
-        try:
-            log_vol = rectangle_log_volume(chain, config.alpha, b, bonf)
-        except InsufficientData:
-            pass
+        log_vol = _rectangle_log_volume(
+            est.n, est.p, est.a_n, est.ubm, config.alpha, bonf
+        )
     return ess_val, log_vol
 
 
-def run_sequential(sampler, rule, config: StoppingConfig) -> StoppingResult:
-    """Drive a stopping rule over a growing chain.
+@dataclass(frozen=True)
+class CheckpointRun:
+    """What drive_checkpoints saw.
 
-    The first checkpoint sits at n* (at least 2 rows so estimators are
-    defined); each failure grows the chain by ⌈check_growth · n⌉. The
-    whole retained chain is re-examined at every checkpoint. A memory
-    budget caps the effective n_max; configurations whose n* does not
-    fit are refused.
+    result is None when the rows ran out before a decision; then
+    next_checkpoint is the length the next check needs. Once decided,
+    next_checkpoint is n_final and final the reference estimate at
+    n_final, from which result's summary was computed.
     """
-    check = _resolve_rule(rule, config)
+
+    result: Optional[StoppingResult]
+    next_checkpoint: int
+    final: Optional[CheckpointEstimate] = None
+
+
+def drive_checkpoints(
+    sampler, rule, config: StoppingConfig, start: Optional[int] = None,
+    available: Optional[int] = None,
+) -> CheckpointRun:
+    """The checkpoint loop behind run_sequential and the resume protocol.
+
+    Checks run at start (default max(n*, 2)) and, after each failure,
+    at n + ⌈check_growth · n⌉, capped at the effective n_max. With
+    available set, the loop stops before the first checkpoint beyond
+    that many rows and reports it instead of taking it.
+    """
+    metric = _engine_metric(rule, config)
     n0 = max(config.n_star, 2)
     effective_max = config.n_max
     p_hint = getattr(sampler, "p", None)
@@ -287,8 +329,9 @@ def run_sequential(sampler, rule, config: StoppingConfig) -> StoppingResult:
             "(n_max or the memory budget)"
         )
     take = sampler.take if hasattr(sampler, "take") else sampler
-    n = n0
-    while True:
+    engine = None
+    n = n0 if start is None else start
+    while available is None or n <= available:
         chain = take(n)
         if p_hint is None:
             p_hint = chain.p
@@ -299,18 +342,44 @@ def run_sequential(sampler, rule, config: StoppingConfig) -> StoppingResult:
                 raise ConfigError(
                     f"n_star={config.n_star} does not fit the memory budget"
                 )
-        if check(chain, config):
+        if metric is None:
+            fired = rule(chain, config)
+        else:
+            if engine is None:
+                engine = CheckpointEngine(chain.p, config.batch_policy)
+            engine.append(chain.data[engine.n : n])
+            fired = _RULES[metric](engine.estimate(), config)
+        if fired:
             reason = "criterion_met"
             break
         if n >= effective_max:
             reason = "n_max_reached"
             break
         n = min(n + int(math.ceil(config.check_growth * n)), effective_max)
-    ess_val, log_vol = _final_summary(chain, config)
-    return StoppingResult(
+    else:
+        return CheckpointRun(result=None, next_checkpoint=n)
+    final = reference_estimate(chain, config.batch_policy)
+    ess_val, log_vol = _final_summary(final, config)
+    result = StoppingResult(
         terminated=(reason == "criterion_met"),
         n_final=n,
         ess_at_termination=ess_val,
         log_volume=log_vol,
         reason=reason,
     )
+    return CheckpointRun(result=result, next_checkpoint=n, final=final)
+
+
+def run_sequential(sampler, rule, config: StoppingConfig) -> StoppingResult:
+    """Drive a stopping rule over a growing chain.
+
+    The first checkpoint sits at n* (at least 2 rows so estimators are
+    defined); each failure grows the chain by ⌈check_growth · n⌉. rule
+    is None (config.metric), a metric name, a public check function, or
+    any callable taking (ChainMatrix, StoppingConfig). The first three
+    are evaluated by the streaming engine on the new rows of each
+    checkpoint; a callable of the last kind receives the whole chain. A
+    memory budget caps the effective n_max; configurations whose n* does
+    not fit are refused.
+    """
+    return drive_checkpoints(sampler, rule, config).result

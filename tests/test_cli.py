@@ -420,3 +420,80 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "8605" in proc.stdout
+
+
+class TestResumeSafety:
+    FLAGS = ["--eps", "0.05", "--alpha", "0.10", "--nstar", "60", "--json"]
+
+    def _first_call(self, capsys, tmp_path, n=80):
+        rows = np.random.default_rng(7).standard_normal((n, 2))
+        path = _write_chain(tmp_path, rows, name="grown.csv")
+        state = tmp_path / "state.json"
+        code, _, _ = _run(capsys, ["stop", "--input", path, "--resume", str(state)]
+                          + self.FLAGS)
+        assert code == 0
+        return path, state
+
+    def test_failed_state_write_keeps_old_state(self, capsys, tmp_path, monkeypatch):
+        path, state = self._first_call(capsys, tmp_path)
+        before = state.read_text()
+        import mcstop.cli as cli
+
+        def torn_dump(obj, fh, **kw):
+            fh.write('{"epsilon": 0.0')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", torn_dump)
+        with pytest.raises(OSError):
+            main(["stop", "--input", path, "--resume", str(state)])
+        monkeypatch.undo()
+        assert state.read_text() == before
+        assert json.loads(before)["next_checkpoint"] > 80
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grown.csv", "state.json"]
+
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--alpha", "0.05", "alpha"),
+        ("--rule", "absolute", "metric"),
+        ("--batch", "nu:0.4", "batch"),
+        ("--growth", "0.2", "check_growth"),
+        ("--nmax", "5000", "n_max"),
+        ("--nstar", "70", "n_star"),
+        ("--nstar", "auto", "n_star"),
+    ])
+    def test_conflicting_pinned_flag_rejected(self, capsys, tmp_path, flag, value, key):
+        path, state = self._first_call(capsys, tmp_path)
+        before = state.read_text()
+        code, _, err = _run(capsys, ["stop", "--input", path, "--resume", str(state),
+                                     flag, value])
+        assert code == 1
+        assert f"pins {key}" in err and flag in err
+        assert state.read_text() == before
+
+    def test_repeated_identical_flags_accepted(self, capsys, tmp_path):
+        path, state = self._first_call(capsys, tmp_path)
+        argv = ["stop", "--input", path, "--resume", str(state)] + self.FLAGS + [
+            "--rule", "relative_sd", "--batch", "nu:.5", "--growth", "0.1",
+            "--nmax", str(10**8)]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["status"] == "continue"
+
+    def test_unterminated_last_line_not_counted(self, capsys, tmp_path):
+        rows = np.random.default_rng(8).standard_normal((66, 2))
+        lines = [",".join(repr(float(v)) for v in r) for r in rows]
+        path = tmp_path / "grown.csv"
+        state = tmp_path / "state.json"
+        argv = ["stop", "--input", str(path), "--resume", str(state), "--json"]
+        # the 60th row is cut short mid-number, as by a writer still appending
+        path.write_text("\n".join(lines[:59]) + "\n" + lines[59][:4])
+        code, out, _ = _run(capsys, argv + ["--eps", "0.05", "--nstar", "60"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n_available"] == 59
+        assert payload["next_checkpoint"] == 60
+        # once the line is complete the checkpoint is examined
+        path.write_text("\n".join(lines[:60]) + "\n" + lines[60])
+        code, out, _ = _run(capsys, argv)
+        payload = json.loads(out)
+        assert payload["n_available"] == 60
+        assert payload["next_checkpoint"] == 66

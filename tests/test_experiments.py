@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mcstop import (
     var1_benchmark,
 )
 from mcstop.errors import ConfigError, DomainError
+from mcstop.experiments import _workers
 
 
 def _seq_config(**kw):
@@ -196,6 +198,28 @@ class TestCoverageStudy:
             assert row["reason"] == "criterion_met"
             assert row["n"] >= 200
         assert {g["method"] for g in report.summary} == {"mbm", "ubm_bonferroni"}
+
+    def test_sequential_final_estimates_computed_once(self, monkeypatch):
+        # checkpoints stream; the batch estimators run once per
+        # replication and method, at n_final
+        import mcstop.checkpoint as checkpoint
+
+        calls = []
+        for name in ("mbm", "sample_covariance"):
+            real = getattr(checkpoint, name)
+            monkeypatch.setattr(
+                checkpoint, name,
+                lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a),
+            )
+        spec = StudySpec(
+            model=IidGaussianSpec(2),
+            replications=3,
+            stopping=_seq_config(),
+            methods=("mbm", "ubm_bonferroni", "ubm"),
+            seed_base=5,
+        )
+        coverage_study(spec)
+        assert sorted(calls) == ["mbm"] * 9 + ["sample_covariance"] * 9
 
 
 class TestRelativeErrorStudy:
@@ -450,3 +474,21 @@ class TestWorkers:
         monkeypatch.setenv("MCSTOP_WORKERS", "two")
         with pytest.raises(ConfigError, match="MCSTOP_WORKERS"):
             coverage_study(spec)
+
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_nonpositive_workers_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("MCSTOP_WORKERS", raw)
+        with pytest.raises(ConfigError, match="MCSTOP_WORKERS"):
+            _workers()
+
+    @pytest.mark.parametrize("raw,cpus,expected", [
+        ("64", 4, 4), ("3", 8, 3), ("1", 8, 1), ("5", None, 1),
+    ])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, raw, cpus, expected):
+        monkeypatch.setenv("MCSTOP_WORKERS", raw)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert _workers() == expected
+
+    def test_default_is_serial(self, monkeypatch):
+        monkeypatch.delenv("MCSTOP_WORKERS", raising=False)
+        assert _workers() == 1

@@ -311,6 +311,27 @@ class TestFileChainSource:
         with pytest.raises(InsufficientData):
             src.take(41)
 
+    def test_take_is_a_read_only_view(self, rng):
+        ch = ChainMatrix(rng.standard_normal((40, 2)))
+        got = FileChainSource(ch).take(25).data
+        assert np.shares_memory(got, ch.data)
+        assert not got.flags.writeable
+
+
+class TestBlockBuffer:
+    def test_takes_share_one_buffer(self):
+        # take() slices the grown buffer instead of concatenating blocks
+        src = IidGaussianSource(3, seed=4)
+        long = src.take(9000)
+        short = src.take(5000)
+        assert np.shares_memory(long.data, short.data)
+        assert not short.data.flags.writeable
+        # growing the buffer leaves earlier chains intact
+        before = long.data.copy()
+        src.take(50_000)
+        np.testing.assert_array_equal(long.data, before)
+        np.testing.assert_array_equal(src.take(9000).data, before)
+
 
 class TestBenchmarks:
     def test_var1_benchmark_shapes(self):
