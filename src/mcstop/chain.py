@@ -63,21 +63,28 @@ class MeanVector:
         return self.values.size
 
 
-def _is_number(cell: str) -> bool:
+def _decimal(cell: str):
+    """The value of an ASCII decimal literal, or None.
+
+    The grammar is [+-] digits [. digits] [(e|E) [+-] digits] (one side
+    of the point may be empty), or inf / infinity / nan in any case,
+    which _parse_cell rejects by line. That is float()'s grammar minus
+    digit-group underscores ("1_0") and non-ASCII digits.
+    """
+    if not cell.isascii() or "_" in cell:
+        return None
     try:
-        float(cell)
+        return float(cell)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def _parse_cell(cell: str, line_no: int) -> float:
-    try:
-        v = float(cell)
-    except ValueError:
+    v = _decimal(cell)
+    if v is None:
         raise ParseError(
             f"non-numeric cell {cell!r} at line {line_no}", row=line_no
-        ) from None
+        )
     if math.isinf(v) or math.isnan(v):
         raise ParseError(
             f"cell {cell!r} at line {line_no} is not a finite double", row=line_no
@@ -124,7 +131,7 @@ def load_chain(source: Union[str, bytes, IO], format: str = "csv") -> ChainMatri
             seen_first = True
             # Line 1 is a header iff every field fails numeric parse
             # (a mixed line is a corrupt data row, not a header).
-            if all(not _is_number(c) for c in cells):
+            if all(_decimal(c) is None for c in cells):
                 continue
         if width is None:
             width = len(cells)

@@ -13,11 +13,14 @@ Resume mode (stop --input F --resume S) runs the checkpoint loop of
 stopping.py from the state's next checkpoint up to the complete lines
 of F; an unterminated last line may still be being written and is not
 counted. The state file pins the rule: a passed flag that disagrees
-with it is refused, and the file is replaced atomically.
+with it is refused, and the file is replaced atomically. It also pins
+the length and SHA-256 of the lines read so far, so a chain file whose
+checked rows were rewritten or truncated is refused.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -35,14 +38,9 @@ from .errors import (
     NotStationary,
     ParseError,
 )
-from .estimators import batch_size, mbm, sample_covariance
+from .estimators import BatchPolicy, batch_size, mbm, sample_covariance
 from .ess import eps_from_ess, min_ess, multivariate_ess, univariate_ess
-from .experiments import (
-    _parse_batch,
-    parse_model_spec,
-    read_study_config,
-    run_study,
-)
+from .experiments import parse_model_spec, read_study_config, run_study
 from .regions import ellipse_boundary, make_region, scheffe_interval
 from .samplers import FileChainSource
 from .stopping import StoppingConfig, default_nstar, drive_checkpoints, run_sequential
@@ -182,7 +180,7 @@ def cmd_ess(args) -> int:
     chain = load_chain(args.input, format=args.format)
     if args.dims is not None and args.dims != chain.p:
         raise ConfigError(f"-p {args.dims} disagrees with chain p={chain.p}")
-    policy = _parse_batch(args.batch)
+    policy = BatchPolicy.parse(args.batch)
     b_n = batch_size(chain.n, policy)
     sig = mbm(chain, b_n)
     _require_pd(sig)
@@ -223,7 +221,7 @@ def cmd_ess(args) -> int:
 
 def cmd_confregion(args) -> int:
     chain = load_chain(args.input, format=args.format)
-    policy = _parse_batch(args.batch)
+    policy = BatchPolicy.parse(args.batch)
     b_n = batch_size(chain.n, policy)
     sig = mbm(chain, b_n)
     _require_pd(sig)
@@ -301,7 +299,7 @@ def _stop_config(args, p: int) -> StoppingConfig:
     if args.eps is None:
         raise ConfigError("stop needs --eps")
     alpha = _flag(args, "alpha")
-    policy = _parse_batch(_flag(args, "batch"))
+    policy = BatchPolicy.parse(_flag(args, "batch"))
     return StoppingConfig(
         epsilon=args.eps,
         alpha=alpha,
@@ -355,7 +353,7 @@ def cmd_stop(args) -> int:
 
 
 _STATE_KEYS = ("epsilon", "alpha", "n_star", "metric", "batch",
-               "check_growth", "n_max", "next_checkpoint", "done")
+               "check_growth", "n_max", "next_checkpoint", "done", "read_prefix")
 
 
 def _written_rows(path: str) -> bytes:
@@ -369,6 +367,24 @@ def _written_rows(path: str) -> bytes:
     return raw[: raw.rfind(b"\n") + 1]
 
 
+def _pin_read_prefix(written: bytes, pinned) -> dict:
+    """Byte length and SHA-256 of the lines read, checked against the last pin.
+
+    A file that no longer begins with the pinned bytes (pinned is None on
+    the first call) had checked rows rewritten, say by a sampler
+    restarted with another seed, or cut.
+    """
+    view = memoryview(written)
+    size = 0 if pinned is None else pinned["bytes"]
+    digest = hashlib.sha256(view[:size])
+    if pinned is not None and (len(view) < size
+                               or digest.hexdigest() != pinned["sha256"]):
+        raise ConfigError("rows checked by an earlier call were rewritten or "
+                          "truncated; delete the state file to start over")
+    digest.update(view[size:])
+    return {"bytes": len(view), "sha256": digest.hexdigest()}
+
+
 def _reject_conflicts(args, state: dict, p: int) -> None:
     """Refuse every passed rule flag that disagrees with the pinned state."""
     pinned = [
@@ -379,11 +395,11 @@ def _reject_conflicts(args, state: dict, p: int) -> None:
         ("--nmax", "n_max", args.nmax, state["n_max"]),
     ]
     if args.batch is not None:
-        pinned.append(("--batch", "batch", _parse_batch(args.batch),
-                       _parse_batch(state["batch"])))
+        pinned.append(("--batch", "batch", BatchPolicy.parse(args.batch),
+                       BatchPolicy.parse(state["batch"])))
     if args.nstar is not None:
         n_star = _n_star(args.nstar, p, state["alpha"], state["epsilon"],
-                         _parse_batch(state["batch"]))
+                         BatchPolicy.parse(state["batch"]))
         pinned.append(("--nstar", "n_star", n_star, state["n_star"]))
     for flag, key, given, saved in pinned:
         if given is not None and given != saved:
@@ -416,7 +432,8 @@ def _stop_resume(args) -> int:
     loop as run_sequential, from the saved checkpoint up to the rows
     the file holds.
     """
-    chain = load_chain(_written_rows(args.input), format=args.format)
+    written = _written_rows(args.input)
+    chain = load_chain(written, format=args.format)
     if os.path.exists(args.resume):
         with open(args.resume) as fh:
             state = json.load(fh)
@@ -424,6 +441,7 @@ def _stop_resume(args) -> int:
             if key not in state:
                 raise ConfigError(f"state file missing key {key!r}")
         _reject_conflicts(args, state, chain.p)
+        read_prefix = _pin_read_prefix(written, state["read_prefix"])
         if state["done"]:
             print("state file marks this run as finished", file=sys.stderr)
             return 0
@@ -432,7 +450,7 @@ def _stop_resume(args) -> int:
             epsilon=state["epsilon"],
             alpha=state["alpha"],
             n_star=state["n_star"],
-            batch_policy=_parse_batch(batch_str),
+            batch_policy=BatchPolicy.parse(batch_str),
             metric=state["metric"],
             check_growth=state["check_growth"],
             n_max=state["n_max"],
@@ -442,6 +460,7 @@ def _stop_resume(args) -> int:
         batch_str = _flag(args, "batch")
         config = _stop_config(args, chain.p)
         start = None
+        read_prefix = _pin_read_prefix(written, None)
     run = drive_checkpoints(FileChainSource(chain), None, config,
                             start=start, available=chain.n)
     _write_state(args.resume, {
@@ -454,6 +473,7 @@ def _stop_resume(args) -> int:
         "n_max": config.n_max,
         "next_checkpoint": run.next_checkpoint,
         "done": run.result is not None,
+        "read_prefix": read_prefix,
     })
     if run.result is None:
         payload = {"command": "stop", "status": "continue",

@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from .chain import ChainMatrix
-from .errors import DomainError, InsufficientData
+from .errors import ConfigError, DomainError, InsufficientData
 
 
 class _NotPDType:
@@ -73,6 +73,21 @@ class BatchPolicy:
     @classmethod
     def fixed(cls, b: int) -> "BatchPolicy":
         return cls(kind="fixed", b=int(b))
+
+    @classmethod
+    def parse(cls, text: str) -> "BatchPolicy":
+        """Read the text form nu:<float> or fixed:<int>."""
+        kind, sep, val = text.partition(":")
+        if not sep:
+            raise ConfigError(f"batch must be nu:<float> or fixed:<int>, got {text!r}")
+        try:
+            if kind == "nu":
+                return cls.exponent(float(val))
+            if kind == "fixed":
+                return cls.fixed(int(val))
+        except ValueError:
+            raise ConfigError(f"bad batch value {val!r}") from None
+        raise ConfigError(f"unknown batch kind {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .checkpoint import reference_estimate
 from .errors import ConfigError, DomainError, InsufficientData, McstopError
 from .estimators import BatchPolicy, batch_size, mbm
 from .ess import multivariate_ess
-from .regions import contains, make_region
+from .regions import contains, make_region, rectangle_volume, t_cutoff
 from .samplers import (
     LOGIT_REFERENCE_MEAN,
     IidGaussianSource,
@@ -40,7 +40,6 @@ from .samplers import (
     load_logit_data,
 )
 from .stopping import StoppingConfig, default_nstar, drive_checkpoints
-from .stopping import _rectangle_log_volume, _t_star  # shared quantile helpers
 
 _METHODS = ("mbm", "ubm_bonferroni", "ubm")
 _METHOD_METRIC = {
@@ -409,7 +408,7 @@ def _map_replications(worker, payloads: list) -> list:
 
 
 def _rect_covered(est, truth, alpha: float, bonferroni: bool) -> bool:
-    t_star = _t_star(alpha, est.p, est.a_n, bonferroni)
+    t_star = t_cutoff(alpha, est.p, est.a_n, bonferroni)
     half = t_star * np.sqrt(est.ubm) / math.sqrt(est.n)
     diff = np.abs(est.theta - truth)
     return bool((diff < half).all())
@@ -432,7 +431,7 @@ def _coverage_eval(est, method: str, truth, alpha: float):
         covered = contains(region, MeanVector(truth))
         return ess_val, covered, region.log_volume
     bonf = method == "ubm_bonferroni"
-    log_vol = _rectangle_log_volume(n, est.p, est.a_n, est.ubm, alpha, bonf)
+    log_vol = rectangle_volume(n, est.p, est.a_n, est.ubm, alpha, bonf)
     covered = _rect_covered(est, truth, alpha, bonf)
     return ess_val, covered, log_vol
 
@@ -654,20 +653,6 @@ _STUDY_KEYS = {
 }
 
 
-def _parse_batch(text: str) -> BatchPolicy:
-    kind, sep, val = text.partition(":")
-    if not sep:
-        raise ConfigError(f"batch must be nu:<float> or fixed:<int>, got {text!r}")
-    try:
-        if kind == "nu":
-            return BatchPolicy.exponent(float(val))
-        if kind == "fixed":
-            return BatchPolicy.fixed(int(val))
-    except ValueError:
-        raise ConfigError(f"bad batch value {val!r}") from None
-    raise ConfigError(f"unknown batch kind {kind!r}")
-
-
 def read_study_config(path: str) -> dict:
     """Parse a key = value study config file.
 
@@ -721,7 +706,7 @@ def _validate_study_config(raw: dict) -> dict:
     if seed_base is None:
         raise ConfigError("missing required config key 'seed_base'")
     alpha = _conv(raw, "alpha", float, 0.10)
-    policy = _parse_batch(raw["batch"]) if "batch" in raw else BatchPolicy.exponent()
+    policy = BatchPolicy.parse(raw["batch"]) if "batch" in raw else BatchPolicy.exponent()
     out = {"study": study, "model": model}
 
     def floats(key):

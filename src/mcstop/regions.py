@@ -2,7 +2,8 @@
 
 Ellipsoidal regions for the Monte Carlo mean: the scaled-F cutoff, log
 volumes, membership tests via Cholesky solves, Scheffé simultaneous
-intervals, and 2-D boundary traces for plotting.
+intervals, and 2-D boundary traces for plotting. The univariate
+baselines' t cutoff and hyperrectangle volume live here too.
 """
 from __future__ import annotations
 
@@ -95,6 +96,31 @@ def region_volume(n: int, p: int, cutoff: float, log_det_sigma: float) -> float:
         + 0.5 * p * math.log(cutoff / n)
         + 0.5 * log_det_sigma
     )
+
+
+def t_cutoff(alpha: float, p: int, a_n: int, bonferroni: bool) -> float:
+    """Student-t critical value t_* on a_n - 1 degrees of freedom.
+
+    The level is 1 - α/(2p) with the Bonferroni correction over p
+    components and 1 - α/2 without it.
+    """
+    level = 1.0 - alpha / (2.0 * p) if bonferroni else 1.0 - alpha / 2.0
+    return specfns.quantile(specfns.student_t(a_n - 1), level)
+
+
+def rectangle_volume(
+    n: int, p: int, a_n: int, sig2: np.ndarray, alpha: float, bonferroni: bool
+) -> float:
+    """Log volume of the fixed-width hyperrectangle.
+
+    Product over components of the interval widths 2 t_* σ_{n,i}/√n,
+    where sig2 holds the uBM variances σ²_{n,i}; a zero variance gives
+    -inf.
+    """
+    t_star = t_cutoff(alpha, p, a_n, bonferroni)
+    with np.errstate(divide="ignore"):
+        logs = math.log(2.0 * t_star / math.sqrt(n)) + 0.5 * np.log(sig2)
+    return float(logs.sum())
 
 
 def make_region(

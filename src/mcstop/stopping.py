@@ -26,13 +26,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import specfns
 from .chain import ChainMatrix
 from .checkpoint import CheckpointEngine, CheckpointEstimate, reference_estimate
 from .errors import ConfigError, DomainError, InsufficientData
 from .estimators import BatchPolicy, batch_size, ubm_diag
 from .ess import min_ess, multivariate_ess
-from .regions import hotelling_cutoff, region_volume
+from .regions import hotelling_cutoff, rectangle_volume, region_volume, t_cutoff
 
 _METRICS = ("relative_sd", "absolute", "univariate_bonferroni", "univariate_uncorrected")
 
@@ -160,7 +159,7 @@ def _univariate(est: CheckpointEstimate, config: StoppingConfig, bonferroni: boo
         return False
     n = est.n
     lam = np.sqrt(est.col_var)
-    t_star = _t_star(config.alpha, est.p, est.a_n, bonferroni)
+    t_star = t_cutoff(config.alpha, est.p, est.a_n, bonferroni)
     lhs = 2.0 * t_star * np.sqrt(est.ubm) / math.sqrt(n) + 1.0 / n
     return bool((lhs <= config.epsilon * lam).all())
 
@@ -201,11 +200,6 @@ def check_absolute(chain: ChainMatrix, config: StoppingConfig) -> bool:
     )
 
 
-def _t_star(alpha: float, p: int, a_n: int, bonferroni: bool) -> float:
-    level = 1.0 - alpha / (2.0 * p) if bonferroni else 1.0 - alpha / 2.0
-    return specfns.quantile(specfns.student_t(a_n - 1), level)
-
-
 def check_univariate(
     chain: ChainMatrix, config: StoppingConfig, bonferroni=None
 ) -> bool:
@@ -223,15 +217,6 @@ def check_univariate(
     )
 
 
-def _rectangle_log_volume(
-    n: int, p: int, a_n: int, sig2: np.ndarray, alpha: float, bonferroni: bool
-) -> float:
-    t_star = _t_star(alpha, p, a_n, bonferroni)
-    with np.errstate(divide="ignore"):
-        logs = math.log(2.0 * t_star / math.sqrt(n)) + 0.5 * np.log(sig2)
-    return float(logs.sum())
-
-
 def rectangle_log_volume(
     chain: ChainMatrix, alpha: float, b_n: int, bonferroni: bool
 ) -> float:
@@ -243,7 +228,7 @@ def rectangle_log_volume(
     a_n = n // b_n
     if a_n < 2:
         raise InsufficientData(f"need at least 2 batches, got a_n={a_n}")
-    return _rectangle_log_volume(n, p, a_n, ubm_diag(chain, b_n), alpha, bonferroni)
+    return rectangle_volume(n, p, a_n, ubm_diag(chain, b_n), alpha, bonferroni)
 
 
 def _engine_metric(rule, config: StoppingConfig) -> Optional[str]:
@@ -285,7 +270,7 @@ def _final_summary(est: CheckpointEstimate, config: StoppingConfig) -> tuple:
             log_vol = region_volume(est.n, est.p, cutoff, sig.log_det)
     if config.metric not in ("relative_sd", "absolute"):
         bonf = config.metric == "univariate_bonferroni"
-        log_vol = _rectangle_log_volume(
+        log_vol = rectangle_volume(
             est.n, est.p, est.a_n, est.ubm, config.alpha, bonf
         )
     return ess_val, log_vol

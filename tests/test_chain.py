@@ -93,6 +93,30 @@ class TestLoadChain:
         with pytest.raises(ParseError):
             load_chain(path)
 
+    def test_underscore_digits_rejected(self, chain_file):
+        # float() reads "1_0" as 10.0; a chain file holds plain decimals
+        path = chain_file(None, raw="1_0,2\n")
+        with pytest.raises(ParseError) as exc:
+            load_chain(path)
+        assert exc.value.row == 1
+
+    @pytest.mark.parametrize("cell", ["１", "١.5", "1e٥"])
+    def test_non_ascii_digits_rejected(self, cell):
+        with pytest.raises(ParseError) as exc:
+            load_chain(f"1,2\n3,{cell}\n".encode("utf-8"))
+        assert exc.value.row == 2
+
+    def test_non_finite_first_line_is_data_not_header(self, chain_file):
+        path = chain_file(None, raw="inf,-Infinity\n1,2\n")
+        with pytest.raises(ParseError, match="not a finite double") as exc:
+            load_chain(path)
+        assert exc.value.row == 1
+
+    def test_decimal_forms_accepted(self, chain_file):
+        cells = ["-1", "+2.5", ".5", "5.", "1e3", "-2.5E-02", "7e+1", "-0"]
+        ch = load_chain(chain_file(None, raw=",".join(cells) + "\n"))
+        np.testing.assert_array_equal(ch.data[0], [float(c) for c in cells])
+
     def test_tsv(self, chain_file):
         path = chain_file(None, raw="1\t2\n3\t4\n", name="chain.tsv")
         ch = load_chain(path, format="tsv")

@@ -478,6 +478,55 @@ class TestResumeSafety:
         assert code == 0
         assert json.loads(out)["status"] == "continue"
 
+    def _walk_two_calls(self, capsys, tmp_path):
+        rows = np.random.default_rng(9).standard_normal((120, 2))
+        path = _write_chain(tmp_path, rows[:70], name="grown.csv")
+        state = tmp_path / "state.json"
+        argv = ["stop", "--input", path, "--resume", str(state)]
+        for extra, n in ((self.FLAGS, 70), (["--json"], 120)):
+            _write_chain(tmp_path, rows[:n], name="grown.csv")
+            code, out, _ = _run(capsys, argv + extra)
+            assert code == 0 and json.loads(out)["status"] == "continue"
+        return rows, path, state, argv
+
+    def test_rewritten_row_rejected(self, capsys, tmp_path):
+        rows, path, state, argv = self._walk_two_calls(capsys, tmp_path)
+        before = state.read_text()
+        rewritten = rows.copy()
+        rewritten[2] = np.random.default_rng(10).standard_normal(2)
+        _write_chain(tmp_path, np.vstack([rewritten, rows[:20]]), name="grown.csv")
+        code, _, err = _run(capsys, argv)
+        assert code == 1
+        assert "rewritten" in err
+        assert state.read_text() == before
+
+    def test_truncated_file_rejected(self, capsys, tmp_path):
+        rows, path, state, argv = self._walk_two_calls(capsys, tmp_path)
+        _write_chain(tmp_path, rows[:100], name="grown.csv")
+        code, _, err = _run(capsys, argv)
+        assert code == 1
+        assert "truncated" in err
+
+    def test_appended_rows_accepted(self, capsys, tmp_path):
+        rows, path, state, argv = self._walk_two_calls(capsys, tmp_path)
+        pin = json.loads(state.read_text())["read_prefix"]
+        with open(path, "a") as fh:
+            fh.write("0.5,-0.5\n")
+        code, _, _ = _run(capsys, argv)
+        assert code == 0
+        grown = json.loads(state.read_text())["read_prefix"]
+        assert grown["bytes"] == pin["bytes"] + len("0.5,-0.5\n")
+        assert grown["sha256"] != pin["sha256"]
+
+    def test_state_without_read_prefix_rejected(self, capsys, tmp_path):
+        path, state = self._first_call(capsys, tmp_path)
+        old = json.loads(state.read_text())
+        del old["read_prefix"]
+        state.write_text(json.dumps(old))
+        code, _, err = _run(capsys, ["stop", "--input", path, "--resume", str(state)])
+        assert code == 1
+        assert "missing key 'read_prefix'" in err
+
     def test_unterminated_last_line_not_counted(self, capsys, tmp_path):
         rows = np.random.default_rng(8).standard_normal((66, 2))
         lines = [",".join(repr(float(v)) for v in r) for r in rows]

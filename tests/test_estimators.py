@@ -17,7 +17,7 @@ from mcstop import (
     ubm_diag,
     var1_true_cov,
 )
-from mcstop.errors import DomainError, InsufficientData
+from mcstop.errors import ConfigError, DomainError, InsufficientData
 
 
 class TestBatchSize:
@@ -48,6 +48,15 @@ class TestBatchSize:
             BatchPolicy.exponent(1.0)
         with pytest.raises(DomainError):
             BatchPolicy.fixed(0)
+
+    def test_parse_text_form(self):
+        assert BatchPolicy.parse("nu:.4") == BatchPolicy.exponent(0.4)
+        assert BatchPolicy.parse("fixed:25") == BatchPolicy.fixed(25)
+        for bad in ("0.5", "nu:half", "fixed:2.5", "size:10"):
+            with pytest.raises(ConfigError):
+                BatchPolicy.parse(bad)
+        with pytest.raises(DomainError):
+            BatchPolicy.parse("nu:1.5")
 
     @given(st.integers(min_value=1, max_value=10**7),
            st.floats(min_value=0.05, max_value=0.95))

@@ -19,6 +19,7 @@ from mcstop import (
     region_volume,
     scheffe_interval,
 )
+from mcstop.regions import rectangle_volume, t_cutoff
 from mcstop.errors import DomainError, InsufficientBatches
 
 # 2 * 9/8 * F_{0.90, 2, 8}, F quantile frozen from scipy
@@ -29,6 +30,22 @@ def _region(rng, n=2000, p=3, alpha=0.10, b=20):
     x = rng.standard_normal((n, p)) + np.arange(p)
     ch = ChainMatrix(x)
     return make_region(column_means(ch), mbm(ch, b), n, alpha), ch
+
+
+class TestFixedWidthRectangle:
+    def test_t_cutoff_levels(self):
+        assert t_cutoff(0.10, 4, 50, bonferroni=False) == pytest.approx(
+            scipy.stats.t.ppf(0.95, 49), rel=1e-12)
+        assert t_cutoff(0.10, 4, 50, bonferroni=True) == pytest.approx(
+            scipy.stats.t.ppf(1 - 0.10 / 8, 49), rel=1e-12)
+
+    def test_rectangle_volume_is_product_of_widths(self):
+        sig2 = np.array([0.5, 2.0, 3.0])
+        t = t_cutoff(0.05, 3, 40, bonferroni=True)
+        widths = 2.0 * t * np.sqrt(sig2) / math.sqrt(1600)
+        assert rectangle_volume(1600, 3, 40, sig2, 0.05, True) == pytest.approx(
+            math.log(widths.prod()), rel=1e-13)
+        assert rectangle_volume(1600, 1, 40, np.zeros(1), 0.05, True) == -math.inf
 
 
 class TestHotellingCutoff:

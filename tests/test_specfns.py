@@ -1,7 +1,10 @@
-"""Quantile and special-function checks against independent oracles.
+"""Quantile and special-function checks against oracles.
 
-scipy.stats / scipy.special / mpmath appear here only as oracles; the
-library itself never imports them for this machinery.
+The library's functions wrap scipy.special, so the comparisons with
+scipy.stats check the wrapping: argument order, tails, support edges
+and domain errors. The independent oracles are math.lgamma, frozen
+values, and root solves in 40-digit mpmath arithmetic for the t, F and
+chi-square quantiles the stopping rules and thresholds use.
 """
 import math
 
@@ -194,3 +197,37 @@ class TestQuantile:
 
         x = mpmath.findroot(lambda x: cdf_mp(x) - target, mpmath.mpf(CHI2_1E4_95))
         assert quantile(chi2(10**4), 0.95) == pytest.approx(float(x), rel=1e-11)
+
+    @pytest.mark.parametrize("p", (1, 5, 50))
+    def test_rule_quantiles_against_mpmath(self, p):
+        # the t_* and Hotelling F quantiles the stopping rules call, each
+        # solved in 40-digit arithmetic at the float level passed in
+        import mpmath
+
+        def t_cdf(nu, x):
+            nu = mpmath.mpf(nu)
+            half = mpmath.mpf(1) / 2
+            tail = mpmath.betainc(nu / 2, half, 0, nu / (nu + x * x), regularized=True)
+            return 1 - tail / 2
+
+        def f_cdf(d1, d2, x):
+            d1, d2 = mpmath.mpf(d1), mpmath.mpf(d2)
+            return mpmath.betainc(d1 / 2, d2 / 2, 0, d1 * x / (d1 * x + d2),
+                                  regularized=True)
+
+        def oracle(cdf_mp, level, start):
+            root = mpmath.findroot(lambda x: cdf_mp(x) - mpmath.mpf(level),
+                                   mpmath.mpf(start))
+            return float(root)
+
+        with mpmath.workdps(40):
+            for a_n in (p + 2, 30, 1000, 10**5):
+                for alpha in (0.05, 0.10):
+                    for level in (1.0 - alpha / (2.0 * p), 1.0 - alpha / 2.0):
+                        q = quantile(student_t(a_n - 1), level)
+                        ref = oracle(lambda x: t_cdf(a_n - 1, x), level, q)
+                        assert q == pytest.approx(ref, rel=1e-11)
+                    if a_n > p:
+                        q = quantile(f(p, a_n - p), 1.0 - alpha)
+                        ref = oracle(lambda x: f_cdf(p, a_n - p, x), 1.0 - alpha, q)
+                        assert q == pytest.approx(ref, rel=1e-11)
