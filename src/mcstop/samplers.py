@@ -15,7 +15,6 @@ from importlib import resources
 from typing import Protocol, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .chain import ChainMatrix, load_chain
 from .errors import DomainError, InsufficientData, NotStationary
@@ -198,7 +197,8 @@ class ChainSource(Protocol):
 class _BlockSource:
     """Shared buffering: subclasses generate rows one block at a time.
 
-    Rows go into one capacity-doubling buffer, and take(n) returns a
+    A subclass supplies _generate_block, or overrides _extend to
+    generate exactly the rows a take asks for. Rows go into one capacity-doubling buffer, and take(n) returns a
     read-only view of its first n rows. Rows below the count are never
     written again, so earlier views stay valid as the buffer grows.
     """
@@ -215,23 +215,30 @@ class _BlockSource:
     def _generate_block(self) -> np.ndarray:
         raise NotImplementedError
 
+    def _extend(self, n: int) -> None:
+        """Generate rows until the buffer holds at least n of them."""
+        while self._count < n:
+            self._append(self._generate_block())
+
     def _meta(self, n: int) -> dict:
         return {}
 
-    def _append(self, rows: np.ndarray) -> None:
-        end = self._count + rows.shape[0]
+    def _reserve(self, end: int) -> None:
         if end > self._buf.shape[0]:
             grown = np.empty((max(end, 2 * self._buf.shape[0]), self._p))
             grown[: self._count] = self._buf[: self._count]
             self._buf = grown
+
+    def _append(self, rows: np.ndarray) -> None:
+        end = self._count + rows.shape[0]
+        self._reserve(end)
         self._buf[self._count : end] = rows
         self._count = end
 
     def take(self, n: int) -> ChainMatrix:
         if n < 1:
             raise DomainError(f"take needs n >= 1, got {n}")
-        while self._count < n:
-            self._append(self._generate_block())
+        self._extend(n)
         return ChainMatrix(self._buf[:n], meta=self._meta(n))
 
 
@@ -266,6 +273,10 @@ class Var1Source(_BlockSource):
     def _generate_block(self) -> np.ndarray:
         eps = self._rng.standard_normal((_BLOCK, self._p)) @ self._chol_omega.T
         if self._diag_phi is not None:
+            # scipy.signal costs about a second to import, so only the
+            # diagonal-Φ recursion that needs lfilter pays for it.
+            from scipy.signal import lfilter
+
             out = np.empty_like(eps)
             for j in range(self._p):
                 phi_j = self._diag_phi[j]
@@ -284,7 +295,13 @@ class Var1Source(_BlockSource):
 
 
 class RwmLogisticSource(_BlockSource):
-    """Random-walk Metropolis chain for the logistic posterior."""
+    """Random-walk Metropolis chain for the logistic posterior.
+
+    Proposal noise and acceptance uniforms are drawn a block at a time,
+    in the same order whatever the take() sizes, but Metropolis steps
+    run only up to the last row a take asks for; the next take resumes
+    from the cursor inside the current block.
+    """
 
     def __init__(
         self,
@@ -305,37 +322,66 @@ class RwmLogisticSource(_BlockSource):
                 raise DomainError(f"init length {beta0.size} != r={model.r}")
         self._cur = beta0
         self._cur_lp = log_posterior_logistic(beta0, model)
-        self._accept_flags: list = []
+        # flags[k] records whether step k (which made row k + 1) accepted.
+        self._flags = np.empty(0, dtype=bool)
+        self._steps: list = []
+        self._log_u: list = []
+        self._pos = _BLOCK
         self._append(beta0[None, :])
 
-    def _generate_block(self) -> np.ndarray:
-        model = self._model
-        z = self._rng.standard_normal((_BLOCK, model.r))
+    def _draw_block(self) -> None:
+        z = self._rng.standard_normal((_BLOCK, self._p))
         u = self._rng.random(_BLOCK)
-        out = np.empty((_BLOCK, model.r))
-        flags = np.empty(_BLOCK, dtype=bool)
-        cur, cur_lp = self._cur, self._cur_lp
         with np.errstate(divide="ignore"):
-            log_u = np.log(u)
-        for t in range(_BLOCK):
-            prop = cur + model.proposal_sd * z[t]
-            prop_lp = log_posterior_logistic(prop, model)
-            if log_u[t] < prop_lp - cur_lp:
-                cur, cur_lp = prop, prop_lp
-                flags[t] = True
-            else:
-                flags[t] = False
-            out[t] = cur
+            self._log_u = np.log(u).tolist()
+        self._steps = list(self._model.proposal_sd * z)
+        self._pos = 0
+
+    def _extend(self, n: int) -> None:
+        row = self._count
+        self._reserve(n)
+        if n - 1 > self._flags.shape[0]:
+            grown = np.empty(max(n - 1, 2 * self._flags.shape[0]), dtype=bool)
+            grown[: row - 1] = self._flags[: row - 1]
+            self._flags = grown
+        buf, flags = self._buf, self._flags
+        x, y = self._model.x, self._model.y
+        two_tau2 = 2.0 * self._model.tau2
+        logaddexp = np.logaddexp
+        cur, cur_lp = self._cur, self._cur_lp
+        while row < n:
+            if self._pos == _BLOCK:
+                self._draw_block()
+            pos = self._pos
+            stop = min(_BLOCK, pos + n - row)
+            steps, log_u = self._steps, self._log_u
+            for t in range(pos, stop):
+                # log_posterior_logistic's arithmetic in the same order,
+                # without its argument checks. Its isfinite check cannot
+                # fire: a proposal is a finite state (the initial one is
+                # checked in __init__) plus a finite step, and the
+                # −‖β‖²/2τ² prior term keeps every accepted state near
+                # the posterior, far from overflow.
+                prop = cur + steps[t]
+                eta = x @ prop
+                prop_lp = float(y @ eta - logaddexp(0.0, eta).sum()) - float(
+                    prop @ prop
+                ) / two_tau2
+                accept = log_u[t] < prop_lp - cur_lp
+                if accept:
+                    cur, cur_lp = prop, prop_lp
+                flags[row - 1] = accept
+                buf[row] = cur
+                row += 1
+            self._pos = stop
         self._cur, self._cur_lp = cur, cur_lp
-        self._accept_flags.append(flags)
-        return out
+        self._count = row
 
     def _meta(self, n: int) -> dict:
         steps = n - 1
         if steps < 1:
             return {"acceptance_rate": 0.0}
-        flags = np.concatenate(self._accept_flags)[:steps]
-        return {"acceptance_rate": float(flags.mean())}
+        return {"acceptance_rate": float(self._flags[:steps].mean())}
 
 
 class FileChainSource:

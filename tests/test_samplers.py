@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcstop import (
     ChainMatrix,
     FileChainSource,
     IidGaussianSource,
     LogisticModel,
+    RwmLogisticSource,
     Var1Model,
     Var1Source,
     ar1_cov,
@@ -268,8 +270,6 @@ class TestRwmLogistic:
         assert ch.meta["acceptance_rate"] > 0.999
 
     def test_deterministic_and_prefix_stable(self):
-        from mcstop.samplers import RwmLogisticSource
-
         model = load_logit_data()
         whole = rwm_logistic(model, 9000, seed=13)
         src = RwmLogisticSource(model, seed=13)
@@ -299,6 +299,71 @@ class TestRwmLogistic:
             rwm_logistic(model, 10, seed=1, init="mode")
         with pytest.raises(DomainError):
             rwm_logistic(model, 10, seed=1, init=np.zeros(3))
+
+
+def _reference_rwm(model, seed, blocks):
+    """Whole-block RWM: the source's draw order, one public log posterior per step.
+
+    Returns the states (blocks * 4096 + 1 rows) and the acceptance flag
+    of every step.
+    """
+    rng = np.random.default_rng(seed)
+    cur = math.sqrt(model.tau2) * rng.standard_normal(model.r)
+    cur_lp = log_posterior_logistic(cur, model)
+    rows, flags = [cur], []
+    for _ in range(blocks):
+        z = rng.standard_normal((4096, model.r))
+        u = rng.random(4096)
+        with np.errstate(divide="ignore"):
+            log_u = np.log(u)
+        for t in range(4096):
+            prop = cur + model.proposal_sd * z[t]
+            prop_lp = log_posterior_logistic(prop, model)
+            accept = log_u[t] < prop_lp - cur_lp
+            if accept:
+                cur, cur_lp = prop, prop_lp
+            flags.append(accept)
+            rows.append(cur)
+    return np.array(rows), np.array(flags)
+
+
+@pytest.fixture(scope="module")
+def logit_model():
+    return load_logit_data()
+
+
+@pytest.fixture(scope="module")
+def long_rwm(logit_model):
+    """A source already holding 9000 rows; take(n) re-reads its buffer."""
+    src = RwmLogisticSource(logit_model, seed=17)
+    src.take(9000)
+    return src
+
+
+class TestRwmReplay:
+    @pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097, 8193])
+    def test_bitwise_equal_to_reference(self, logit_model, n):
+        rows, flags = _reference_rwm(logit_model, seed=29, blocks=-(-(n - 1) // 4096))
+        ch = RwmLogisticSource(logit_model, seed=29).take(n)
+        assert ch.data.tobytes() == rows[:n].tobytes()
+        rate = float(flags[: n - 1].mean()) if n > 1 else 0.0
+        assert ch.meta["acceptance_rate"] == rate
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 9000), min_size=1, max_size=5))
+    def test_chunked_takes_equal_one_take(self, logit_model, long_rwm, sizes):
+        src = RwmLogisticSource(logit_model, seed=17)
+        for n in sizes:
+            got = src.take(n)
+            want = long_rwm.take(n)
+            assert got.data.tobytes() == want.data.tobytes()
+            assert got.meta == want.meta
+
+    def test_constructor_validates_init(self, logit_model):
+        for init in (np.zeros(4), np.zeros(6), [0.0, np.nan, 0.0, 0.0, 0.0],
+                     [np.inf, 0.0, 0.0, 0.0, 0.0]):
+            with pytest.raises(DomainError):
+                RwmLogisticSource(logit_model, seed=1, init=init)
 
 
 class TestFileChainSource:
