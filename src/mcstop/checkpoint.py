@@ -130,10 +130,12 @@ class CheckpointEngine:
         return self._n
 
     def append(self, rows: np.ndarray) -> None:
-        """Add the next rows (an (m, p) array) to the chain."""
+        """Add the next rows (an (m, p) array of finite draws) to the chain."""
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self._p:
             raise DomainError(f"rows must have shape (m, {self._p})")
+        if not np.isfinite(rows).all():
+            raise DomainError("chain contains non-finite entries")
         m = rows.shape[0]
         if m == 0:
             return

@@ -38,10 +38,10 @@ from .errors import (
     NotStationary,
     ParseError,
 )
-from .estimators import BatchPolicy, batch_size, mbm, sample_covariance
-from .ess import eps_from_ess, min_ess, multivariate_ess, univariate_ess
+from .estimators import BatchPolicy, batch_size, mbm
+from .ess import eps_from_ess, ess_report, min_ess
 from .experiments import parse_model_spec, read_study_config, run_study
-from .regions import ellipse_boundary, make_region, scheffe_interval
+from .regions import ellipse_boundary, make_region, scheffe_interval, vol_p
 from .samplers import FileChainSource
 from .stopping import StoppingConfig, default_nstar, drive_checkpoints, run_sequential
 
@@ -180,14 +180,12 @@ def cmd_ess(args) -> int:
     chain = load_chain(args.input, format=args.format)
     if args.dims is not None and args.dims != chain.p:
         raise ConfigError(f"-p {args.dims} disagrees with chain p={chain.p}")
-    policy = BatchPolicy.parse(args.batch)
-    b_n = batch_size(chain.n, policy)
-    sig = mbm(chain, b_n)
-    _require_pd(sig)
-    lam = sample_covariance(chain)
-    _require_pd(lam)
-    m_ess = multivariate_ess(lam, sig, chain.n)
-    u_ess = univariate_ess(chain, b_n)
+    try:
+        rep = ess_report(chain, BatchPolicy.parse(args.batch))
+    except NotPositiveDefinite:
+        raise NotPositiveDefinite(_NOT_PD_MSG) from None
+    m_ess, u_ess, b_n = rep.ess_multivariate, rep.ess_univariate, rep.b_n
+    a_n = chain.n // b_n
     threshold = min_ess(chain.p, args.alpha, args.eps)
     achieved_eps = eps_from_ess(chain.p, args.alpha, m_ess)
     verdict = bool(m_ess >= threshold)
@@ -196,7 +194,7 @@ def cmd_ess(args) -> int:
         "n": chain.n,
         "p": chain.p,
         "batch_size": b_n,
-        "batch_count": sig.a_n,
+        "batch_count": a_n,
         "alpha": args.alpha,
         "epsilon": args.eps,
         "ess_multivariate": m_ess,
@@ -208,7 +206,7 @@ def cmd_ess(args) -> int:
     }
     uni = "  ".join(f"{v:.6g}" for v in u_ess)
     _emit(payload, args.json, [
-        f"n: {chain.n}  p: {chain.p}  batch size: {b_n}  batches: {sig.a_n}",
+        f"n: {chain.n}  p: {chain.p}  batch size: {b_n}  batches: {a_n}",
         f"multivariate ESS: {m_ess:.6g}",
         f"univariate ESS:   {uni}",
         f"min ESS threshold: {int(math.ceil(threshold))} (raw {threshold!r})",
@@ -227,7 +225,7 @@ def cmd_confregion(args) -> int:
     _require_pd(sig)
     center = column_means(chain)
     region = make_region(center, sig, chain.n, args.alpha)
-    vol_p = math.exp(region.log_volume / chain.p)
+    root = vol_p(region.log_volume, chain.p)
     payload = {
         "command": "confregion",
         "n": chain.n,
@@ -238,14 +236,14 @@ def cmd_confregion(args) -> int:
         "center": [float(v) for v in center.values],
         "cutoff": region.quantile,
         "log_volume": region.log_volume,
-        "vol_p": vol_p,
+        "vol_p": root,
     }
     lines = [
         f"n: {chain.n}  p: {chain.p}  batch size: {b_n}  batches: {sig.a_n}",
         "center: " + "  ".join(f"{float(v):.8g}" for v in center.values),
         f"cutoff (scaled F): {region.quantile:.8g}",
         f"log volume: {region.log_volume!r}",
-        f"Vol^(1/p): {vol_p:.8g}",
+        f"Vol^(1/p): {root:.8g}",
     ]
     if args.directions is not None:
         dirs = load_chain(args.directions, format="csv")
@@ -312,8 +310,7 @@ def _stop_config(args, p: int) -> StoppingConfig:
 
 
 def _report_stop(result, p: int, as_json: bool, extra: dict) -> None:
-    vol_p = (math.exp(result.log_volume / p)
-             if math.isfinite(result.log_volume) else float("nan"))
+    root = vol_p(result.log_volume, p)
     payload = {
         "command": "stop",
         "terminated": result.terminated,
@@ -321,14 +318,14 @@ def _report_stop(result, p: int, as_json: bool, extra: dict) -> None:
         "n_final": result.n_final,
         "ess_at_termination": result.ess_at_termination,
         "log_volume": result.log_volume,
-        "vol_p": vol_p,
+        "vol_p": root,
     }
     payload.update(extra)
     _emit(payload, as_json, [
         f"reason: {result.reason}",
         f"n final: {result.n_final}",
         f"ESS at termination: {result.ess_at_termination:.6g}",
-        f"Vol^(1/p): {vol_p:.6g}",
+        f"Vol^(1/p): {root:.6g}",
     ])
 
 

@@ -15,13 +15,13 @@ import numpy as np
 
 from . import specfns
 from .chain import ChainMatrix
+from .checkpoint import reference_estimate
 from .errors import DomainError, NotPositiveDefinite
 from .estimators import (
     BatchPolicy,
     CovEstimate,
     batch_size,
-    mbm,
-    sample_covariance,
+    require_batches,
     ubm_diag,
 )
 
@@ -83,9 +83,11 @@ def univariate_ess(chain: ChainMatrix, b_n: int) -> np.ndarray:
     univariate batch means variance. Components with zero batch means
     variance report inf.
     """
-    n = chain.n
     lam2 = chain.data.var(axis=0, ddof=1)
-    sig2 = ubm_diag(chain, b_n)
+    return _variance_ratio(chain.n, lam2, ubm_diag(chain, b_n))
+
+
+def _variance_ratio(n: int, lam2: np.ndarray, sig2: np.ndarray) -> np.ndarray:
     out = np.empty_like(lam2)
     zero = sig2 == 0.0
     out[zero] = np.inf
@@ -139,15 +141,19 @@ def eps_from_ess(p: int, alpha: float, ess: float) -> float:
 
 
 def ess_report(chain: ChainMatrix, policy: BatchPolicy) -> EssReport:
-    """Full ESS summary: multivariate and per-component, one batch policy."""
+    """Full ESS summary: multivariate and per-component, one batch policy.
+
+    Both are read off one reference estimate at chain.n: the univariate
+    ESS takes the diagonal of its batch means matrix and its column
+    variances. Fewer than 2 batches raise InsufficientData, an estimate
+    that is not positive definite NotPositiveDefinite.
+    """
     b_n = batch_size(chain.n, policy)
-    lam = sample_covariance(chain)
-    sig = mbm(chain, b_n)
-    m_ess = multivariate_ess(lam, sig, chain.n)
-    u_ess = univariate_ess(chain, b_n)
+    require_batches(chain.n, b_n)
+    est = reference_estimate(chain, policy)
     return EssReport(
-        ess_multivariate=m_ess,
-        ess_univariate=u_ess,
+        ess_multivariate=multivariate_ess(est.lam, est.sigma, chain.n),
+        ess_univariate=_variance_ratio(chain.n, est.col_var, est.ubm),
         n=chain.n,
         p=chain.p,
         policy=policy,

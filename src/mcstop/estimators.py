@@ -173,6 +173,16 @@ def log_det(matrix: np.ndarray) -> LogDet:
     return float(2.0 * np.log(diag).sum())
 
 
+def require_batches(n: int, b_n: int) -> int:
+    """The batch count a_n = ⌊n / b_n⌋; InsufficientData below 2 batches."""
+    a_n = n // b_n
+    if a_n < 2:
+        raise InsufficientData(
+            f"mbm needs at least 2 batches, got a_n={a_n} from n={n}, b_n={b_n}"
+        )
+    return a_n
+
+
 def _scaled_gram(dev: np.ndarray, scale: float) -> np.ndarray:
     # shared kernel so mbm at b_n=1 reproduces sample_covariance bitwise
     m = dev.T @ dev
@@ -207,11 +217,7 @@ def mbm(chain: ChainMatrix, b_n: int) -> CovEstimate:
     n, p = chain.n, chain.p
     if b_n < 1:
         raise DomainError(f"batch size must be >= 1, got {b_n}")
-    a_n = n // b_n
-    if a_n < 2:
-        raise InsufficientData(
-            f"mbm needs at least 2 batches, got a_n={a_n} from n={n}, b_n={b_n}"
-        )
+    a_n = require_batches(n, b_n)
     prefix = chain.data[: a_n * b_n]
     center = prefix.mean(axis=0)
     means = prefix.reshape(a_n, b_n, p).mean(axis=1)

@@ -5,6 +5,11 @@ replication r), retains one row per replication and grid cell, and
 aggregates means with standard errors sample-sd/sqrt(R). Studies are
 deterministic: rerunning a spec reproduces the report bitwise.
 
+One runner, _replicate, owns the seed, the one chain source per
+replication and the error wrapping; each study only turns that source
+into rows. Fixed-n methods share one reference estimate per length,
+and sensitivity cells share one chain (sources are prefix-stable).
+
 Worker-pool parallelism over replications is available through the
 MCSTOP_WORKERS environment variable; aggregation order never depends
 on worker scheduling.
@@ -25,10 +30,10 @@ import numpy as np
 
 from .chain import MeanVector
 from .checkpoint import reference_estimate
-from .errors import ConfigError, DomainError, InsufficientData, McstopError
-from .estimators import BatchPolicy, batch_size, mbm
+from .errors import ConfigError, DomainError, McstopError
+from .estimators import BatchPolicy, batch_size, mbm, require_batches
 from .ess import multivariate_ess
-from .regions import contains, make_region, rectangle_volume, t_cutoff
+from .regions import contains, make_region, rectangle_volume, t_cutoff, vol_p
 from .samplers import (
     LOGIT_REFERENCE_MEAN,
     IidGaussianSource,
@@ -392,14 +397,36 @@ def _workers() -> int:
     return min(w, os.cpu_count() or 1)
 
 
-def _map_replications(worker, payloads: list) -> list:
-    """Run one payload per replication, preserving replication order."""
+def _run_replication(payload) -> list:
+    """Rows of replication r: seed seed_base + r, one source for every row.
+
+    body(spec, source, *extra) yields the rows without their replication
+    number. Errors outside the package's own are reported as a failure
+    of replication r.
+    """
+    body, spec, r, extra = payload
+    try:
+        source = spec.model.make_source(spec.seed_base + r)
+        return [{"replication": r, **row} for row in body(spec, source, *extra)]
+    except McstopError:
+        raise
+    except Exception as exc:
+        raise McstopError(f"replication {r} failed: {exc}") from exc
+
+
+def _replicate(body, spec: StudySpec, *extra) -> list:
+    """Every replication's rows, in replication order.
+
+    With MCSTOP_WORKERS > 1 the replications run in a process pool, so
+    body and extra must pickle: bodies are module-level functions.
+    """
+    payloads = [(body, spec, r, extra) for r in range(spec.replications)]
     w = _workers()
     if w > 1:
         with ProcessPoolExecutor(max_workers=w) as pool:
-            results = list(pool.map(worker, payloads))
+            results = list(pool.map(_run_replication, payloads))
     else:
-        results = [worker(p) for p in payloads]
+        results = [_run_replication(p) for p in payloads]
     return [row for sub in results for row in sub]
 
 
@@ -407,103 +434,67 @@ def _map_replications(worker, payloads: list) -> list:
 # coverage study
 
 
-def _rect_covered(est, truth, alpha: float, bonferroni: bool) -> bool:
-    t_star = t_cutoff(alpha, est.p, est.a_n, bonferroni)
-    half = t_star * np.sqrt(est.ubm) / math.sqrt(est.n)
-    diff = np.abs(est.theta - truth)
-    return bool((diff < half).all())
-
-
-def _coverage_eval(est, method: str, truth, alpha: float):
-    """(ess, covered, log_volume) under one method, from reference estimates."""
+def _coverage_eval(est, method: str, truth, alpha: float) -> dict:
+    """ess, covered, vol_p and log_volume under one method, from one estimate."""
     n, sig = est.n, est.sigma
-    if sig is None:
-        raise InsufficientData(
-            f"mbm needs at least 2 batches, got a_n={est.a_n} from n={n}, b_n={est.b_n}"
-        )
+    require_batches(n, est.b_n)
     ess_val = float("nan")
     if sig.is_pd and est.lam.is_pd:
         ess_val = multivariate_ess(est.lam, sig, n)
     if method == "mbm":
-        if not sig.is_pd:
-            return ess_val, False, float("nan")
-        region = make_region(MeanVector(est.theta), sig, n, alpha)
-        covered = contains(region, MeanVector(truth))
-        return ess_val, covered, region.log_volume
-    bonf = method == "ubm_bonferroni"
-    log_vol = rectangle_volume(n, est.p, est.a_n, est.ubm, alpha, bonf)
-    covered = _rect_covered(est, truth, alpha, bonf)
-    return ess_val, covered, log_vol
+        covered, log_vol = False, float("nan")
+        if sig.is_pd:
+            region = make_region(MeanVector(est.theta), sig, n, alpha)
+            covered = contains(region, MeanVector(truth))
+            log_vol = region.log_volume
+    else:
+        bonf = method == "ubm_bonferroni"
+        log_vol = rectangle_volume(n, est.p, est.a_n, est.ubm, alpha, bonf)
+        half = t_cutoff(alpha, est.p, est.a_n, bonf) * np.sqrt(est.ubm) / math.sqrt(n)
+        covered = (np.abs(est.theta - truth) < half).all()
+    return {"ess": ess_val, "covered": int(covered),
+            "vol_p": vol_p(log_vol, est.p), "log_volume": log_vol}
 
 
-def _coverage_rep(payload) -> list:
-    spec, r = payload
-    seed = spec.seed_base + r
-    truth = spec.eff_truth
-    p = spec.model.p
-    rows = []
-    try:
-        source = spec.model.make_source(seed)
-        if spec.is_fixed_n:
-            for n in spec.stopping:
-                chain = source.take(n)
-                for method in spec.methods:
-                    t0 = time.perf_counter()
-                    ess_val, covered, log_vol = _coverage_eval(
-                        reference_estimate(chain, spec.eff_policy), method,
-                        truth, spec.eff_alpha,
-                    )
-                    rows.append({
-                        "replication": r,
-                        "method": method,
-                        "n": int(n),
-                        "ess": ess_val,
-                        "covered": int(covered),
-                        "vol_p": math.exp(log_vol / p) if math.isfinite(log_vol) else float("nan"),
-                        "log_volume": log_vol,
-                        "reason": "fixed_n",
-                        "seconds": time.perf_counter() - t0,
-                    })
-        else:
-            config = spec.stopping
-            for method in spec.methods:
-                metric = _METHOD_METRIC.get(method, config.metric)
-                if method == "mbm" and metric not in ("relative_sd", "absolute"):
-                    metric = "relative_sd"
-                cfg = dataclasses.replace(config, metric=metric)
-                t0 = time.perf_counter()
-                run = drive_checkpoints(source, None, cfg)
-                result = run.result
-                ess_val, covered, log_vol = _coverage_eval(
-                    run.final, method, truth, cfg.alpha
-                )
-                rows.append({
-                    "replication": r,
-                    "method": method,
-                    "n": result.n_final,
-                    "ess": result.ess_at_termination,
-                    "covered": int(covered),
-                    "vol_p": math.exp(log_vol / p) if math.isfinite(log_vol) else float("nan"),
-                    "log_volume": log_vol,
-                    "reason": result.reason,
-                    "seconds": time.perf_counter() - t0,
-                })
-    except McstopError:
-        raise
-    except Exception as exc:
-        raise McstopError(f"replication {r} failed: {exc}") from exc
-    return rows
+def _fixed_n_rows(spec, source):
+    """One reference estimate per n, shared by every method's row."""
+    for n in spec.stopping:
+        chain = source.take(n)
+        t0 = time.perf_counter()
+        est = reference_estimate(chain, spec.eff_policy)
+        shared = time.perf_counter() - t0
+        for method in spec.methods:
+            t0 = time.perf_counter()
+            row = _coverage_eval(est, method, spec.eff_truth, spec.eff_alpha)
+            yield {"method": method, "n": int(n), **row, "reason": "fixed_n",
+                   "seconds": shared + time.perf_counter() - t0}
+
+
+def _sequential_rows(spec, source):
+    """Each method's own stopping rule, run on the one shared source."""
+    config = spec.stopping
+    for method in spec.methods:
+        metric = _METHOD_METRIC.get(method, config.metric)
+        if method == "mbm" and metric not in ("relative_sd", "absolute"):
+            metric = "relative_sd"
+        cfg = dataclasses.replace(config, metric=metric)
+        t0 = time.perf_counter()
+        run = drive_checkpoints(source, None, cfg)
+        # its ess is the run's ess_at_termination, from the same estimate
+        row = _coverage_eval(run.final, method, spec.eff_truth, cfg.alpha)
+        yield {"method": method, "n": run.result.n_final, **row,
+               "reason": run.result.reason, "seconds": time.perf_counter() - t0}
 
 
 def coverage_study(spec: StudySpec) -> StudyReport:
     """Region coverage (and termination statistics) over replications.
 
-    Fixed-n studies evaluate each method on the same chain prefix;
-    sequential studies run each method's own stopping rule on a shared
-    underlying chain realization per replication.
+    Fixed-n studies evaluate each method on one reference estimate of
+    the same chain prefix; sequential studies run each method's own
+    stopping rule on a shared underlying chain realization per
+    replication.
     """
-    payloads = [(spec, r) for r in range(spec.replications)]
-    rows = _map_replications(_coverage_rep, payloads)
+    rows = _replicate(_fixed_n_rows if spec.is_fixed_n else _sequential_rows, spec)
     group_keys = ["method", "n"] if spec.is_fixed_n else ["method"]
     summary = _aggregate(rows, group_keys, ["n", "ess", "covered", "vol_p"])
     if spec.is_fixed_n:
@@ -517,33 +508,17 @@ def coverage_study(spec: StudySpec) -> StudyReport:
 # relative error study
 
 
-def _relerr_rep(payload) -> list:
-    spec, r, sizes = payload
-    seed = spec.seed_base + r
+def _relerr_rows(spec, source, sizes):
     sigma = spec.model.sigma_true
     denom = float(np.linalg.norm(sigma))
-    policy = spec.eff_policy
-    rows = []
-    try:
-        source = spec.model.make_source(seed)
-        for n in sizes:
-            chain = source.take(n)
-            b = batch_size(n, policy)
-            t0 = time.perf_counter()
-            est = mbm(chain, b)
-            seconds = time.perf_counter() - t0
-            rel = float(np.linalg.norm(est.matrix - sigma)) / denom
-            rows.append({
-                "replication": r,
-                "n": int(n),
-                "rel_error": rel,
-                "seconds": seconds,
-            })
-    except McstopError:
-        raise
-    except Exception as exc:
-        raise McstopError(f"replication {r} failed: {exc}") from exc
-    return rows
+    for n in sizes:
+        chain = source.take(n)
+        b = batch_size(n, spec.eff_policy)
+        t0 = time.perf_counter()
+        est = mbm(chain, b)
+        seconds = time.perf_counter() - t0
+        rel = float(np.linalg.norm(est.matrix - sigma)) / denom
+        yield {"n": int(n), "rel_error": rel, "seconds": seconds}
 
 
 def relative_error_study(spec: StudySpec, sizes: Sequence[int]) -> StudyReport:
@@ -556,8 +531,7 @@ def relative_error_study(spec: StudySpec, sizes: Sequence[int]) -> StudyReport:
     sizes = tuple(int(n) for n in sizes)
     if not sizes or any(n < 2 for n in sizes):
         raise DomainError("sizes must all be >= 2")
-    payloads = [(spec, r, sizes) for r in range(spec.replications)]
-    rows = _map_replications(_relerr_rep, payloads)
+    rows = _replicate(_relerr_rows, spec, sizes)
     summary = _aggregate(rows, ["n"], ["rel_error", "seconds"])
     return StudyReport(study="relative_error", rows=tuple(rows), summary=summary)
 
@@ -566,54 +540,35 @@ def relative_error_study(spec: StudySpec, sizes: Sequence[int]) -> StudyReport:
 # batch sensitivity study
 
 
-def _sensitivity_rep(payload) -> list:
-    spec, r, nus, eps_list = payload
-    seed = spec.seed_base + r
-    truth = spec.eff_truth
-    config = spec.stopping
-    p = spec.model.p
-    rows = []
-    try:
-        for nu in nus:
-            for eps in eps_list:
-                cfg = dataclasses.replace(
-                    config,
-                    epsilon=eps,
-                    batch_policy=BatchPolicy.exponent(nu),
-                    metric="relative_sd",
-                )
-                source = spec.model.make_source(seed)
-                t0 = time.perf_counter()
-                run = drive_checkpoints(source, None, cfg)
-                result = run.result
-                sig = run.final.sigma
-                if sig.is_pd:
-                    region = make_region(
-                        MeanVector(run.final.theta), sig, result.n_final, cfg.alpha
-                    )
-                    covered = contains(region, MeanVector(truth))
-                    max_eig = float(np.linalg.eigvalsh(sig.matrix)[-1])
-                else:
-                    covered = False
-                    max_eig = float("nan")
-                rows.append({
-                    "replication": r,
-                    "nu": float(nu),
-                    "eps": float(eps),
-                    "n": result.n_final,
-                    "ess": result.ess_at_termination,
-                    "covered": int(covered),
-                    "vol_p": math.exp(result.log_volume / p)
-                    if math.isfinite(result.log_volume) else float("nan"),
-                    "max_eigenvalue": max_eig,
-                    "reason": result.reason,
-                    "seconds": time.perf_counter() - t0,
-                })
-    except McstopError:
-        raise
-    except Exception as exc:
-        raise McstopError(f"replication {r} failed: {exc}") from exc
-    return rows
+def _sensitivity_rows(spec, source, nus, eps_list):
+    """Every (nu, eps) cell on one source: sources are prefix-stable."""
+    for nu in nus:
+        for eps in eps_list:
+            cfg = dataclasses.replace(
+                spec.stopping,
+                epsilon=eps,
+                batch_policy=BatchPolicy.exponent(nu),
+                metric="relative_sd",
+            )
+            t0 = time.perf_counter()
+            run = drive_checkpoints(source, None, cfg)
+            row = _coverage_eval(run.final, "mbm", spec.eff_truth, cfg.alpha)
+            sig = run.final.sigma
+            max_eig = float("nan")
+            if sig.is_pd:
+                max_eig = float(np.linalg.eigvalsh(sig.matrix)[-1])
+            result = run.result
+            yield {
+                "nu": float(nu),
+                "eps": float(eps),
+                "n": result.n_final,
+                "ess": result.ess_at_termination,
+                "covered": row["covered"],
+                "vol_p": vol_p(result.log_volume, spec.model.p),
+                "max_eigenvalue": max_eig,
+                "reason": result.reason,
+                "seconds": time.perf_counter() - t0,
+            }
 
 
 def batch_sensitivity_study(
@@ -621,9 +576,9 @@ def batch_sensitivity_study(
 ) -> StudyReport:
     """Coverage at termination over a (nu, eps) grid.
 
-    Each cell reruns the relative-sd rule with b_n = ⌊n^nu⌋; the
-    per-replication largest eigenvalue of the final estimate is
-    retained for spread analysis.
+    Each cell reruns the relative-sd rule with b_n = ⌊n^nu⌋ on the
+    replication's one chain; the per-replication largest eigenvalue of
+    the final estimate is retained for spread analysis.
     """
     if spec.is_fixed_n:
         raise DomainError("batch sensitivity study needs a sequential StoppingConfig")
@@ -634,8 +589,7 @@ def batch_sensitivity_study(
         (spec.stopping.epsilon,) if eps_list is None
         else tuple(float(e) for e in eps_list)
     )
-    payloads = [(spec, r, nus, eps_list) for r in range(spec.replications)]
-    rows = _map_replications(_sensitivity_rep, payloads)
+    rows = _replicate(_sensitivity_rows, spec, nus, eps_list)
     summary = _aggregate(
         rows, ["nu", "eps"], ["n", "ess", "covered", "vol_p", "max_eigenvalue"]
     )

@@ -98,6 +98,11 @@ def region_volume(n: int, p: int, cutoff: float, log_det_sigma: float) -> float:
     )
 
 
+def vol_p(log_volume: float, p: int) -> float:
+    """The p-th root volume Vol^{1/p}; nan when the log volume is not finite."""
+    return math.exp(log_volume / p) if math.isfinite(log_volume) else float("nan")
+
+
 def t_cutoff(alpha: float, p: int, a_n: int, bonferroni: bool) -> float:
     """Student-t critical value t_* on a_n - 1 degrees of freedom.
 

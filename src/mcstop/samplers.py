@@ -4,8 +4,9 @@ VAR(1) processes carry an analytic asymptotic covariance, so every
 estimator in the package can be checked against ground truth. The
 random-walk Metropolis sampler targets a Bayesian logistic posterior
 for the bundled dataset. All samplers are deterministic given a seed,
-and chain sources hand out prefix-stable extensions: take(n) returns
-the same rows no matter how the calls were sliced.
+and chain sources hand out prefix-stable extensions: rows(n), a
+read-only view of the buffer, and take(n), the same rows as a
+ChainMatrix, do not depend on how the calls were sliced.
 """
 from __future__ import annotations
 
@@ -198,9 +199,10 @@ class _BlockSource:
     """Shared buffering: subclasses generate rows one block at a time.
 
     A subclass supplies _generate_block, or overrides _extend to
-    generate exactly the rows a take asks for. Rows go into one capacity-doubling buffer, and take(n) returns a
-    read-only view of its first n rows. Rows below the count are never
-    written again, so earlier views stay valid as the buffer grows.
+    generate exactly the rows a request asks for. Rows go into one
+    capacity-doubling buffer, and rows(n) returns a read-only view of
+    its first n rows. Rows below the count are never written again, so
+    earlier views stay valid as the buffer grows.
     """
 
     def __init__(self, p: int):
@@ -235,11 +237,17 @@ class _BlockSource:
         self._buf[self._count : end] = rows
         self._count = end
 
-    def take(self, n: int) -> ChainMatrix:
+    def rows(self, n: int) -> np.ndarray:
+        """A read-only (n, p) view of the first n rows."""
         if n < 1:
-            raise DomainError(f"take needs n >= 1, got {n}")
+            raise DomainError(f"n must be >= 1, got {n}")
         self._extend(n)
-        return ChainMatrix(self._buf[:n], meta=self._meta(n))
+        view = self._buf[:n]
+        view.setflags(write=False)
+        return view
+
+    def take(self, n: int) -> ChainMatrix:
+        return ChainMatrix(self.rows(n), meta=self._meta(n))
 
 
 class IidGaussianSource(_BlockSource):
@@ -384,25 +392,27 @@ class RwmLogisticSource(_BlockSource):
         return {"acceptance_rate": float(self._flags[:steps].mean())}
 
 
-class FileChainSource:
+class FileChainSource(_BlockSource):
     """Wrap an already materialized chain as a (finite) source.
 
-    take(n) returns a read-only view of the stored rows, not a copy.
+    The stored rows are the buffer, so rows(n) and take(n) return
+    read-only views of them, not copies.
     """
 
     def __init__(self, chain: ChainMatrix):
-        self._chain = chain
+        super().__init__(chain.p)
+        self._buf = chain.data
+        self._count = chain.n
+        self._chain_meta = chain.meta
 
-    @property
-    def p(self) -> int:
-        return self._chain.p
-
-    def take(self, n: int) -> ChainMatrix:
-        if n > self._chain.n:
+    def _extend(self, n: int) -> None:
+        if n > self._count:
             raise InsufficientData(
-                f"stored chain has {self._chain.n} rows, {n} requested"
+                f"stored chain has {self._count} rows, {n} requested"
             )
-        return ChainMatrix(self._chain.data[:n], meta=dict(self._chain.meta))
+
+    def _meta(self, n: int) -> dict:
+        return dict(self._chain_meta)
 
 
 def simulate_var1(model: Var1Model, n: int, seed: int) -> ChainMatrix:

@@ -11,10 +11,11 @@ diagonal and the column variances). When the rule is None, a metric
 name or one of the four public check functions, the loop feeds only
 the new rows of each checkpoint to a streaming CheckpointEngine, so a
 check costs O(new rows) instead of a rescan of the whole prefix. Any
-other callable rule receives the ChainMatrix itself. The public check
-functions evaluate the same rule functions on estimates built by the
-reference batch estimators, and the final summary (ESS and log volume
-at n_final) is computed once, by the reference estimators too. The
+other callable rule receives a ChainMatrix at every checkpoint. The
+public check functions evaluate the same rule functions on estimates
+built by the reference batch estimators, and the final summary (ESS
+and log volume at n_final) is computed once, by the reference
+estimators too, on the one ChainMatrix an engine decision builds. The
 resume protocol of the command line runs the same loop, from a saved
 checkpoint and limited to the rows a file holds so far.
 """
@@ -291,6 +292,19 @@ class CheckpointRun:
     final: Optional[CheckpointEstimate] = None
 
 
+def _length_cap(config: StoppingConfig, p: Optional[int]) -> int:
+    """n_max, lowered to the memory budget once the dimension p is known."""
+    cap = config.n_max
+    if p is not None:
+        cap = min(cap, config.memory_budget_bytes // (8 * int(p)))
+    if cap < max(config.n_star, 2):
+        raise ConfigError(
+            f"n_star={config.n_star} does not fit the cap of {cap} rows "
+            "(n_max or the memory budget)"
+        )
+    return cap
+
+
 def drive_checkpoints(
     sampler, rule, config: StoppingConfig, start: Optional[int] = None,
     available: Optional[int] = None,
@@ -300,49 +314,42 @@ def drive_checkpoints(
     Checks run at start (default max(n*, 2)) and, after each failure,
     at n + ⌈check_growth · n⌉, capped at the effective n_max. With
     available set, the loop stops before the first checkpoint beyond
-    that many rows and reports it instead of taking it.
+    that many rows and reports it instead of taking it. The engine
+    reads sampler.rows(n), or take(n).data from a sampler without rows;
+    a ChainMatrix rule gets take(n).
     """
     metric = _engine_metric(rule, config)
-    n0 = max(config.n_star, 2)
-    effective_max = config.n_max
-    p_hint = getattr(sampler, "p", None)
-    if p_hint is not None:
-        effective_max = min(effective_max, config.memory_budget_bytes // (8 * int(p_hint)))
-    if effective_max < n0:
-        raise ConfigError(
-            f"n_star={config.n_star} does not fit the cap of {effective_max} rows "
-            "(n_max or the memory budget)"
-        )
+    p = getattr(sampler, "p", None)
+    cap = _length_cap(config, p)
     take = sampler.take if hasattr(sampler, "take") else sampler
+    read = getattr(sampler, "rows", lambda k: take(k).data)
     engine = None
-    n = n0 if start is None else start
+    n = max(config.n_star, 2) if start is None else start
     while available is None or n <= available:
-        chain = take(n)
-        if p_hint is None:
-            p_hint = chain.p
-            effective_max = min(
-                effective_max, config.memory_budget_bytes // (8 * int(p_hint))
-            )
-            if effective_max < n0:
-                raise ConfigError(
-                    f"n_star={config.n_star} does not fit the memory budget"
-                )
         if metric is None:
+            chain = take(n)
+            rows = chain.data
             fired = rule(chain, config)
         else:
+            rows = read(n)
             if engine is None:
-                engine = CheckpointEngine(chain.p, config.batch_policy)
-            engine.append(chain.data[engine.n : n])
+                engine = CheckpointEngine(rows.shape[1], config.batch_policy)
+            engine.append(rows[engine.n : n])
             fired = _RULES[metric](engine.estimate(), config)
+        if p is None:
+            p = rows.shape[1]
+            cap = _length_cap(config, p)
         if fired:
             reason = "criterion_met"
             break
-        if n >= effective_max:
+        if n >= cap:
             reason = "n_max_reached"
             break
-        n = min(n + int(math.ceil(config.check_growth * n)), effective_max)
+        n = min(n + int(math.ceil(config.check_growth * n)), cap)
     else:
         return CheckpointRun(result=None, next_checkpoint=n)
+    if metric is not None:
+        chain = ChainMatrix(rows)
     final = reference_estimate(chain, config.batch_policy)
     ess_val, log_vol = _final_summary(final, config)
     result = StoppingResult(
@@ -363,7 +370,7 @@ def run_sequential(sampler, rule, config: StoppingConfig) -> StoppingResult:
     is None (config.metric), a metric name, a public check function, or
     any callable taking (ChainMatrix, StoppingConfig). The first three
     are evaluated by the streaming engine on the new rows of each
-    checkpoint; a callable of the last kind receives the whole chain. A
+    checkpoint; a callable of the last kind receives take(n). A
     memory budget caps the effective n_max; configurations whose n* does
     not fit are refused.
     """

@@ -179,6 +179,16 @@ class TestEngine:
         with pytest.raises(DomainError):
             engine.estimate()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_append_rejects_non_finite_rows(self, rng, bad):
+        eng = CheckpointEngine(2, BatchPolicy.exponent())
+        eng.append(rng.standard_normal((5, 2)))
+        rows = rng.standard_normal((3, 2))
+        rows[1, 0] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            eng.append(rows)
+        assert eng.n == 5
+
     def test_reference_estimate_is_the_batch_estimators(self, rng):
         chain = ChainMatrix(rng.standard_normal((900, 3)))
         pol = BatchPolicy.exponent(0.5)

@@ -77,6 +77,25 @@ class TestEssCommand:
         assert payload["batch_size"] == b
         assert payload["verdict"] == (expected >= payload["min_ess"])
 
+    def test_one_batch_means_estimate_per_run(self, capsys, tmp_path, rng, monkeypatch):
+        import mcstop.estimators as estimators
+
+        real = estimators.mbm
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("mcstop")
+                    and getattr(mod, "mbm", None) is real):
+                monkeypatch.setattr(mod, "mbm", spy)
+        path = _write_chain(tmp_path, rng.standard_normal((2000, 3)))
+        code, out, _ = _run(capsys, ["ess", path, "--json"])
+        assert code == 0
+        assert calls == [json.loads(out)["batch_size"]]
+
     def test_dims_mismatch(self, capsys, tmp_path, rng):
         path = _write_chain(tmp_path, rng.standard_normal((100, 2)))
         code, _, err = _run(capsys, ["ess", path, "-p", "3"])

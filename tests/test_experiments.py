@@ -22,7 +22,7 @@ from mcstop import (
     run_study,
     var1_benchmark,
 )
-from mcstop.errors import ConfigError, DomainError
+from mcstop.errors import ConfigError, DomainError, InsufficientData
 from mcstop.experiments import _workers
 
 
@@ -221,6 +221,26 @@ class TestCoverageStudy:
         coverage_study(spec)
         assert sorted(calls) == ["mbm"] * 9 + ["sample_covariance"] * 9
 
+    def test_fixed_n_one_estimate_per_length(self, monkeypatch):
+        # every method reads the same reference estimate at each n
+        import mcstop.checkpoint as checkpoint
+
+        calls = []
+        real = checkpoint.mbm
+        monkeypatch.setattr(
+            checkpoint, "mbm", lambda *a: calls.append(a[0].n) or real(*a)
+        )
+        spec = StudySpec(
+            model=IidGaussianSpec(2),
+            replications=3,
+            stopping=[100, 400],
+            methods=("mbm", "ubm_bonferroni", "ubm"),
+            seed_base=5,
+        )
+        report = coverage_study(spec)
+        assert len(report.rows) == 3 * 2 * 3
+        assert calls == [100, 400] * 3
+
 
 class TestRelativeErrorStudy:
     def test_decreasing_and_recomputable(self):
@@ -271,6 +291,39 @@ class TestBatchSensitivityStudy:
         )
         with pytest.raises(DomainError):
             batch_sensitivity_study(spec, nus=(0.5,))
+
+    def test_cells_share_one_source(self, monkeypatch):
+        made = []
+        real = IidGaussianSpec.make_source
+        monkeypatch.setattr(
+            IidGaussianSpec, "make_source",
+            lambda self, seed: made.append(seed) or real(self, seed),
+        )
+        spec = StudySpec(
+            model=IidGaussianSpec(2),
+            replications=2,
+            stopping=_seq_config(),
+            seed_base=3,
+        )
+        report = batch_sensitivity_study(spec, nus=(0.4, 0.5), eps_list=(0.3, 0.5))
+        assert len(report.rows) == 8
+        assert made == [3, 4]
+
+    def test_too_few_batches_reported_like_coverage(self):
+        # n_max = 3 under nu = .9 ends with b_n = 2, a_n = 1
+        spec = StudySpec(
+            model=var1_benchmark(5),
+            replications=1,
+            stopping=_seq_config(
+                n_star=2, n_max=3, batch_policy=BatchPolicy.exponent(0.9)
+            ),
+        )
+        with pytest.raises(InsufficientData) as cov:
+            coverage_study(spec)
+        with pytest.raises(InsufficientData) as sens:
+            batch_sensitivity_study(spec, nus=(0.9,))
+        assert "at least 2 batches" in str(sens.value)
+        assert str(sens.value) == str(cov.value)
 
 
 class TestReadStudyConfig:
@@ -466,6 +519,36 @@ class TestWorkers:
                 if key == "seconds":
                     continue
                 assert ra[key] == rb[key], key
+
+    @pytest.mark.parametrize("study", ["sequential", "relative_error", "sensitivity"])
+    def test_parallel_matches_serial_every_study(self, monkeypatch, study):
+        seq = StudySpec(
+            model=var1_benchmark(3),
+            replications=3,
+            stopping=_seq_config(epsilon=0.2, n_star=300),
+            methods=("mbm", "ubm"),
+            seed_base=7,
+        )
+        run = {
+            "sequential": lambda: coverage_study(seq),
+            "relative_error": lambda: relative_error_study(
+                StudySpec(model=var1_benchmark(3), replications=3,
+                          stopping=[10], seed_base=7),
+                sizes=(500, 2000),
+            ),
+            "sensitivity": lambda: batch_sensitivity_study(
+                seq, nus=(0.4, 0.5), eps_list=(0.2, 0.3)
+            ),
+        }[study]
+        monkeypatch.setenv("MCSTOP_WORKERS", "1")
+        serial = run()
+        monkeypatch.setenv("MCSTOP_WORKERS", "2")
+        parallel = run()
+        assert len(serial.rows) == len(parallel.rows) > 0
+        for ra, rb in zip(serial.rows, parallel.rows):
+            assert {k: v for k, v in ra.items() if k != "seconds"} == {
+                k: v for k, v in rb.items() if k != "seconds"
+            }
 
     def test_bad_workers_value(self, monkeypatch):
         spec = StudySpec(

@@ -382,6 +382,16 @@ class TestFileChainSource:
         assert np.shares_memory(got, ch.data)
         assert not got.flags.writeable
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_take_rejects_nonpositive_n(self, rng, n):
+        # every source refuses n < 1 with DomainError; a negative n must
+        # not slice from the end of the stored chain
+        src = FileChainSource(ChainMatrix(rng.standard_normal((10, 2))))
+        with pytest.raises(DomainError):
+            src.take(n)
+        with pytest.raises(DomainError):
+            src.rows(n)
+
 
 class TestBlockBuffer:
     def test_takes_share_one_buffer(self):
@@ -396,6 +406,17 @@ class TestBlockBuffer:
         src.take(50_000)
         np.testing.assert_array_equal(long.data, before)
         np.testing.assert_array_equal(src.take(9000).data, before)
+
+    def test_rows_is_the_take_view(self):
+        src = IidGaussianSource(3, seed=4)
+        rows = src.rows(5000)
+        assert rows.shape == (5000, 3)
+        assert not rows.flags.writeable
+        chain = src.take(5000)
+        assert np.shares_memory(rows, chain.data)
+        np.testing.assert_array_equal(rows, chain.data)
+        with pytest.raises(DomainError):
+            src.rows(0)
 
 
 class TestBenchmarks:

@@ -312,6 +312,41 @@ class TestRunSequential:
         assert res.terminated
         assert res.n_final >= 300
 
+    @pytest.mark.parametrize("rule", [None, "univariate_bonferroni", check_relative_sd])
+    def test_engine_builds_one_chain_per_decision(self, monkeypatch, rule):
+        # rows, not ChainMatrix prefixes, go through the checkpoint loop;
+        # the one matrix is the final summary's
+        built = []
+        real = ChainMatrix.__post_init__
+
+        def spy(self):
+            built.append(self.data.shape[0])
+            real(self)
+
+        src = IidGaussianSource(3, seed=23)
+        cfg = _config(epsilon=0.05, alpha=0.10, n_star=500)
+        monkeypatch.setattr(ChainMatrix, "__post_init__", spy)
+        res = run_sequential(src, rule, cfg)
+        assert res.n_final > 1000  # several checkpoints
+        assert built == [res.n_final]
+
+    def test_opaque_rule_gets_a_chain_per_checkpoint(self, monkeypatch):
+        seen = []
+
+        def rule(chain, cfg):
+            assert isinstance(chain, ChainMatrix)
+            seen.append(chain.n)
+            return chain.n >= 300
+
+        built = []
+        real = ChainMatrix.__post_init__
+        monkeypatch.setattr(
+            ChainMatrix, "__post_init__", lambda self: built.append(1) or real(self)
+        )
+        res = run_sequential(IidGaussianSource(2, seed=1), rule, _config(n_star=100))
+        assert res.n_final == seen[-1] >= 300
+        assert len(built) == len(seen) > 1
+
     def test_result_invariant(self):
         src = IidGaussianSource(2, seed=8)
         cfg = _config(epsilon=0.2, n_star=400)
