@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Union
+from itertools import repeat
+from typing import IO, Optional, Union
 
 import numpy as np
 
 from .errors import DomainError, EmptyInput, ParseError
+
+# Lines per join/split pass of the fast parser: the transient cell strings
+# are one chunk's, not the whole file's.
+_CHUNK_LINES = 8192
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,76 @@ def _parse_cell(cell: str, line_no: int) -> float:
     return v
 
 
+def _nonblank_lines(text: str) -> list:
+    return list(filter(str.strip, text.splitlines()))
+
+
+def _is_header(line: str, delim: str) -> bool:
+    """Line 1 is a header iff every field on it fails numeric parsing.
+
+    A mixed line is a corrupt data row, not a header.
+    """
+    return all(_decimal(c.strip()) is None for c in line.split(delim))
+
+
+def _fast_rows(lines: list, delim: str, width: int) -> Optional[np.ndarray]:
+    """The float64 rows of non-blank data lines, or None to walk them.
+
+    Each chunk of lines takes C-level passes only: an ASCII and no-"_"
+    check of its text, a delimiter count per line, one join/split into
+    cells and float() on each cell, whose own whitespace strip matches
+    str.strip() on ASCII decimals. None means some line holds a bad,
+    non-finite or ragged row, or a cell that only str.strip() turns
+    into a decimal; the per-line walk settles which.
+    """
+    out = np.empty((len(lines), width))
+    flat = out.reshape(-1)
+    for start in range(0, len(lines), _CHUNK_LINES):
+        part = lines[start:start + _CHUNK_LINES]
+        body = delim.join(part)
+        if (not body.isascii() or "_" in body
+                or set(map(str.count, part, repeat(delim))) != {width - 1}):
+            return None
+        try:
+            flat[start * width:(start + len(part)) * width] = np.fromiter(
+                map(float, body.split(delim)), np.float64, len(part) * width)
+        except ValueError:
+            return None
+    return out if np.isfinite(out).all() else None
+
+
+def _walk_rows(text: str, delim: str) -> np.ndarray:
+    """Parse line by line; raises the first error with its line number."""
+    rows: list[list[float]] = []
+    width = None
+    seen_first = False
+    for i, ln in enumerate(text.splitlines(), start=1):
+        if ln.strip() == "":
+            continue
+        cells = [c.strip() for c in ln.split(delim)]
+        if not seen_first:
+            seen_first = True
+            if _is_header(ln, delim):
+                continue
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise ParseError(
+                f"ragged row at line {i}: expected {width} fields, got {len(cells)}",
+                row=i,
+            )
+        rows.append([_parse_cell(c, i) for c in cells])
+    if not rows:
+        raise EmptyInput("no data rows in chain input")
+    return np.array(rows, dtype=np.float64)
+
+
+def _delimiter(format: str) -> str:
+    if format not in ("csv", "tsv"):
+        raise DomainError(f"format must be 'csv' or 'tsv', got {format!r}")
+    return "," if format == "csv" else "\t"
+
+
 def load_chain(source: Union[str, bytes, IO], format: str = "csv") -> ChainMatrix:
     """Read a chain from a delimited text stream.
 
@@ -105,10 +180,7 @@ def load_chain(source: Union[str, bytes, IO], format: str = "csv") -> ChainMatri
         Field delimiter selection. No quoting support; the payload is
         numeric only.
     """
-    if format not in ("csv", "tsv"):
-        raise DomainError(f"format must be 'csv' or 'tsv', got {format!r}")
-    delim = "," if format == "csv" else "\t"
-
+    delim = _delimiter(format)
     if isinstance(source, str):
         with open(source, "rb") as fh:
             raw = fh.read()
@@ -120,31 +192,30 @@ def load_chain(source: Union[str, bytes, IO], format: str = "csv") -> ChainMatri
             raw = raw.encode("utf-8")
     text = raw.decode("utf-8")
 
-    rows: list[list[float]] = []
-    width = None
-    seen_first = False
-    for i, ln in enumerate(text.splitlines(), start=1):
-        if ln.strip() == "":
-            continue
-        cells = [c.strip() for c in ln.split(delim)]
-        if not seen_first:
-            seen_first = True
-            # Line 1 is a header iff every field fails numeric parse
-            # (a mixed line is a corrupt data row, not a header).
-            if all(_decimal(c) is None for c in cells):
-                continue
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise ParseError(
-                f"ragged row at line {i}: expected {width} fields, got {len(cells)}",
-                row=i,
-            )
-        rows.append([_parse_cell(c, i) for c in cells])
+    lines = _nonblank_lines(text)
+    if lines and _is_header(lines[0], delim):
+        del lines[0]
+    data = _fast_rows(lines, delim, lines[0].count(delim) + 1) if lines else None
+    if data is None:
+        data = _walk_rows(text, delim)
+    return ChainMatrix(data)
 
-    if not rows:
-        raise EmptyInput("no data rows in chain input")
-    return ChainMatrix(np.array(rows, dtype=np.float64))
+
+def parse_rows(raw: bytes, format: str, width: int) -> Optional[np.ndarray]:
+    """The rows of header-less chain bytes, each width wide, or None.
+
+    This is load_chain's fast path without header detection, for bytes
+    that continue a file whose earlier lines were already read. None
+    means the bytes are not UTF-8 or some line is not a row of width
+    plain decimals; load_chain on the whole file then gives the rows or
+    the error with its absolute line number.
+    """
+    delim = _delimiter(format)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    return _fast_rows(_nonblank_lines(text), delim, width)
 
 
 def column_means(chain: ChainMatrix) -> MeanVector:

@@ -15,18 +15,23 @@ of F; an unterminated last line may still be being written and is not
 counted. The state file pins the rule: a passed flag that disagrees
 with it is refused, and the file is replaced atomically. It also pins
 the length and SHA-256 of the lines read so far, so a chain file whose
-checked rows were rewritten or truncated is refused.
+checked rows were rewritten or truncated is refused. The rows read so
+far are kept in a binary row cache next to the state file, pinned by
+its SHA-256, so a call parses only the lines appended since the last.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
 import sys
 
-from .chain import column_means, load_chain
+import numpy as np
+
+from .chain import ChainMatrix, column_means, load_chain, parse_rows
 from .errors import (
     ConfigError,
     DomainError,
@@ -404,13 +409,12 @@ def _reject_conflicts(args, state: dict, p: int) -> None:
                               "or delete the state file")
 
 
-def _write_state(path: str, state: dict) -> None:
-    """Replace the state file atomically: a crash leaves the old one intact."""
+def _replace_file(path: str, write, mode: str = "w") -> None:
+    """Replace path atomically: a crash leaves the old file intact."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            json.dump(state, fh, indent=2)
-            fh.write("\n")
+        with open(tmp, mode) as fh:
+            write(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -418,6 +422,59 @@ def _write_state(path: str, state: dict) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _write_state(path: str, state: dict) -> None:
+    def dump(fh):
+        json.dump(state, fh, indent=2)
+        fh.write("\n")
+
+    _replace_file(path, dump)
+
+
+# Below this many pinned bytes a full parse takes about a millisecond, so
+# a row cache would save next to nothing per call; such runs keep only the
+# chain and state files.
+_ROW_CACHE_MIN_BYTES = 1 << 16
+
+
+def _write_row_cache(path: str, rows: np.ndarray) -> str:
+    """Replace the row cache atomically and return its SHA-256."""
+    buf = io.BytesIO()
+    np.save(buf, rows, allow_pickle=False)
+    _replace_file(path, lambda fh: fh.write(buf.getbuffer()), "wb")
+    return hashlib.sha256(buf.getbuffer()).hexdigest()
+
+
+def _read_row_cache(path: str, sha256) -> np.ndarray | None:
+    """The cached rows if the cache's SHA-256 is the pinned one, else None."""
+    if sha256 is None:
+        return None
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError:
+        return None
+    if hashlib.sha256(raw).hexdigest() != sha256:
+        return None
+    return np.load(io.BytesIO(raw), allow_pickle=False)
+
+
+def _resume_rows(written: bytes, pinned: dict, cache_path: str,
+                 format: str) -> ChainMatrix:
+    """The chain in written, parsing only the bytes past the pinned prefix.
+
+    The row cache holds the rows of the pinned prefix. A missing cache,
+    one whose SHA-256 is not the pinned one, or new bytes the fast parser
+    cannot read mean a full parse: it gives the rows, or raises
+    load_chain's error with its absolute line number.
+    """
+    cached = _read_row_cache(cache_path, pinned.get("rows_sha256"))
+    if cached is not None:
+        new = parse_rows(written[pinned["bytes"]:], format, cached.shape[1])
+        if new is not None:
+            return ChainMatrix(np.concatenate([cached, new]))
+    return load_chain(written, format=format)
 
 
 def _stop_resume(args) -> int:
@@ -430,15 +487,16 @@ def _stop_resume(args) -> int:
     the file holds.
     """
     written = _written_rows(args.input)
-    chain = load_chain(written, format=args.format)
+    cache_path = f"{args.resume}.rows.npy"
     if os.path.exists(args.resume):
         with open(args.resume) as fh:
             state = json.load(fh)
         for key in _STATE_KEYS:
             if key not in state:
                 raise ConfigError(f"state file missing key {key!r}")
-        _reject_conflicts(args, state, chain.p)
         read_prefix = _pin_read_prefix(written, state["read_prefix"])
+        chain = _resume_rows(written, state["read_prefix"], cache_path, args.format)
+        _reject_conflicts(args, state, chain.p)
         if state["done"]:
             print("state file marks this run as finished", file=sys.stderr)
             return 0
@@ -454,12 +512,17 @@ def _stop_resume(args) -> int:
         )
         start = int(state["next_checkpoint"])
     else:
+        chain = load_chain(written, format=args.format)
         batch_str = _flag(args, "batch")
         config = _stop_config(args, chain.p)
         start = None
         read_prefix = _pin_read_prefix(written, None)
     run = drive_checkpoints(FileChainSource(chain), None, config,
                             start=start, available=chain.n)
+    # The cache goes first: a crash before the state write leaves a cache
+    # whose SHA-256 is not the pinned one, and the next call rebuilds it.
+    read_prefix["rows_sha256"] = (_write_row_cache(cache_path, chain.data)
+                                  if len(written) >= _ROW_CACHE_MIN_BYTES else None)
     _write_state(args.resume, {
         "epsilon": config.epsilon,
         "alpha": config.alpha,

@@ -1,11 +1,130 @@
 """Chain container and file-loading behavior."""
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcstop.chain import ChainMatrix, MeanVector, column_means, load_chain
+import mcstop.chain as chain_mod
+from mcstop.chain import ChainMatrix, MeanVector, column_means, load_chain, parse_rows
 from mcstop.errors import DomainError, EmptyInput, ParseError
+
+
+# The per-line parser load_chain used before its vectorised pass, kept
+# verbatim as the oracle for values and errors.
+def _ref_decimal(cell: str):
+    if not cell.isascii() or "_" in cell:
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _ref_parse_cell(cell: str, line_no: int) -> float:
+    v = _ref_decimal(cell)
+    if v is None:
+        raise ParseError(
+            f"non-numeric cell {cell!r} at line {line_no}", row=line_no
+        )
+    if math.isinf(v) or math.isnan(v):
+        raise ParseError(
+            f"cell {cell!r} at line {line_no} is not a finite double", row=line_no
+        )
+    return v
+
+
+def _ref_load_chain(raw: bytes, format: str = "csv") -> ChainMatrix:
+    delim = "," if format == "csv" else "\t"
+    text = raw.decode("utf-8")
+    rows: list[list[float]] = []
+    width = None
+    seen_first = False
+    for i, ln in enumerate(text.splitlines(), start=1):
+        if ln.strip() == "":
+            continue
+        cells = [c.strip() for c in ln.split(delim)]
+        if not seen_first:
+            seen_first = True
+            # Line 1 is a header iff every field fails numeric parse
+            # (a mixed line is a corrupt data row, not a header).
+            if all(_ref_decimal(c) is None for c in cells):
+                continue
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise ParseError(
+                f"ragged row at line {i}: expected {width} fields, got {len(cells)}",
+                row=i,
+            )
+        rows.append([_ref_parse_cell(c, i) for c in cells])
+
+    if not rows:
+        raise EmptyInput("no data rows in chain input")
+    return ChainMatrix(np.array(rows, dtype=np.float64))
+
+
+def _outcome(load, raw, fmt):
+    """Bitwise rows on success, else (type, message, row) of the error."""
+    try:
+        data = load(raw, format=fmt).data
+    except (ParseError, EmptyInput) as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    return "rows", data.shape, data.tobytes()
+
+
+_BREAKS = st.sampled_from(["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c"])
+_SPECIAL_CELLS = st.sampled_from([
+    "_", "1_0", "inf", "-Infinity", "nan", "1e999", "１", "1e٥", "", " ",
+    " 2 ", "\x1f3", "\xa04", "β_1", "名前", "y_2"])
+_HOSTILE_CELLS = st.one_of(
+    st.text(alphabet="0123456789+-.eE", max_size=6),
+    _SPECIAL_CELLS,
+    _SPECIAL_CELLS,
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_SEPARATORS = st.sampled_from([",", "\t", " "])
+
+
+@st.composite
+def _hostile_text(draw):
+    parts = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            line = draw(st.sampled_from(["", " ", "\t", "  \t "]))
+        else:
+            sep = draw(_SEPARATORS)
+            line = sep.join(draw(st.lists(_HOSTILE_CELLS, min_size=1, max_size=4)))
+        parts.append(line + draw(_BREAKS))
+    return "".join(parts)
+
+
+@st.composite
+def _mostly_valid_text(draw):
+    """A rectangular file, maybe with a header, with at most one hostile edit."""
+    fmt = draw(st.sampled_from(["csv", "tsv"]))
+    delim = "," if fmt == "csv" else "\t"
+    width = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 30))
+    cells = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=n * width, max_size=n * width))
+    lines = [delim.join(repr(v) for v in cells[i * width:(i + 1) * width])
+             for i in range(n)]
+    if draw(st.booleans()):
+        lines.insert(0, delim.join(draw(st.sampled_from(["β_1", "y_1", "x", "名前"]))
+                                   for _ in range(width)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        cell = draw(_HOSTILE_CELLS)
+        row = lines[i].split(delim)
+        row[draw(st.integers(0, len(row) - 1))] = cell
+        if draw(st.booleans()):
+            row.append(cell)
+        lines[i] = delim.join(row)
+    brk = draw(_BREAKS)
+    return fmt, brk.join(lines) + brk
 
 
 class TestChainMatrix:
@@ -143,6 +262,77 @@ class TestLoadChain:
         x = rng.standard_normal((11, 3))
         path = chain_file(x)
         np.testing.assert_array_equal(load_chain(path).data, x)
+
+
+class TestLoadChainMatchesReference:
+    """load_chain gives the per-line parser's rows bitwise, or its error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_hostile_text(), fmt=st.sampled_from(["csv", "tsv"]))
+    def test_hostile_text(self, text, fmt):
+        raw = text.encode("utf-8")
+        assert _outcome(load_chain, raw, fmt) == _outcome(_ref_load_chain, raw, fmt)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_mostly_valid_text())
+    def test_mostly_valid_text(self, case):
+        fmt, text = case
+        raw = text.encode("utf-8")
+        assert _outcome(load_chain, raw, fmt) == _outcome(_ref_load_chain, raw, fmt)
+
+    @pytest.mark.parametrize("text", [
+        "\x1f1,2\n3,4\x1f\n",         # str.strip() drops \x1f; float() does not
+        "1,\xa02\n3,4\n",              # non-ASCII padding around a valid cell
+        "x_1,y\n1,2\n",                # header with "_" on the fast path
+        "1,2\n\n  \n3,4\r\n5,6\x0c7,8\n",
+    ])
+    def test_edge_texts(self, text):
+        raw = text.encode("utf-8")
+        assert _outcome(load_chain, raw, "csv") == _outcome(_ref_load_chain, raw, "csv")
+
+    def test_rows_past_a_chunk(self, rng):
+        x = rng.standard_normal((2 * chain_mod._CHUNK_LINES + 5, 3))
+        buf = io.StringIO()
+        np.savetxt(buf, x, fmt="%.17g", delimiter=",")
+        lines = buf.getvalue().splitlines()
+        raw = ("a,b,c\n" + "\n".join(lines) + "\n").encode()
+        assert load_chain(raw).data.tobytes() == x.tobytes()
+        lines[-3] = "1,2,oops"
+        bad = ("a,b,c\n" + "\n".join(lines) + "\n").encode()
+        assert _outcome(load_chain, bad, "csv") == _outcome(_ref_load_chain, bad, "csv")
+
+    def test_header_keeps_the_fast_path(self, monkeypatch, rng):
+        calls = []
+        for name in ("_decimal", "_parse_cell"):
+            real = getattr(chain_mod, name)
+
+            def spy(*a, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*a)
+
+            monkeypatch.setattr(chain_mod, name, spy)
+        x = rng.standard_normal((1000, 2))
+        body = "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in x)
+        ch = load_chain(f"β_1,β_2\n{body}\n".encode("utf-8"))
+        assert ch.data.tobytes() == x.tobytes()
+        assert len(calls) <= 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_mostly_valid_text(), cut=st.integers(0, 40))
+    def test_parse_rows_continues_a_prefix(self, case, cut):
+        """parse_rows on the bytes past a line break gives load_chain's later rows."""
+        fmt, text = case
+        raw = text.encode("utf-8")
+        lines = raw.splitlines(keepends=True)
+        head = b"".join(lines[:max(1, min(cut, len(lines) - 1))])
+        try:
+            whole = load_chain(raw, format=fmt).data
+            first = load_chain(head, format=fmt).data
+        except (ParseError, EmptyInput):
+            return
+        tail = parse_rows(raw[len(head):], fmt, whole.shape[1])
+        if tail is not None:
+            assert np.concatenate([first, tail]).tobytes() == whole.tobytes()
 
 
 class TestColumnMeans:

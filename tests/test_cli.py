@@ -1,4 +1,5 @@
 """Command-line interface, exercised in process through main(argv)."""
+import hashlib
 import json
 import math
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from mcstop import ChainMatrix, load_chain, min_ess
 from mcstop.cli import main
+from mcstop.errors import ParseError
 
 
 def _write_chain(tmp_path, data, name="chain.csv"):
@@ -565,3 +567,191 @@ class TestResumeSafety:
         payload = json.loads(out)
         assert payload["n_available"] == 60
         assert payload["next_checkpoint"] == 66
+
+
+class TestResumeRowCache:
+    """A resume call parses only the bytes past the pin; the row cache holds the rest."""
+
+    FLAGS = ["--eps", "0.01", "--alpha", "0.10", "--nstar", "60", "--json"]
+
+    @pytest.fixture
+    def rows(self):
+        return np.random.default_rng(31).standard_normal((400, 2))
+
+    @staticmethod
+    def _grow(path, rows, n, header="a,b\n"):
+        lines = [",".join(repr(float(v)) for v in r) for r in rows[:n]]
+        path.write_text(header + "\n".join(lines) + "\n")
+
+    def _call(self, capsys, path, state, first=False):
+        argv = ["stop", "--input", str(path), "--resume", str(state)]
+        return _run(capsys, argv + (self.FLAGS if first else ["--json"]))
+
+    def _walk(self, capsys, d, rows, sizes):
+        """Grow d/grown.csv to each size in turn, one call each."""
+        d.mkdir(exist_ok=True)
+        path, state = d / "grown.csv", d / "state.json"
+        outs = []
+        for k, n in enumerate(sizes):
+            self._grow(path, rows, n)
+            outs.append(self._call(capsys, path, state, first=k == 0))
+        return path, state, outs
+
+    @staticmethod
+    def _cache(state):
+        return state.parent / (state.name + ".rows.npy")
+
+    @pytest.fixture
+    def cached(self, monkeypatch):
+        import mcstop.cli as cli
+        monkeypatch.setattr(cli, "_ROW_CACHE_MIN_BYTES", 0)
+        return cli
+
+    def _reference(self, capsys, monkeypatch, d, rows, sizes):
+        import mcstop.cli as cli
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_ROW_CACHE_MIN_BYTES", float("inf"))
+            return self._walk(capsys, d, rows, sizes)
+
+    def test_each_call_parses_only_new_rows(self, capsys, tmp_path, rows, cached,
+                                            monkeypatch):
+        parsed = []
+
+        def spy(name):
+            real = getattr(cached, name)
+
+            def wrapper(*a, **kw):
+                out = real(*a, **kw)
+                parsed.append((name, len(out.data if name == "load_chain" else out)))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(cached, "load_chain", spy("load_chain"))
+        monkeypatch.setattr(cached, "parse_rows", spy("parse_rows"))
+        _, state, outs = self._walk(capsys, tmp_path, rows, [100, 150, 150, 220])
+        assert all(code == 0 for code, _, _ in outs)
+        assert parsed == [("load_chain", 100), ("parse_rows", 50),
+                          ("parse_rows", 0), ("parse_rows", 70)]
+        pin = json.loads(state.read_text())["read_prefix"]
+        assert np.load(self._cache(state)).tobytes() == rows[:220].tobytes()
+        assert hashlib.sha256(self._cache(state).read_bytes()).hexdigest() \
+            == pin["rows_sha256"]
+
+    def test_twelve_call_walk_matches_full_parse(self, capsys, tmp_path, rows,
+                                                 cached, monkeypatch):
+        sizes = [70 + 25 * k for k in range(12)]
+        ref_path, ref_state, ref_outs = self._reference(
+            capsys, monkeypatch, tmp_path / "ref", rows, sizes)
+        assert not self._cache(ref_state).exists()
+        d = tmp_path / "cached"
+        d.mkdir()
+        path, state = d / "grown.csv", d / "state.json"
+        for k, n in enumerate(sizes):
+            self._grow(path, rows, n)
+            assert self._call(capsys, path, state, first=k == 0) == ref_outs[k]
+        got = json.loads(state.read_text())
+        want = json.loads(ref_state.read_text())
+        assert want["read_prefix"].pop("rows_sha256") is None
+        assert got["read_prefix"].pop("rows_sha256") is not None
+        assert got == want
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "tampered"])
+    def test_bad_cache_is_rebuilt(self, capsys, tmp_path, rows, cached, monkeypatch,
+                                  damage):
+        sizes = [100, 160, 230]
+        _, _, ref_outs = self._reference(capsys, monkeypatch, tmp_path / "ref",
+                                         rows, sizes)
+        path, state, outs = self._walk(capsys, tmp_path / "c", rows, sizes[:2])
+        cache = self._cache(state)
+        if damage == "missing":
+            cache.unlink()
+        elif damage == "truncated":
+            cache.write_bytes(cache.read_bytes()[:-8])
+        else:
+            raw = bytearray(cache.read_bytes())
+            raw[-3] ^= 1
+            cache.write_bytes(bytes(raw))
+        self._grow(path, rows, sizes[2])
+        assert outs + [self._call(capsys, path, state)] == ref_outs
+        pin = json.loads(state.read_text())["read_prefix"]["rows_sha256"]
+        assert hashlib.sha256(cache.read_bytes()).hexdigest() == pin
+        assert np.load(cache).tobytes() == rows[:sizes[2]].tobytes()
+
+    def test_stale_cache_of_a_deleted_state_is_ignored(self, capsys, tmp_path, rows,
+                                                       cached, monkeypatch):
+        other = np.random.default_rng(32).standard_normal((400, 2))
+        _, _, ref_outs = self._reference(capsys, monkeypatch, tmp_path / "ref",
+                                         other, [90, 180])
+        path, state, _ = self._walk(capsys, tmp_path / "c", rows, [100, 200])
+        state.unlink()
+        assert self._cache(state).exists()
+        _, _, outs = self._walk(capsys, tmp_path / "c", other, [90, 180])
+        assert outs == ref_outs
+
+    def test_failed_state_write_after_cache_write(self, capsys, tmp_path, rows,
+                                                  cached, monkeypatch):
+        sizes = [100, 160, 230]
+        _, _, ref_outs = self._reference(capsys, monkeypatch, tmp_path / "ref",
+                                         rows, sizes)
+        path, state, outs = self._walk(capsys, tmp_path / "c", rows, sizes[:2])
+        before = state.read_bytes()
+        self._grow(path, rows, sizes[2])
+        with monkeypatch.context() as m:
+            m.setattr(cached, "_write_state", _raise_oserror)
+            with pytest.raises(OSError):
+                self._call(capsys, path, state)
+        assert state.read_bytes() == before
+        assert np.load(self._cache(state)).shape == (sizes[2], 2)
+        assert outs + [self._call(capsys, path, state)] == ref_outs
+
+    @pytest.mark.parametrize("bad,fragment", [
+        ("0.5,oops", "non-numeric cell 'oops'"),
+        ("0.5", "ragged row"),
+        ("0.5,1,2", "ragged row"),
+        ("0.5,1e999", "not a finite double"),
+        ("a,b", "non-numeric cell 'a'"),
+    ])
+    def test_bad_line_in_a_later_append_names_its_line(self, capsys, tmp_path, rows,
+                                                       cached, bad, fragment):
+        path, state, _ = self._walk(capsys, tmp_path, rows, [100, 150])
+        before = state.read_bytes(), self._cache(state).read_bytes()
+        lines = [",".join(repr(float(v)) for v in r) for r in rows[:200]]
+        lines[170] = bad
+        path.write_text("a,b\n" + "\n".join(lines) + "\n")
+        code, _, err = self._call(capsys, path, state)
+        assert code == 1
+        with pytest.raises(ParseError) as exc:
+            load_chain(str(path))
+        assert exc.value.row == 172
+        assert err == f"mcstop: error: {exc.value}\n" and fragment in err
+        assert (state.read_bytes(), self._cache(state).read_bytes()) == before
+
+    @pytest.mark.parametrize("refusal", ["rewritten", "truncated", "conflict"])
+    def test_refused_call_leaves_state_and_cache(self, capsys, tmp_path, rows, cached,
+                                                 refusal):
+        path, state, _ = self._walk(capsys, tmp_path, rows, [100, 150])
+        before = state.read_bytes(), self._cache(state).read_bytes()
+        argv = ["stop", "--input", str(path), "--resume", str(state)]
+        if refusal == "rewritten":
+            changed = rows.copy()
+            changed[3] += 1.0
+            self._grow(path, changed, 200)
+        elif refusal == "truncated":
+            self._grow(path, rows, 120)
+        else:
+            self._grow(path, rows, 200)
+            argv += ["--eps", "0.2"]
+        code, _, err = _run(capsys, argv)
+        assert code == 1
+        assert ("pins epsilon" if refusal == "conflict" else refusal) in err
+        assert (state.read_bytes(), self._cache(state).read_bytes()) == before
+
+    def test_small_file_keeps_no_cache(self, capsys, tmp_path, rows):
+        _, state, outs = self._walk(capsys, tmp_path, rows, [100, 150])
+        assert all(code == 0 for code, _, _ in outs)
+        assert json.loads(state.read_text())["read_prefix"]["rows_sha256"] is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grown.csv", "state.json"]
+
+
+def _raise_oserror(*args, **kwargs):
+    raise OSError("disk full")

@@ -1,7 +1,7 @@
 """Record the benchmark over a fixed list of seeds in one JSON file.
 
 Usage:
-  python3 tools/bench_record.py BENCH_6.json
+  python3 tools/bench_record.py BENCH_7.json
 
 For every workload that BENCHMARK.json declares and every seed in SEEDS,
 one after another, this runs
@@ -12,13 +12,19 @@ from the repository root and keeps the run's record, info and result
 lines. The output file holds those lines for every run and, per
 workload, the median, quartiles and interquartile range of each
 end-to-end metric over the seeds, with the failed-op count and the
-decisions digest of each seed.
+decisions digest of each seed. It also holds the Tier-1 wall time with
+the durations of the slow acceptance criteria, from the README's pytest
+command run with --durations=0 and PYTHONPATH=src, and the output of
+tools/resume_scale.py (one resume call on a 10^6-row chain file).
 """
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,6 +32,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # op sets; five runs per workload give quartiles without a day of runs.
 SEEDS = (601, 602, 603, 604, 605)
 SECONDS = 20
+# The acceptance criteria that take most of Tier-1's time.
+SLOW_CRITERIA = (6, 8, 10, 5, 9)
+_DURATION = re.compile(r"^([0-9.]+)s call\s+(\S+)$")
+_SUMMARY = re.compile(r"^=+ (.*) in ([0-9.]+)s")
 
 
 def _run(workload: str, seed: int) -> dict:
@@ -63,9 +73,41 @@ def summarize(runs: list) -> dict:
     return out
 
 
+def tier1() -> dict:
+    """Wall time, outcome line and slow-criterion durations of one Tier-1 run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "pytest", "-v", "--durations=0"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.splitlines()
+    calls = {m.group(2): float(m.group(1)) for m in map(_DURATION.match, lines) if m}
+    criteria = {}
+    for k in SLOW_CRITERIA:
+        names = [n for n in calls if f"test_criterion_{k:02d}_" in n]
+        if names:
+            criteria[str(k)] = {"test": names[0], "call_s": calls[names[0]]}
+    summary = next((m for m in map(_SUMMARY.match, reversed(lines)) if m), None)
+    return {
+        "command": "PYTHONPATH=src python -m pytest -v --durations=0",
+        "exit_code": proc.returncode,
+        "wall_s": wall,
+        "outcome": summary.group(1) if summary else None,
+        "pytest_s": float(summary.group(2)) if summary else None,
+        "slow_criteria": criteria,
+    }
+
+
+def resume_scale() -> dict:
+    proc = subprocess.run([sys.executable, "tools/resume_scale.py"], cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out", help="output JSON path, e.g. BENCH_6.json")
+    ap.add_argument("out", help="output JSON path, e.g. BENCH_7.json")
     args = ap.parse_args(argv)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = []
@@ -73,11 +115,16 @@ def main(argv=None) -> int:
         for seed in SEEDS:
             print(f"bench_record: {workload} seed {seed}", file=sys.stderr, flush=True)
             runs.append(_run(workload, seed))
+    print("bench_record: resume_scale", file=sys.stderr, flush=True)
+    scale = resume_scale()
+    print("bench_record: tier-1", file=sys.stderr, flush=True)
     payload = {
         "command": "python3 bench/run.py --workload W --seed S "
                    f"--seconds {SECONDS} --trace 0",
         "seeds": list(SEEDS),
         "summary": summarize(runs),
+        "tier1": tier1(),
+        "resume_scale": scale,
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
