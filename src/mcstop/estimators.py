@@ -220,8 +220,10 @@ def mbm(chain: ChainMatrix, b_n: int) -> CovEstimate:
     a_n = require_batches(n, b_n)
     prefix = chain.data[: a_n * b_n]
     center = prefix.mean(axis=0)
-    means = prefix.reshape(a_n, b_n, p).mean(axis=1)
-    mat = _scaled_gram(means - center, b_n / (a_n - 1.0))
+    # Center the rows before batching: Ȳ_k - θ_n then cancels at the scale
+    # of the draws' spread, not of their mean.
+    dev = (prefix - center).reshape(a_n, b_n, p).mean(axis=1)
+    mat = _scaled_gram(dev, b_n / (a_n - 1.0))
     ld: LogDet = log_det(mat) if a_n > p else NotPD
     return CovEstimate(matrix=mat, method="mbm", a_n=a_n, b_n=b_n, log_det=ld)
 
