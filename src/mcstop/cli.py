@@ -432,12 +432,6 @@ def _write_state(path: str, state: dict) -> None:
     _replace_file(path, dump)
 
 
-# Below this many pinned bytes a full parse takes about a millisecond, so
-# a row cache would save next to nothing per call; such runs keep only the
-# chain and state files.
-_ROW_CACHE_MIN_BYTES = 1 << 16
-
-
 def _write_row_cache(path: str, rows: np.ndarray) -> str:
     """Replace the row cache atomically and return its SHA-256."""
     buf = io.BytesIO()
@@ -464,12 +458,15 @@ def _resume_rows(written: bytes, pinned: dict, cache_path: str,
                  format: str) -> ChainMatrix:
     """The chain in written, parsing only the bytes past the pinned prefix.
 
-    The row cache holds the rows of the pinned prefix. A missing cache,
-    one whose SHA-256 is not the pinned one, or new bytes the fast parser
-    cannot read mean a full parse: it gives the rows, or raises
-    load_chain's error with its absolute line number.
+    The row cache holds the rows of the pinned prefix as read in the
+    pinned format. A missing cache, one whose SHA-256 is not the pinned
+    one, another --format, or new bytes the fast parser cannot read mean
+    a full parse: it gives the rows, or raises load_chain's error with
+    its absolute line number.
     """
-    cached = _read_row_cache(cache_path, pinned.get("rows_sha256"))
+    cached = None
+    if pinned.get("rows_format") == format:
+        cached = _read_row_cache(cache_path, pinned.get("rows_sha256"))
     if cached is not None:
         new = parse_rows(written[pinned["bytes"]:], format, cached.shape[1])
         if new is not None:
@@ -521,8 +518,8 @@ def _stop_resume(args) -> int:
                             start=start, available=chain.n)
     # The cache goes first: a crash before the state write leaves a cache
     # whose SHA-256 is not the pinned one, and the next call rebuilds it.
-    read_prefix["rows_sha256"] = (_write_row_cache(cache_path, chain.data)
-                                  if len(written) >= _ROW_CACHE_MIN_BYTES else None)
+    read_prefix["rows_sha256"] = _write_row_cache(cache_path, chain.data)
+    read_prefix["rows_format"] = args.format
     _write_state(args.resume, {
         "epsilon": config.epsilon,
         "alpha": config.alpha,

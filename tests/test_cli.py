@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mcstop import ChainMatrix, load_chain, min_ess
+import mcstop.cli as cli
 from mcstop.cli import main
 from mcstop.errors import ParseError
 
@@ -470,7 +471,8 @@ class TestResumeSafety:
         monkeypatch.undo()
         assert state.read_text() == before
         assert json.loads(before)["next_checkpoint"] > 80
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["grown.csv", "state.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "grown.csv", "state.json", "state.json.rows.npy"]
 
     @pytest.mark.parametrize("flag,value,key", [
         ("--alpha", "0.05", "alpha"),
@@ -601,24 +603,18 @@ class TestResumeRowCache:
     def _cache(state):
         return state.parent / (state.name + ".rows.npy")
 
-    @pytest.fixture
-    def cached(self, monkeypatch):
-        import mcstop.cli as cli
-        monkeypatch.setattr(cli, "_ROW_CACHE_MIN_BYTES", 0)
-        return cli
-
     def _reference(self, capsys, monkeypatch, d, rows, sizes):
-        import mcstop.cli as cli
+        """The same walk with every call parsing the whole file."""
         with monkeypatch.context() as m:
-            m.setattr(cli, "_ROW_CACHE_MIN_BYTES", float("inf"))
+            m.setattr(cli, "_read_row_cache", lambda path, sha256: None)
             return self._walk(capsys, d, rows, sizes)
 
-    def test_each_call_parses_only_new_rows(self, capsys, tmp_path, rows, cached,
+    def test_each_call_parses_only_new_rows(self, capsys, tmp_path, rows,
                                             monkeypatch):
         parsed = []
 
         def spy(name):
-            real = getattr(cached, name)
+            real = getattr(cli, name)
 
             def wrapper(*a, **kw):
                 out = real(*a, **kw)
@@ -626,8 +622,8 @@ class TestResumeRowCache:
                 return out
             return wrapper
 
-        monkeypatch.setattr(cached, "load_chain", spy("load_chain"))
-        monkeypatch.setattr(cached, "parse_rows", spy("parse_rows"))
+        monkeypatch.setattr(cli, "load_chain", spy("load_chain"))
+        monkeypatch.setattr(cli, "parse_rows", spy("parse_rows"))
         _, state, outs = self._walk(capsys, tmp_path, rows, [100, 150, 150, 220])
         assert all(code == 0 for code, _, _ in outs)
         assert parsed == [("load_chain", 100), ("parse_rows", 50),
@@ -638,11 +634,10 @@ class TestResumeRowCache:
             == pin["rows_sha256"]
 
     def test_twelve_call_walk_matches_full_parse(self, capsys, tmp_path, rows,
-                                                 cached, monkeypatch):
+                                                 monkeypatch):
         sizes = [70 + 25 * k for k in range(12)]
         ref_path, ref_state, ref_outs = self._reference(
             capsys, monkeypatch, tmp_path / "ref", rows, sizes)
-        assert not self._cache(ref_state).exists()
         d = tmp_path / "cached"
         d.mkdir()
         path, state = d / "grown.csv", d / "state.json"
@@ -650,13 +645,13 @@ class TestResumeRowCache:
             self._grow(path, rows, n)
             assert self._call(capsys, path, state, first=k == 0) == ref_outs[k]
         got = json.loads(state.read_text())
-        want = json.loads(ref_state.read_text())
-        assert want["read_prefix"].pop("rows_sha256") is None
-        assert got["read_prefix"].pop("rows_sha256") is not None
-        assert got == want
+        assert got == json.loads(ref_state.read_text())
+        assert set(got["read_prefix"]) == {"bytes", "sha256", "rows_sha256",
+                                           "rows_format"}
+        assert got["read_prefix"]["rows_format"] == "csv"
 
     @pytest.mark.parametrize("damage", ["missing", "truncated", "tampered"])
-    def test_bad_cache_is_rebuilt(self, capsys, tmp_path, rows, cached, monkeypatch,
+    def test_bad_cache_is_rebuilt(self, capsys, tmp_path, rows, monkeypatch,
                                   damage):
         sizes = [100, 160, 230]
         _, _, ref_outs = self._reference(capsys, monkeypatch, tmp_path / "ref",
@@ -678,7 +673,7 @@ class TestResumeRowCache:
         assert np.load(cache).tobytes() == rows[:sizes[2]].tobytes()
 
     def test_stale_cache_of_a_deleted_state_is_ignored(self, capsys, tmp_path, rows,
-                                                       cached, monkeypatch):
+                                                       monkeypatch):
         other = np.random.default_rng(32).standard_normal((400, 2))
         _, _, ref_outs = self._reference(capsys, monkeypatch, tmp_path / "ref",
                                          other, [90, 180])
@@ -689,7 +684,7 @@ class TestResumeRowCache:
         assert outs == ref_outs
 
     def test_failed_state_write_after_cache_write(self, capsys, tmp_path, rows,
-                                                  cached, monkeypatch):
+                                                  monkeypatch):
         sizes = [100, 160, 230]
         _, _, ref_outs = self._reference(capsys, monkeypatch, tmp_path / "ref",
                                          rows, sizes)
@@ -697,7 +692,7 @@ class TestResumeRowCache:
         before = state.read_bytes()
         self._grow(path, rows, sizes[2])
         with monkeypatch.context() as m:
-            m.setattr(cached, "_write_state", _raise_oserror)
+            m.setattr(cli, "_write_state", _raise_oserror)
             with pytest.raises(OSError):
                 self._call(capsys, path, state)
         assert state.read_bytes() == before
@@ -712,7 +707,7 @@ class TestResumeRowCache:
         ("a,b", "non-numeric cell 'a'"),
     ])
     def test_bad_line_in_a_later_append_names_its_line(self, capsys, tmp_path, rows,
-                                                       cached, bad, fragment):
+                                                       bad, fragment):
         path, state, _ = self._walk(capsys, tmp_path, rows, [100, 150])
         before = state.read_bytes(), self._cache(state).read_bytes()
         lines = [",".join(repr(float(v)) for v in r) for r in rows[:200]]
@@ -727,7 +722,7 @@ class TestResumeRowCache:
         assert (state.read_bytes(), self._cache(state).read_bytes()) == before
 
     @pytest.mark.parametrize("refusal", ["rewritten", "truncated", "conflict"])
-    def test_refused_call_leaves_state_and_cache(self, capsys, tmp_path, rows, cached,
+    def test_refused_call_leaves_state_and_cache(self, capsys, tmp_path, rows,
                                                  refusal):
         path, state, _ = self._walk(capsys, tmp_path, rows, [100, 150])
         before = state.read_bytes(), self._cache(state).read_bytes()
@@ -746,11 +741,21 @@ class TestResumeRowCache:
         assert ("pins epsilon" if refusal == "conflict" else refusal) in err
         assert (state.read_bytes(), self._cache(state).read_bytes()) == before
 
-    def test_small_file_keeps_no_cache(self, capsys, tmp_path, rows):
-        _, state, outs = self._walk(capsys, tmp_path, rows, [100, 150])
-        assert all(code == 0 for code, _, _ in outs)
-        assert json.loads(state.read_text())["read_prefix"]["rows_sha256"] is None
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["grown.csv", "state.json"]
+    @pytest.mark.parametrize("appended", [0, 30])
+    def test_other_format_reparses_whole_file(self, capsys, tmp_path, rows,
+                                              appended):
+        path, state, _ = self._walk(capsys, tmp_path, rows, [100, 150])
+        before = state.read_bytes(), self._cache(state).read_bytes()
+        with open(path, "a") as fh:
+            for r in rows[150:150 + appended]:
+                fh.write("\t".join(repr(float(v)) for v in r) + "\n")
+        code, _, err = _run(capsys, ["stop", "--input", str(path), "--resume",
+                                     str(state), "--format", "tsv"])
+        assert code == 1
+        with pytest.raises(ParseError) as exc:
+            load_chain(str(path), format="tsv")
+        assert err == f"mcstop: error: {exc.value}\n"
+        assert (state.read_bytes(), self._cache(state).read_bytes()) == before
 
 
 def _raise_oserror(*args, **kwargs):

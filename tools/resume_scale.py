@@ -1,11 +1,11 @@
 """Time one resume call on a large chain file, split by layer.
 
 Usage:
-  python3 tools/resume_scale.py [--src DIR] [--rows 1000000] [--append 10000]
+  python3 tools/resume_scale.py [--src DIR]
 
 Writes a var1_bench5 chain (seed 1) with a header to a temporary CSV of
-about --rows rows, placed so that the next --append rows hold the next
-checkpoint of the rule (eps 0.002, alpha 0.10, n* 1000, growth 0.10,
+about ROWS (10^6) rows, placed so that the next APPEND (10^4) rows hold
+the next checkpoint of the rule (eps 0.002, alpha 0.10, n* 1000, growth 0.10,
 which does not fire at this length). It runs `mcstop stop --resume` once
 to pin the state, appends the rows and times that second call. The
 split wraps what each layer of mcstop.cli calls: parse (load_chain and
@@ -27,6 +27,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FLAGS = ["--eps", "0.002", "--alpha", "0.10", "--nstar", "1000", "--json"]
+ROWS = 10**6
+APPEND = 10**4
 LAYERS = {
     "load_chain": "parse", "parse_rows": "parse",
     "_pin_read_prefix": "hash",
@@ -79,16 +81,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="the mcstop source tree to time (default: this checkout's)")
-    ap.add_argument("--rows", type=int, default=10**6)
-    ap.add_argument("--append", type=int, default=10**4)
     args = ap.parse_args(argv)
     sys.path.insert(0, args.src)
     import numpy as np
     import mcstop
     import mcstop.cli as cli
 
-    n0 = _checkpoint_after(args.rows) - args.append // 2
-    x = mcstop.var1_benchmark(5).make_source(1).take(n0 + args.append).data
+    n0 = _checkpoint_after(ROWS) - APPEND // 2
+    x = mcstop.var1_benchmark(5).make_source(1).take(n0 + APPEND).data
     with tempfile.TemporaryDirectory() as work:
         path, state = os.path.join(work, "chain.csv"), os.path.join(work, "state.json")
         with open(path, "w") as fh:
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
         second = _timed_call(cli, base + ["--json"])
         size = os.path.getsize(path)
     print(json.dumps({
-        "src": args.src, "rows_before": n0, "rows_appended": args.append,
+        "src": args.src, "rows_before": n0, "rows_appended": APPEND,
         "file_bytes": size, "first_call": first, "second_call": second,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }))
