@@ -101,7 +101,8 @@ def main(argv=None) -> int:
         second = _timed_call(cli, base + ["--json"])
         size = os.path.getsize(path)
     print(json.dumps({
-        "src": os.path.relpath(args.src, ROOT), "rows_before": n0, "rows_appended": APPEND,
+        "src": os.path.relpath(args.src, ROOT),
+        "rows_before": n0, "rows_appended": APPEND,
         "file_bytes": size, "first_call": first, "second_call": second,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }))
