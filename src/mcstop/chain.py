@@ -161,6 +161,19 @@ def _walk_rows(text: str, delim: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+def _utf8(raw: bytes) -> str:
+    """raw decoded as UTF-8; ParseError names the line of the first bad byte."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; "x" counts a partial last line
+        line_no = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(
+            f"byte 0x{raw[exc.start]:02x} at line {line_no} is not UTF-8 text",
+            row=line_no,
+        ) from None
+
+
 def _delimiter(format: str) -> str:
     if format not in ("csv", "tsv"):
         raise DomainError(f"format must be 'csv' or 'tsv', got {format!r}")
@@ -190,7 +203,7 @@ def load_chain(source: Union[str, bytes, IO], format: str = "csv") -> ChainMatri
         raw = source.read()
         if isinstance(raw, str):
             raw = raw.encode("utf-8")
-    text = raw.decode("utf-8")
+    text = _utf8(raw)
 
     lines = _nonblank_lines(text)
     if lines and _is_header(lines[0], delim):

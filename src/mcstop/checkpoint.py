@@ -38,9 +38,9 @@ from .estimators import (
     LogDet,
     NotPD,
     batch_size,
+    centered_covariance,
     log_det,
     mbm,
-    sample_covariance,
 )
 
 # Rows per cross-product tile: the open tile is re-multiplied at every
@@ -83,19 +83,30 @@ class CheckpointEstimate:
 
 
 def reference_estimate(chain: ChainMatrix, policy: BatchPolicy) -> CheckpointEstimate:
-    """The estimate at chain.n from the batch estimators (n >= 2)."""
+    """The estimate at chain.n from the batch estimators (n >= 2).
+
+    θ_n and the centred rows are computed once and serve Λ_n and the
+    column variances, bitwise equal to sample_covariance(chain) and
+    data.var(axis=0, ddof=1). The centred rows are squared in place and
+    released before mbm makes its own n-by-p temporary.
+    """
     n = chain.n
     b = batch_size(n, policy)
     a = n // b
+    theta = chain.data.mean(axis=0)
+    dev = chain.data - theta
+    lam = centered_covariance(dev)
+    col_var = np.add.reduce(np.multiply(dev, dev, out=dev), axis=0) / (n - 1)
+    del dev
     return CheckpointEstimate(
         n=n,
         p=chain.p,
         b_n=b,
         a_n=a,
-        theta=chain.data.mean(axis=0),
-        lam=sample_covariance(chain),
+        theta=theta,
+        lam=lam,
         sigma=mbm(chain, b) if a >= 2 else None,
-        col_var=chain.data.var(axis=0, ddof=1),
+        col_var=col_var,
     )
 
 

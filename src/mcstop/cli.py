@@ -486,8 +486,14 @@ def _stop_resume(args) -> int:
     written = _written_rows(args.input)
     cache_path = f"{args.resume}.rows.npy"
     if os.path.exists(args.resume):
-        with open(args.resume) as fh:
-            state = json.load(fh)
+        with open(args.resume, "rb") as fh:
+            try:
+                state = json.loads(fh.read())
+            except ValueError:
+                state = None
+        if not isinstance(state, dict):
+            raise ConfigError(f"state file {args.resume} is not a JSON object; "
+                              "delete it to start over")
         for key in _STATE_KEYS:
             if key not in state:
                 raise ConfigError(f"state file missing key {key!r}")

@@ -189,16 +189,20 @@ def _scaled_gram(dev: np.ndarray, scale: float) -> np.ndarray:
     return (m + m.T) * (0.5 * scale)
 
 
-def sample_covariance(chain: ChainMatrix) -> CovEstimate:
-    """The (n-1)-denominator sample covariance Λ_n of the rows."""
-    n, p = chain.n, chain.p
+def centered_covariance(dev: np.ndarray) -> CovEstimate:
+    """Λ_n from dev, the (n, p) rows less their column means."""
+    n, p = dev.shape
     if n < 2:
         raise InsufficientData(f"sample covariance needs n >= 2, got n={n}")
-    data = chain.data
-    center = data.mean(axis=0)
-    mat = _scaled_gram(data - center, 1.0 / (n - 1.0))
+    mat = _scaled_gram(dev, 1.0 / (n - 1.0))
     ld: LogDet = log_det(mat) if p < n else NotPD
     return CovEstimate(matrix=mat, method="sample", a_n=0, b_n=0, log_det=ld)
+
+
+def sample_covariance(chain: ChainMatrix) -> CovEstimate:
+    """The (n-1)-denominator sample covariance Λ_n of the rows."""
+    data = chain.data
+    return centered_covariance(data - data.mean(axis=0))
 
 
 def mbm(chain: ChainMatrix, b_n: int) -> CovEstimate:

@@ -355,33 +355,47 @@ class RwmLogisticSource(_BlockSource):
         buf, flags = self._buf, self._flags
         x, y = self._model.x, self._model.y
         two_tau2 = 2.0 * self._model.tau2
-        logaddexp = np.logaddexp
+        logaddexp, add_reduce = np.logaddexp, np.add.reduce
+        zeros = np.zeros(x.shape[0])
+        eta = np.empty(x.shape[0])
+        terms = np.empty(x.shape[0])
         cur, cur_lp = self._cur, self._cur_lp
+        # Rows [held, row) all equal cur and are not yet written: a run of
+        # rejections costs one slice assignment when it ends, not a row
+        # copy per step.
+        held = row
         while row < n:
             if self._pos == _BLOCK:
                 self._draw_block()
             pos = self._pos
             stop = min(_BLOCK, pos + n - row)
             steps, log_u = self._steps, self._log_u
+            first = row
+            accepted = []
             for t in range(pos, stop):
                 # log_posterior_logistic's arithmetic in the same order,
-                # without its argument checks. Its isfinite check cannot
-                # fire: a proposal is a finite state (the initial one is
-                # checked in __init__) plus a finite step, and the
-                # −‖β‖²/2τ² prior term keeps every accepted state near
-                # the posterior, far from overflow.
+                # without its argument checks; .dot and add.reduce give
+                # the bits of @ and .sum() for less call overhead. Its
+                # isfinite check cannot fire: a proposal is a finite state
+                # (the initial one is checked in __init__) plus a finite
+                # step, and the −‖β‖²/2τ² prior term keeps every accepted
+                # state near the posterior, far from overflow.
                 prop = cur + steps[t]
-                eta = x @ prop
-                prop_lp = float(y @ eta - logaddexp(0.0, eta).sum()) - float(
-                    prop @ prop
-                ) / two_tau2
-                accept = log_u[t] < prop_lp - cur_lp
-                if accept:
+                x.dot(prop, out=eta)
+                prop_lp = (
+                    float(y.dot(eta))
+                    - float(add_reduce(logaddexp(zeros, eta, out=terms)))
+                ) - float(prop.dot(prop)) / two_tau2
+                if log_u[t] < prop_lp - cur_lp:
+                    buf[held:row] = cur
                     cur, cur_lp = prop, prop_lp
-                flags[row - 1] = accept
-                buf[row] = cur
+                    held = row
+                    accepted.append(row - 1)
                 row += 1
+            flags[first - 1 : row - 1] = False
+            flags[accepted] = True
             self._pos = stop
+        buf[held:row] = cur
         self._cur, self._cur_lp = cur, cur_lp
         self._count = row
 

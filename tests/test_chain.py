@@ -225,6 +225,18 @@ class TestLoadChain:
             load_chain(f"1,2\n3,{cell}\n".encode("utf-8"))
         assert exc.value.row == 2
 
+    @pytest.mark.parametrize("raw,row", [
+        (b"1,2\n\xff,4\n", 2),
+        (b"\xfe,b\n1,2\n", 1),
+        (b"a,b\r\n1,2\r\n\r\n3,4\xc3\n", 4),
+        (b"1,2\n3,4\n5,\x80", 3),
+    ])
+    def test_non_utf8_bytes_name_their_line(self, raw, row):
+        with pytest.raises(ParseError, match="is not UTF-8 text") as exc:
+            load_chain(raw)
+        assert exc.value.row == row
+        assert f"at line {row} " in str(exc.value)
+
     def test_non_finite_first_line_is_data_not_header(self, chain_file):
         path = chain_file(None, raw="inf,-Infinity\n1,2\n")
         with pytest.raises(ParseError, match="not a finite double") as exc:

@@ -199,6 +199,25 @@ class TestEngine:
         np.testing.assert_array_equal(est.ubm, ubm_diag(chain, sig.b_n))
         np.testing.assert_array_equal(est.col_var, chain.data.var(axis=0, ddof=1))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reference_estimate_one_centring_is_bitwise(self, seed):
+        # θ_n and the centred rows serve Λ_n and the column variances;
+        # both equal the separate passes bit for bit, also far from 0
+        rng = np.random.default_rng(seed)
+        n = (2_003, 7_919, 14_471, 9_001, 17_389, 4_099)[seed]
+        p = int(rng.integers(1, 7))
+        offset = 1e3 if seed % 2 else 0.0
+        chain = ChainMatrix(offset + rng.standard_normal((n, p)).cumsum(axis=0) / 50)
+        pol = BatchPolicy.exponent(0.5)
+        b = batch_size(n, pol)
+        assert n % b != 0
+        est = reference_estimate(chain, pol)
+        assert est.theta.tobytes() == chain.data.mean(axis=0).tobytes()
+        assert est.lam.matrix.tobytes() == sample_covariance(chain).matrix.tobytes()
+        assert est.lam.log_det == sample_covariance(chain).log_det
+        assert est.col_var.tobytes() == chain.data.var(axis=0, ddof=1).tobytes()
+        assert est.sigma.matrix.tobytes() == mbm(chain, b).matrix.tobytes()
+
 
 class TestCheckpointLoop:
     def test_resumed_walk_matches_one_run(self):

@@ -111,6 +111,13 @@ class TestEssCommand:
         assert code == 2
         assert "positive definite" in err
 
+    def test_non_utf8_file_is_a_user_error(self, capsys, tmp_path):
+        path = tmp_path / "chain.csv"
+        path.write_bytes(b"1,2\n\xff,4\n")
+        code, out, err = _run(capsys, ["ess", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "mcstop: error: byte 0xff at line 2 is not UTF-8 text\n"
+
     def test_missing_file(self, capsys):
         code, _, err = _run(capsys, ["ess", "/nonexistent/chain.csv"])
         assert code == 1
@@ -346,6 +353,20 @@ class TestStopResumeProtocol:
         )
         assert code == 1
         assert "missing key" in err
+
+    @pytest.mark.parametrize("text", [b"{not json", b"[1, 2]\n", b"\xff{}"])
+    def test_state_that_is_not_a_json_object_rejected(self, capsys, tmp_path, text):
+        rows = self._chain_rows(50, seed=5)
+        path = _write_chain(tmp_path, rows, name="grown.csv")
+        state = tmp_path / "state.json"
+        state.write_bytes(text)
+        code, out, err = _run(
+            capsys, ["stop", "--input", path, "--resume", str(state)]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("mcstop: error: state file ")
+        assert err.endswith("delete it to start over\n") and err.count("\n") == 1
+        assert state.read_bytes() == text
 
 
 class TestReplicateCommand:
@@ -719,6 +740,19 @@ class TestResumeRowCache:
             load_chain(str(path))
         assert exc.value.row == 172
         assert err == f"mcstop: error: {exc.value}\n" and fragment in err
+        assert (state.read_bytes(), self._cache(state).read_bytes()) == before
+
+    def test_non_utf8_append_names_its_line(self, capsys, tmp_path, rows):
+        path, state, _ = self._walk(capsys, tmp_path, rows, [100, 150])
+        before = state.read_bytes(), self._cache(state).read_bytes()
+        with open(path, "ab") as fh:
+            fh.write(b"0.5,0.25\n0.5,\xe9\n")
+        code, out, err = self._call(capsys, path, state)
+        assert (code, out) == (1, "")
+        with pytest.raises(ParseError) as exc:
+            load_chain(str(path))
+        assert exc.value.row == 153
+        assert err == f"mcstop: error: {exc.value}\n"
         assert (state.read_bytes(), self._cache(state).read_bytes()) == before
 
     @pytest.mark.parametrize("refusal", ["rewritten", "truncated", "conflict"])

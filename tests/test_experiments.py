@@ -205,7 +205,7 @@ class TestCoverageStudy:
         import mcstop.checkpoint as checkpoint
 
         calls = []
-        for name in ("mbm", "sample_covariance"):
+        for name in ("mbm", "centered_covariance"):
             real = getattr(checkpoint, name)
             monkeypatch.setattr(
                 checkpoint, name,
@@ -219,7 +219,7 @@ class TestCoverageStudy:
             seed_base=5,
         )
         coverage_study(spec)
-        assert sorted(calls) == ["mbm"] * 9 + ["sample_covariance"] * 9
+        assert sorted(calls) == ["centered_covariance"] * 9 + ["mbm"] * 9
 
     def test_fixed_n_one_estimate_per_length(self, monkeypatch):
         # every method reads the same reference estimate at each n

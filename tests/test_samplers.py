@@ -332,6 +332,24 @@ def logit_model():
     return load_logit_data()
 
 
+# Seeds of the replay tests that compare against _reference_rwm over
+# three whole blocks.
+REPLAY_SEEDS = (29, 1, 7, 2024)
+
+
+@pytest.fixture(scope="module")
+def reference_runs(logit_model):
+    return {seed: _reference_rwm(logit_model, seed, blocks=3) for seed in REPLAY_SEEDS}
+
+
+def _assert_replays(src, n, rows, flags):
+    """take(n) holds the reference's first n rows and acceptance rate."""
+    ch = src.take(n)
+    assert ch.data.tobytes() == rows[:n].tobytes()
+    rate = float(flags[: n - 1].mean()) if n > 1 else 0.0
+    assert ch.meta["acceptance_rate"] == rate
+
+
 @pytest.fixture(scope="module")
 def long_rwm(logit_model):
     """A source already holding 9000 rows; take(n) re-reads its buffer."""
@@ -348,6 +366,41 @@ class TestRwmReplay:
         assert ch.data.tobytes() == rows[:n].tobytes()
         rate = float(flags[: n - 1].mean()) if n > 1 else 0.0
         assert ch.meta["acceptance_rate"] == rate
+
+    @pytest.mark.parametrize("seed", REPLAY_SEEDS)
+    def test_one_take_equals_reference(self, logit_model, reference_runs, seed):
+        rows, flags = reference_runs[seed]
+        _assert_replays(RwmLogisticSource(logit_model, seed=seed), rows.shape[0],
+                        rows, flags)
+
+    @pytest.mark.parametrize("seed", REPLAY_SEEDS)
+    def test_takes_ending_at_run_edges_equal_reference(self, logit_model,
+                                                       reference_runs, seed):
+        # rejected rows are filled a run at a time, so a take that stops
+        # inside a run, on an accepted row or just after one, or at a
+        # block edge must still leave every row it returns written
+        rows, flags = reference_runs[seed]
+        acc = np.flatnonzero(flags)
+        assert 0.1 < flags.mean() < 0.4
+        # step k makes row k + 1: take(k + 2) ends on an accepted row
+        k = int(acc[acc > 4200][0])
+        rej = np.flatnonzero(~flags)
+        run = int(rej[(rej > 3000) & np.isin(rej + 1, rej) & np.isin(rej + 2, rej)][0])
+        cuts = [2, k + 2, k + 3, 4096, 4097, run + 3, int(acc[3]) + 2,
+                int(acc[3]) + 3, 9000, 4097, 12289]
+        src = RwmLogisticSource(logit_model, seed=seed)
+        for n in cuts:
+            _assert_replays(src, n, rows, flags)
+
+    @pytest.mark.parametrize("seed", REPLAY_SEEDS)
+    def test_random_slicings_equal_reference(self, logit_model, reference_runs, seed):
+        rows, flags = reference_runs[seed]
+        rng = np.random.default_rng(seed)
+        src = RwmLogisticSource(logit_model, seed=seed)
+        n = 1
+        while n < rows.shape[0]:
+            n = min(rows.shape[0], n + int(rng.integers(1, 1500)))
+            _assert_replays(src, n, rows, flags)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(1, 9000), min_size=1, max_size=5))

@@ -14,8 +14,9 @@ workload, the median, quartiles and interquartile range of each
 end-to-end metric over the seeds, with the failed-op count and the
 decisions digest of each seed. It also holds the Tier-1 wall time with
 the durations of the slow acceptance criteria, from the README's pytest
-command run with --durations=0 and PYTHONPATH=src, and the output of
-tools/resume_scale.py (one resume call on a 10^6-row chain file).
+command run with --durations=0 and PYTHONPATH=src, the output of
+tools/resume_scale.py (one resume call on a 10^6-row chain file) and
+that of tools/sampler_rates.py (rows/s of each built-in sampler).
 """
 import argparse
 import json
@@ -99,8 +100,9 @@ def tier1() -> dict:
     }
 
 
-def resume_scale() -> dict:
-    proc = subprocess.run([sys.executable, "tools/resume_scale.py"], cwd=ROOT,
+def _tool(script: str) -> dict:
+    """The JSON object a tools/ script prints."""
+    proc = subprocess.run([sys.executable, script], cwd=ROOT,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -116,7 +118,9 @@ def main(argv=None) -> int:
             print(f"bench_record: {workload} seed {seed}", file=sys.stderr, flush=True)
             runs.append(_run(workload, seed))
     print("bench_record: resume_scale", file=sys.stderr, flush=True)
-    scale = resume_scale()
+    scale = _tool("tools/resume_scale.py")
+    print("bench_record: sampler_rates", file=sys.stderr, flush=True)
+    rates = _tool("tools/sampler_rates.py")
     print("bench_record: tier-1", file=sys.stderr, flush=True)
     payload = {
         "command": "python3 bench/run.py --workload W --seed S "
@@ -125,6 +129,7 @@ def main(argv=None) -> int:
         "summary": summarize(runs),
         "tier1": tier1(),
         "resume_scale": scale,
+        "sampler_rates": rates,
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
