@@ -16,10 +16,6 @@ import numpy as np
 
 from .errors import DomainError, EmptyInput, ParseError
 
-# Lines per join/split pass of the fast parser: the transient cell strings
-# are one chunk's, not the whole file's.
-_CHUNK_LINES = 8192
-
 
 @dataclass(frozen=True)
 class ChainMatrix:
@@ -112,27 +108,24 @@ def _is_header(line: str, delim: str) -> bool:
 def _fast_rows(lines: list, delim: str, width: int) -> Optional[np.ndarray]:
     """The float64 rows of non-blank data lines, or None to walk them.
 
-    Each chunk of lines takes C-level passes only: an ASCII and no-"_"
-    check of its text, a delimiter count per line, one join/split into
-    cells and float() on each cell, whose own whitespace strip matches
-    str.strip() on ASCII decimals. None means some line holds a bad,
-    non-finite or ragged row, or a cell that only str.strip() turns
-    into a decimal; the per-line walk settles which.
+    NumPy's C text reader takes all the lines in one call. Like float(),
+    it converts each whitespace-stripped cell with CPython's correctly
+    rounded PyOS_string_to_double, so the values are float()'s bit for
+    bit. The screens hold it to the per-line walk's grammar: ASCII lines
+    without "_", width cells on every line, finite values. None means
+    some line fails a screen or the reader; the walk settles which.
     """
-    out = np.empty((len(lines), width))
-    flat = out.reshape(-1)
-    for start in range(0, len(lines), _CHUNK_LINES):
-        part = lines[start:start + _CHUNK_LINES]
-        body = delim.join(part)
-        if (not body.isascii() or "_" in body
-                or set(map(str.count, part, repeat(delim))) != {width - 1}):
-            return None
-        try:
-            flat[start * width:(start + len(part)) * width] = np.fromiter(
-                map(float, body.split(delim)), np.float64, len(part) * width)
-        except ValueError:
-            return None
-    return out if np.isfinite(out).all() else None
+    if not lines:
+        return np.empty((0, width))
+    if (not all(map(str.isascii, lines))
+            or any(map(str.__contains__, lines, repeat("_")))):
+        return None
+    try:
+        out = np.loadtxt(lines, dtype=np.float64, delimiter=delim,
+                         comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return out if out.shape[1] == width and np.isfinite(out).all() else None
 
 
 def _walk_rows(text: str, delim: str) -> np.ndarray:

@@ -354,8 +354,32 @@ def cmd_stop(args) -> int:
     return _stop_resume(args)
 
 
-_STATE_KEYS = ("epsilon", "alpha", "n_star", "metric", "batch",
-               "check_growth", "n_max", "next_checkpoint", "done", "read_prefix")
+# The JSON type of each state key, and of the read_prefix keys a call reads.
+# read_prefix's rows_sha256 and rows_format are left out: a value that is
+# not the cache's digest or this call's --format only means a full parse.
+_STATE_KEYS = {
+    "epsilon": "a number", "alpha": "a number", "n_star": "an integer",
+    "metric": "a string", "batch": "a string", "check_growth": "a number",
+    "n_max": "an integer", "next_checkpoint": "an integer",
+    "done": "true or false", "read_prefix": "an object",
+}
+_READ_PREFIX_KEYS = {"bytes": "an integer", "sha256": "a string"}
+_JSON_TYPES = {"a number": (int, float), "an integer": int, "a string": str,
+               "true or false": bool, "an object": dict}
+
+
+def _check_keys(path: str, obj: dict, keys: dict, prefix: str = "") -> None:
+    """Refuse a state file with a key missing or of the wrong JSON type."""
+    for key, kind in keys.items():
+        if key not in obj:
+            raise ConfigError(f"state file {path} is missing key "
+                              f"{prefix + key!r}; delete it to start over")
+        value = obj[key]
+        if (not isinstance(value, _JSON_TYPES[kind])
+                or isinstance(value, bool) != (kind == "true or false")):
+            raise ConfigError(f"state file {path} has {prefix}{key} = "
+                              f"{json.dumps(value)}, not {kind}; "
+                              "delete it to start over")
 
 
 def _written_rows(path: str) -> bytes:
@@ -494,9 +518,9 @@ def _stop_resume(args) -> int:
         if not isinstance(state, dict):
             raise ConfigError(f"state file {args.resume} is not a JSON object; "
                               "delete it to start over")
-        for key in _STATE_KEYS:
-            if key not in state:
-                raise ConfigError(f"state file missing key {key!r}")
+        _check_keys(args.resume, state, _STATE_KEYS)
+        _check_keys(args.resume, state["read_prefix"], _READ_PREFIX_KEYS,
+                    "read_prefix.")
         read_prefix = _pin_read_prefix(written, state["read_prefix"])
         chain = _resume_rows(written, state["read_prefix"], cache_path, args.format)
         _reject_conflicts(args, state, chain.p)
@@ -513,7 +537,7 @@ def _stop_resume(args) -> int:
             check_growth=state["check_growth"],
             n_max=state["n_max"],
         )
-        start = int(state["next_checkpoint"])
+        start = state["next_checkpoint"]
     else:
         chain = load_chain(written, format=args.format)
         batch_str = _flag(args, "batch")

@@ -303,7 +303,8 @@ class TestLoadChainMatchesReference:
         assert _outcome(load_chain, raw, "csv") == _outcome(_ref_load_chain, raw, "csv")
 
     def test_rows_past_a_chunk(self, rng):
-        x = rng.standard_normal((2 * chain_mod._CHUNK_LINES + 5, 3))
+        # a long file: its bad cell is far past the first few thousand rows
+        x = rng.standard_normal((16389, 3))
         buf = io.StringIO()
         np.savetxt(buf, x, fmt="%.17g", delimiter=",")
         lines = buf.getvalue().splitlines()
@@ -345,6 +346,84 @@ class TestLoadChainMatchesReference:
         tail = parse_rows(raw[len(head):], fmt, whole.shape[1])
         if tail is not None:
             assert np.concatenate([first, tail]).tobytes() == whole.tobytes()
+
+
+class TestReaderHazards:
+    """Inputs where a C text reader could part from the per-line grammar."""
+
+    @pytest.mark.parametrize("fmt,text", [
+        ("csv", "1,2#3\n4,5\n"),            # "#" inside a cell is no comment
+        ("csv", "1,2\n# 3,4\n"),
+        ("csv", '"1",2\n3,4\n'),            # no quoting
+        ("csv", '1,2\n3,"4"\n'),
+        ("csv", "1_0,2\n3,4\n"),            # no digit-group underscores
+        ("csv", "1,2\n3,4_5\n"),
+        ("csv", "0x1p3,2\n3,4\n"),          # no hex floats
+        ("csv", "\x1f1,2\x1f\n3,\x1f4\n"),  # \x1f is whitespace to str.strip()
+        ("csv", "1,2\n\x0b3,4\n"),          # \x0b is a line break to splitlines()
+        ("csv", "1,\x0b2\n3,4\n"),
+        ("csv", "1,2\x0b\n3,4\x0b\n"),
+        ("csv", "1,2\n3, \n"),              # whitespace-only field
+        ("csv", "1,2\n \t,4\n"),
+        ("csv", "1,2\n3,\n"),               # empty field
+        ("csv", "1,2,\n3,4,\n"),            # trailing delimiter
+        ("csv", "1,2\n3,4,\n"),
+        ("tsv", "1,5\t2\n3\t4\n"),          # commas inside tab-separated cells
+        ("tsv", "1\t2\n3\t4,5\n"),
+        ("tsv", "a,b\tc\n1\t2\n"),
+        ("csv", "1\x00,2\n"),
+    ])
+    def test_matches_reference(self, fmt, text):
+        raw = text.encode("utf-8")
+        got = _outcome(load_chain, raw, fmt)
+        assert got == _outcome(_ref_load_chain, raw, fmt)
+        if got[0] == "rows":
+            tail = parse_rows(raw, fmt, got[1][1])
+            assert tail is None or tail.tobytes() == got[2]
+
+    def test_negative_zero_keeps_its_sign(self):
+        raw = b"-0,0\n-0.0,+0\n"
+        data = load_chain(raw).data
+        assert np.signbit(data).tolist() == [[True, False], [True, False]]
+        assert np.signbit(parse_rows(raw, "csv", 2)).tolist() == \
+            np.signbit(_ref_load_chain(raw).data).tolist()
+
+    @pytest.mark.parametrize("raw", [b"1,2,3\n4,5,6\n", b"1\n2\n"])
+    def test_rows_of_another_width_are_declined(self, raw):
+        assert parse_rows(raw, "csv", 2) is None
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("raw", [b"", b"\n", b" \n\r\n"])
+    def test_no_rows_is_an_empty_block(self, raw, width):
+        out = parse_rows(raw, "csv", width)
+        assert out.shape == (0, width) and out.dtype == np.float64
+
+
+class TestValidFilesSkipTheWalk:
+    """A screen that declines a valid file would cost the walk and show nowhere else."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    @pytest.mark.parametrize("header", [None, "a,b,c", "β_1,β_2,β_3"])
+    @pytest.mark.parametrize("brk", ["\n", "\r\n"])
+    @pytest.mark.parametrize("blank", ["", "\n", " \t\n"])
+    def test_no_walk(self, monkeypatch, rng, fmt, header, brk, blank):
+        calls = []
+        real = chain_mod._walk_rows
+        monkeypatch.setattr(chain_mod, "_walk_rows",
+                            lambda *a: calls.append(a) or real(*a))
+        delim = "," if fmt == "csv" else "\t"
+        x = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-5, 5, (50, 3))
+        lines = [delim.join(f"{v:.17g}" for v in row) for row in x]
+        if header is not None:
+            lines.insert(0, header.replace(",", delim))
+        body = brk.join(ln + (brk + blank.replace("\n", brk) if i % 7 == 3 else "")
+                        for i, ln in enumerate(lines)) + brk
+        raw = body.encode("utf-8")
+        assert load_chain(raw, format=fmt).data.tobytes() == x.tobytes()
+        if header is None:
+            assert parse_rows(raw, fmt, 3).tobytes() == x.tobytes()
+        assert calls == []
 
 
 class TestColumnMeans:

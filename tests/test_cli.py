@@ -571,6 +571,43 @@ class TestResumeSafety:
         assert code == 1
         assert "missing key 'read_prefix'" in err
 
+    @pytest.mark.parametrize("key,value", [
+        ("epsilon", "x"),
+        ("alpha", None),
+        ("n_star", True),
+        ("metric", 3),
+        ("batch", 0.5),
+        ("check_growth", "0.1"),
+        ("n_max", 1e8),
+        ("next_checkpoint", "7"),
+        ("done", "yes"),
+        ("read_prefix", 5),
+        ("read_prefix.bytes", "x"),
+        ("read_prefix.sha256", 7),
+    ])
+    def test_wrong_typed_state_value_rejected(self, capsys, tmp_path, key, value):
+        path, state = self._first_call(capsys, tmp_path)
+        old = json.loads(state.read_text())
+        *outer, last = key.split(".")
+        (old[outer[0]] if outer else old)[last] = value
+        state.write_text(json.dumps(old))
+        cache = tmp_path / "state.json.rows.npy"
+        before = state.read_bytes(), cache.read_bytes()
+        code, out, err = _run(capsys, ["stop", "--input", path, "--resume", str(state)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"mcstop: error: state file {state} has {key} = ")
+        assert err.endswith("delete it to start over\n") and err.count("\n") == 1
+        assert (state.read_bytes(), cache.read_bytes()) == before
+
+    def test_state_without_read_prefix_bytes_rejected(self, capsys, tmp_path):
+        path, state = self._first_call(capsys, tmp_path)
+        old = json.loads(state.read_text())
+        del old["read_prefix"]["bytes"]
+        state.write_text(json.dumps(old))
+        code, _, err = _run(capsys, ["stop", "--input", path, "--resume", str(state)])
+        assert code == 1
+        assert "missing key 'read_prefix.bytes'" in err
+
     def test_unterminated_last_line_not_counted(self, capsys, tmp_path):
         rows = np.random.default_rng(8).standard_normal((66, 2))
         lines = [",".join(repr(float(v)) for v in r) for r in rows]

@@ -7,11 +7,14 @@ Writes a var1_bench5 chain (seed 1) with a header to a temporary CSV of
 about ROWS (10^6) rows, placed so that the next APPEND (10^4) rows hold
 the next checkpoint of the rule (eps 0.002, alpha 0.10, n* 1000, growth 0.10,
 which does not fire at this length). It runs `mcstop stop --resume` once
-to pin the state, appends the rows and times that second call. The
-split wraps what each layer of mcstop.cli calls: parse (load_chain and
-parse_rows), hash (the SHA-256 pin of the file), row cache (read and
-write), checkpoint (drive_checkpoints) and state (the state write).
-Layers the tree under --src lacks are left out. Prints one JSON object.
+to pin the state, which parses the whole file, appends the rows and runs
+the second call, which parses only the appended rows. Both calls are
+timed and split by what each layer of mcstop.cli calls: parse
+(load_chain and parse_rows), hash (the SHA-256 pin of the file), row
+cache (read and write), checkpoint (drive_checkpoints) and state (the
+state write). Each call also reports the rows its parse read per
+second. Layers the tree under --src lacks are left out. Prints one JSON
+object.
 """
 import argparse
 import contextlib
@@ -100,6 +103,8 @@ def main(argv=None) -> int:
             np.savetxt(fh, x[n0:], fmt="%.17g", delimiter=",")
         second = _timed_call(cli, base + ["--json"])
         size = os.path.getsize(path)
+    for call, rows in ((first, n0), (second, APPEND)):
+        call["parse_rows_per_s"] = round(rows / call["layers_s"]["parse"])
     print(json.dumps({
         "src": os.path.relpath(args.src, ROOT),
         "rows_before": n0, "rows_appended": APPEND,
