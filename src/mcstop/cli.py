@@ -12,8 +12,8 @@ estimates, insufficient data, cap exhaustion).
 Resume mode (stop --input F --resume S) runs the checkpoint loop of
 stopping.py from the state's next checkpoint up to the complete lines
 of F; an unterminated last line may still be being written and is not
-counted. The state file pins the rule: a passed flag that disagrees
-with it is refused, and the file is replaced atomically. It also pins
+counted. The state file pins the rule: a passed flag that would change
+it is refused, and the file is replaced atomically. It also pins
 the length and SHA-256 of the lines read so far, so a chain file whose
 checked rows were rewritten or truncated is refused. The rows read so
 far are kept in a binary row cache next to the state file, pinned by
@@ -36,11 +36,8 @@ from .errors import (
     ConfigError,
     DomainError,
     EmptyInput,
-    InsufficientBatches,
-    InsufficientData,
     McstopError,
     NotPositiveDefinite,
-    NotStationary,
     ParseError,
 )
 from .estimators import BatchPolicy, batch_size, mbm
@@ -60,13 +57,6 @@ _USER_ERRORS = (
     FileNotFoundError,
     IsADirectoryError,
     PermissionError,
-)
-_NUMERIC_ERRORS = (
-    NotPositiveDefinite,
-    InsufficientData,
-    InsufficientBatches,
-    NotStationary,
-    McstopError,
 )
 
 
@@ -122,8 +112,8 @@ def _build_parser() -> _Parser:
     p_stop.add_argument("--resume", default=None,
                         help="sidecar JSON state path (resume mode)")
     p_stop.add_argument("--format", choices=("csv", "tsv"), default="csv")
-    # None marks a flag the user did not pass: _stop_config applies the
-    # defaults, and resume rejects only flags that were passed.
+    # None marks a flag the user did not pass: _RULE holds the defaults,
+    # and resume checks only flags that were passed.
     p_stop.add_argument("--rule", default=None,
                         choices=("relative_sd", "absolute",
                                  "univariate_bonferroni", "univariate_uncorrected"),
@@ -156,11 +146,6 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
             print(line)
 
 
-def _require_pd(est) -> None:
-    if not est.is_pd:
-        raise NotPositiveDefinite(_NOT_PD_MSG)
-
-
 def cmd_ess(args) -> int:
     if args.input is None:
         if args.dims is None:
@@ -185,10 +170,7 @@ def cmd_ess(args) -> int:
     chain = load_chain(args.input, format=args.format)
     if args.dims is not None and args.dims != chain.p:
         raise ConfigError(f"-p {args.dims} disagrees with chain p={chain.p}")
-    try:
-        rep = ess_report(chain, BatchPolicy.parse(args.batch))
-    except NotPositiveDefinite:
-        raise NotPositiveDefinite(_NOT_PD_MSG) from None
+    rep = ess_report(chain, BatchPolicy.parse(args.batch))
     m_ess, u_ess, b_n = rep.ess_multivariate, rep.ess_univariate, rep.b_n
     a_n = chain.n // b_n
     threshold = min_ess(chain.p, args.alpha, args.eps)
@@ -227,7 +209,6 @@ def cmd_confregion(args) -> int:
     policy = BatchPolicy.parse(args.batch)
     b_n = batch_size(chain.n, policy)
     sig = mbm(chain, b_n)
-    _require_pd(sig)
     center = column_means(chain)
     region = make_region(center, sig, chain.n, args.alpha)
     root = vol_p(region.log_volume, chain.p)
@@ -274,44 +255,61 @@ def cmd_confregion(args) -> int:
     return 0
 
 
-_STOP_DEFAULTS = {
-    "rule": "relative_sd",
-    "alpha": 0.05,
-    "nstar": "auto",
-    "batch": "nu:0.5",
-    "growth": 0.10,
-    "nmax": 10**8,
+# The stop rule's parameters, keyed and ordered as in the resume state file:
+# each key's stop flag (its argparse dest), default (None: required) and
+# JSON type in the state file.
+_RULE = {
+    "epsilon": ("eps", None, "a number"),
+    "alpha": ("alpha", 0.05, "a number"),
+    "n_star": ("nstar", "auto", "an integer"),
+    "metric": ("rule", "relative_sd", "a string"),
+    "batch": ("batch", "nu:0.5", "a string"),
+    "check_growth": ("growth", 0.10, "a number"),
+    "n_max": ("nmax", 10**8, "an integer"),
 }
 
 
-def _flag(args, name: str):
-    value = getattr(args, name)
-    return _STOP_DEFAULTS[name] if value is None else value
+def _config(values: dict, p: int) -> StoppingConfig:
+    """The StoppingConfig of rule values keyed as in _RULE.
+
+    n_star may also be --nstar's text: auto resolves against the values'
+    alpha, epsilon and batch.
+    """
+    kw = dict(values)
+    kw["batch_policy"] = BatchPolicy.parse(kw.pop("batch"))
+    if kw["n_star"] == "auto":
+        kw["n_star"] = default_nstar(p, kw["alpha"], kw["epsilon"], kw["batch_policy"])
+    elif isinstance(kw["n_star"], str):
+        try:
+            kw["n_star"] = int(kw["n_star"])
+        except ValueError:
+            raise ConfigError("--nstar must be an integer or auto") from None
+    return StoppingConfig(**kw)
 
 
-def _n_star(nstar: str, p: int, alpha: float, eps: float, policy) -> int:
-    if nstar == "auto":
-        return default_nstar(p, alpha, eps, policy)
-    try:
-        return int(nstar)
-    except ValueError:
-        raise ConfigError("--nstar must be an integer or auto") from None
+def _stop_rule(args, state: dict, p: int) -> tuple[dict, StoppingConfig]:
+    """The rule's state values and its StoppingConfig.
 
-
-def _stop_config(args, p: int) -> StoppingConfig:
-    if args.eps is None:
-        raise ConfigError("stop needs --eps")
-    alpha = _flag(args, "alpha")
-    policy = BatchPolicy.parse(_flag(args, "batch"))
-    return StoppingConfig(
-        epsilon=args.eps,
-        alpha=alpha,
-        n_star=_n_star(_flag(args, "nstar"), p, alpha, args.eps, policy),
-        batch_policy=policy,
-        metric=_flag(args, "rule"),
-        check_growth=_flag(args, "growth"),
-        n_max=_flag(args, "nmax"),
-    )
+    With no state, the passed flags over the defaults. With a state, its
+    pinned values: each passed flag, put alone into them, must give the
+    same StoppingConfig, so it must also be valid on its own, and the
+    first in key order that does not is refused.
+    """
+    if not state:
+        values = {key: default if getattr(args, dest) is None else getattr(args, dest)
+                  for key, (dest, default, _) in _RULE.items()}
+        if values["epsilon"] is None:
+            raise ConfigError("stop needs --eps")
+        config = _config(values, p)
+        return dict(values, n_star=config.n_star), config
+    values = {key: state[key] for key in _RULE}
+    config = _config(values, p)
+    for key, (dest, _, _) in _RULE.items():
+        given = getattr(args, dest)
+        if given is not None and _config({**values, key: given}, p) != config:
+            raise ConfigError(f"state file pins {key}; rerun without --{dest} "
+                              "or delete the state file")
+    return values, config
 
 
 def _report_stop(result, p: int, as_json: bool, extra: dict) -> None:
@@ -342,7 +340,7 @@ def cmd_stop(args) -> int:
             raise ConfigError("--model runs are randomized and require --seed")
         model = parse_model_spec(args.model)
         source = model.make_source(args.seed)
-        config = _stop_config(args, model.p)
+        _, config = _stop_rule(args, {}, model.p)
         result = run_sequential(source, None, config)
         _report_stop(result, model.p, args.json, {"model": args.model,
                                                   "seed": args.seed})
@@ -357,12 +355,9 @@ def cmd_stop(args) -> int:
 # The JSON type of each state key, and of the read_prefix keys a call reads.
 # read_prefix's rows_sha256 and rows_format are left out: a value that is
 # not the cache's digest or this call's --format only means a full parse.
-_STATE_KEYS = {
-    "epsilon": "a number", "alpha": "a number", "n_star": "an integer",
-    "metric": "a string", "batch": "a string", "check_growth": "a number",
-    "n_max": "an integer", "next_checkpoint": "an integer",
-    "done": "true or false", "read_prefix": "an object",
-}
+_STATE_KEYS = {**{key: kind for key, (_, _, kind) in _RULE.items()},
+               "next_checkpoint": "an integer", "done": "true or false",
+               "read_prefix": "an object"}
 _READ_PREFIX_KEYS = {"bytes": "an integer", "sha256": "a string"}
 _JSON_TYPES = {"a number": (int, float), "an integer": int, "a string": str,
                "true or false": bool, "an object": dict}
@@ -393,44 +388,21 @@ def _written_rows(path: str) -> bytes:
     return raw[: raw.rfind(b"\n") + 1]
 
 
-def _pin_read_prefix(written: bytes, pinned) -> dict:
+def _pin_read_prefix(written: bytes, pinned: dict) -> dict:
     """Byte length and SHA-256 of the lines read, checked against the last pin.
 
-    A file that no longer begins with the pinned bytes (pinned is None on
-    the first call) had checked rows rewritten, say by a sampler
+    A file that no longer begins with the pinned bytes (pinned is empty
+    on the first call) had checked rows rewritten, say by a sampler
     restarted with another seed, or cut.
     """
     view = memoryview(written)
-    size = 0 if pinned is None else pinned["bytes"]
+    size = pinned.get("bytes", 0)
     digest = hashlib.sha256(view[:size])
-    if pinned is not None and (len(view) < size
-                               or digest.hexdigest() != pinned["sha256"]):
+    if pinned and (len(view) < size or digest.hexdigest() != pinned["sha256"]):
         raise ConfigError("rows checked by an earlier call were rewritten or "
                           "truncated; delete the state file to start over")
     digest.update(view[size:])
     return {"bytes": len(view), "sha256": digest.hexdigest()}
-
-
-def _reject_conflicts(args, state: dict, p: int) -> None:
-    """Refuse every passed rule flag that disagrees with the pinned state."""
-    pinned = [
-        ("--eps", "epsilon", args.eps, state["epsilon"]),
-        ("--alpha", "alpha", args.alpha, state["alpha"]),
-        ("--rule", "metric", args.rule, state["metric"]),
-        ("--growth", "check_growth", args.growth, state["check_growth"]),
-        ("--nmax", "n_max", args.nmax, state["n_max"]),
-    ]
-    if args.batch is not None:
-        pinned.append(("--batch", "batch", BatchPolicy.parse(args.batch),
-                       BatchPolicy.parse(state["batch"])))
-    if args.nstar is not None:
-        n_star = _n_star(args.nstar, p, state["alpha"], state["epsilon"],
-                         BatchPolicy.parse(state["batch"]))
-        pinned.append(("--nstar", "n_star", n_star, state["n_star"]))
-    for flag, key, given, saved in pinned:
-        if given is not None and given != saved:
-            raise ConfigError(f"state file pins {key}; rerun without {flag} "
-                              "or delete the state file")
 
 
 def _replace_file(path: str, write, mode: str = "w") -> None:
@@ -478,15 +450,32 @@ def _read_row_cache(path: str, sha256) -> np.ndarray | None:
     return np.load(io.BytesIO(raw), allow_pickle=False)
 
 
+def _read_state(path: str) -> dict:
+    """The resume state at path, each key type-checked; {} if there is none."""
+    if not os.path.exists(path):
+        return {}
+    with open(path, "rb") as fh:
+        try:
+            state = json.loads(fh.read())
+        except ValueError:
+            state = None
+    if not isinstance(state, dict):
+        raise ConfigError(f"state file {path} is not a JSON object; "
+                          "delete it to start over")
+    _check_keys(path, state, _STATE_KEYS)
+    _check_keys(path, state["read_prefix"], _READ_PREFIX_KEYS, "read_prefix.")
+    return state
+
+
 def _resume_rows(written: bytes, pinned: dict, cache_path: str,
                  format: str) -> ChainMatrix:
     """The chain in written, parsing only the bytes past the pinned prefix.
 
     The row cache holds the rows of the pinned prefix as read in the
-    pinned format. A missing cache, one whose SHA-256 is not the pinned
-    one, another --format, or new bytes the fast parser cannot read mean
-    a full parse: it gives the rows, or raises load_chain's error with
-    its absolute line number.
+    pinned format. No pin, a missing cache, one whose SHA-256 is not the
+    pinned one, another --format, or new bytes the fast parser cannot
+    read mean a full parse: it gives the rows, or raises load_chain's
+    error with its absolute line number.
     """
     cached = None
     if pinned.get("rows_format") == format:
@@ -505,63 +494,27 @@ def _stop_resume(args) -> int:
     so repeated invocations walk the same grid no matter how much the
     user appends between calls. Each call runs the same checkpoint
     loop as run_sequential, from the saved checkpoint up to the rows
-    the file holds.
+    the file holds; the first call, with no state yet, starts the grid.
     """
     written = _written_rows(args.input)
     cache_path = f"{args.resume}.rows.npy"
-    if os.path.exists(args.resume):
-        with open(args.resume, "rb") as fh:
-            try:
-                state = json.loads(fh.read())
-            except ValueError:
-                state = None
-        if not isinstance(state, dict):
-            raise ConfigError(f"state file {args.resume} is not a JSON object; "
-                              "delete it to start over")
-        _check_keys(args.resume, state, _STATE_KEYS)
-        _check_keys(args.resume, state["read_prefix"], _READ_PREFIX_KEYS,
-                    "read_prefix.")
-        read_prefix = _pin_read_prefix(written, state["read_prefix"])
-        chain = _resume_rows(written, state["read_prefix"], cache_path, args.format)
-        _reject_conflicts(args, state, chain.p)
-        if state["done"]:
-            print("state file marks this run as finished", file=sys.stderr)
-            return 0
-        batch_str = state["batch"]
-        config = StoppingConfig(
-            epsilon=state["epsilon"],
-            alpha=state["alpha"],
-            n_star=state["n_star"],
-            batch_policy=BatchPolicy.parse(batch_str),
-            metric=state["metric"],
-            check_growth=state["check_growth"],
-            n_max=state["n_max"],
-        )
-        start = state["next_checkpoint"]
-    else:
-        chain = load_chain(written, format=args.format)
-        batch_str = _flag(args, "batch")
-        config = _stop_config(args, chain.p)
-        start = None
-        read_prefix = _pin_read_prefix(written, None)
+    state = _read_state(args.resume)
+    pinned = state.get("read_prefix", {})
+    read_prefix = _pin_read_prefix(written, pinned)
+    chain = _resume_rows(written, pinned, cache_path, args.format)
+    values, config = _stop_rule(args, state, chain.p)
+    if state.get("done"):
+        print("state file marks this run as finished", file=sys.stderr)
+        return 0
     run = drive_checkpoints(FileChainSource(chain), None, config,
-                            start=start, available=chain.n)
+                            start=state.get("next_checkpoint"), available=chain.n)
     # The cache goes first: a crash before the state write leaves a cache
     # whose SHA-256 is not the pinned one, and the next call rebuilds it.
     read_prefix["rows_sha256"] = _write_row_cache(cache_path, chain.data)
     read_prefix["rows_format"] = args.format
-    _write_state(args.resume, {
-        "epsilon": config.epsilon,
-        "alpha": config.alpha,
-        "n_star": config.n_star,
-        "metric": config.metric,
-        "batch": batch_str,
-        "check_growth": config.check_growth,
-        "n_max": config.n_max,
-        "next_checkpoint": run.next_checkpoint,
-        "done": run.result is not None,
-        "read_prefix": read_prefix,
-    })
+    _write_state(args.resume, dict(values, next_checkpoint=run.next_checkpoint,
+                                   done=run.result is not None,
+                                   read_prefix=read_prefix))
     if run.result is None:
         payload = {"command": "stop", "status": "continue",
                    "next_checkpoint": run.next_checkpoint, "n_available": chain.n}
@@ -606,7 +559,10 @@ def main(argv=None) -> int:
     except _USER_ERRORS as exc:
         print(f"mcstop: error: {exc}", file=sys.stderr)
         return 1
-    except _NUMERIC_ERRORS as exc:
+    except NotPositiveDefinite:
+        print(f"mcstop: {_NOT_PD_MSG}", file=sys.stderr)
+        return 2
+    except McstopError as exc:
         print(f"mcstop: {exc}", file=sys.stderr)
         return 2
 

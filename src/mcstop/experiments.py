@@ -724,7 +724,7 @@ def _validate_study_config(raw: dict) -> dict:
                 methods=("mbm",), seed_base=seed_base,
                 alpha=alpha, batch_policy=policy,
             )
-            out.update({"spec": spec, "sizes": ints("sizes")})
+            out.update({"spec": spec})
         else:
             epsilon = _conv(raw, "epsilon", float, 0.05)
             if "nus" not in raw:
@@ -749,7 +749,7 @@ def run_study(parsed: dict) -> StudyReport:
     if study == "coverage":
         return coverage_study(parsed["spec"])
     if study == "relative_error":
-        return relative_error_study(parsed["spec"], parsed["sizes"])
+        return relative_error_study(parsed["spec"], parsed["spec"].stopping)
     return batch_sensitivity_study(
         parsed["spec"], parsed["nus"], parsed.get("eps_list")
     )

@@ -109,7 +109,7 @@ class TestEssCommand:
         path = _write_chain(tmp_path, rng.standard_normal((3, 5)))
         code, _, err = _run(capsys, ["ess", path])
         assert code == 2
-        assert "positive definite" in err
+        assert err == "mcstop: increase n: covariance estimate not positive definite (a_n ≤ p)\n"
 
     def test_non_utf8_file_is_a_user_error(self, capsys, tmp_path):
         path = tmp_path / "chain.csv"
@@ -210,6 +210,7 @@ class TestConfregionCommand:
         path = _write_chain(tmp_path, rng.standard_normal((4, 4)))
         code, _, err = _run(capsys, ["confregion", path])
         assert code == 2
+        assert err == "mcstop: increase n: covariance estimate not positive definite (a_n ≤ p)\n"
 
 
 class TestStopCommand:
@@ -627,6 +628,88 @@ class TestResumeSafety:
         payload = json.loads(out)
         assert payload["n_available"] == 60
         assert payload["next_checkpoint"] == 66
+
+
+class TestStopRuleTable:
+    """The state pins the rule's seven keys; passed flags are checked against them."""
+
+    FLAGS = ["--eps", "0.05", "--alpha", "0.10", "--nstar", "60", "--batch", "nu:0.5"]
+
+    def _pinned(self, capsys, tmp_path, flags=FLAGS):
+        rows = np.random.default_rng(7).standard_normal((120, 2))
+        path = _write_chain(tmp_path, rows[:80], name="grown.csv")
+        state = tmp_path / "state.json"
+        argv = ["stop", "--input", path, "--resume", str(state)]
+        code, _, _ = _run(capsys, argv + flags)
+        assert code == 0
+        _write_chain(tmp_path, rows, name="grown.csv")
+        return argv, state, tmp_path / "state.json.rows.npy"
+
+    def test_state_schema(self, capsys, tmp_path):
+        argv, state, _ = self._pinned(capsys, tmp_path, [
+            "--eps", "0.2", "--alpha", "0.1", "--nstar", "70", "--rule", "absolute",
+            "--batch", "nu:.45", "--growth", "0.2", "--nmax", "5000"])
+        code, _, _ = _run(capsys, argv)
+        assert code == 0
+        got = json.loads(state.read_text())
+        assert list(got.items())[:7] == [
+            ("epsilon", 0.2), ("alpha", 0.1), ("n_star", 70), ("metric", "absolute"),
+            ("batch", "nu:.45"), ("check_growth", 0.2), ("n_max", 5000)]
+        assert list(got)[7:] == ["next_checkpoint", "done", "read_prefix"]
+
+    @pytest.mark.parametrize("pin,flag", [
+        (["--batch", "nu:0.5"], ["--batch", "nu:.5"]),
+        (["--alpha", "0.10"], ["--alpha", "0.1"]),
+        (["--nstar", "auto"], ["--nstar", "auto"]),
+    ])
+    def test_equal_flags_spelled_differently(self, capsys, tmp_path, pin, flag):
+        argv, state, _ = self._pinned(capsys, tmp_path, ["--eps", "0.05"] + pin)
+        rule = state.read_text().splitlines()[:8]
+        code, out, err = _run(capsys, argv + flag + ["--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "continue"
+        assert state.read_text().splitlines()[:8] == rule
+        assert json.loads(state.read_text())["next_checkpoint"] > 120
+
+    @pytest.mark.parametrize("flags,key,flag", [
+        (["--rule", "absolute", "--nstar", "70"], "n_star", "--nstar"),
+        (["--nmax", "5000", "--batch", "fixed:3"], "batch", "--batch"),
+        (["--growth", "0.2", "--alpha", "0.2", "--eps", "0.1"], "epsilon", "--eps"),
+    ])
+    def test_first_conflict_in_key_order_is_named(self, capsys, tmp_path, flags, key,
+                                                  flag):
+        argv, state, cache = self._pinned(capsys, tmp_path)
+        before = state.read_bytes(), cache.read_bytes()
+        code, out, err = _run(capsys, argv + flags)
+        assert (code, out) == (1, "")
+        assert err == (f"mcstop: error: state file pins {key}; rerun without "
+                       f"{flag} or delete the state file\n")
+        assert (state.read_bytes(), cache.read_bytes()) == before
+
+    @pytest.mark.parametrize("done", [False, True])
+    def test_pinned_bad_value_refused_even_when_finished(self, capsys, tmp_path, done):
+        argv, state, cache = self._pinned(capsys, tmp_path)
+        old = json.loads(state.read_text())
+        old.update(epsilon=-1, done=done)
+        state.write_text(json.dumps(old, indent=2) + "\n")
+        before = state.read_bytes(), cache.read_bytes()
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "mcstop: error: epsilon must be positive, got -1\n"
+        assert (state.read_bytes(), cache.read_bytes()) == before
+
+    @pytest.mark.parametrize("flag,message", [
+        (["--eps", "-1"], "epsilon must be positive, got -1.0"),
+        (["--nstar", "-5"], "n_star must be >= 0, got -5"),
+        (["--batch", "nu:1.5"], "batch exponent must lie in (0,1), got 1.5"),
+    ])
+    def test_invalid_flag_gets_its_validation_error(self, capsys, tmp_path, flag,
+                                                    message):
+        argv, state, cache = self._pinned(capsys, tmp_path)
+        before = state.read_bytes(), cache.read_bytes()
+        code, out, err = _run(capsys, argv + flag)
+        assert (code, out, err) == (1, "", f"mcstop: error: {message}\n")
+        assert (state.read_bytes(), cache.read_bytes()) == before
 
 
 class TestResumeRowCache:
