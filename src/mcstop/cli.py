@@ -45,7 +45,8 @@ from .ess import eps_from_ess, ess_report, min_ess
 from .experiments import parse_model_spec, read_study_config, run_study
 from .regions import ellipse_boundary, make_region, scheffe_interval, vol_p
 from .samplers import FileChainSource
-from .stopping import StoppingConfig, default_nstar, drive_checkpoints, run_sequential
+from .stopping import (RULE_PARAMS, RULES, StoppingConfig, drive_checkpoints,
+                       rule_config, run_sequential)
 
 _NOT_PD_MSG = "increase n: covariance estimate not positive definite (a_n ≤ p)"
 
@@ -112,11 +113,9 @@ def _build_parser() -> _Parser:
     p_stop.add_argument("--resume", default=None,
                         help="sidecar JSON state path (resume mode)")
     p_stop.add_argument("--format", choices=("csv", "tsv"), default="csv")
-    # None marks a flag the user did not pass: _RULE holds the defaults,
-    # and resume checks only flags that were passed.
-    p_stop.add_argument("--rule", default=None,
-                        choices=("relative_sd", "absolute",
-                                 "univariate_bonferroni", "univariate_uncorrected"),
+    # None marks a flag the user did not pass: RULE_PARAMS holds the
+    # defaults, and resume checks only flags that were passed.
+    p_stop.add_argument("--rule", default=None, choices=tuple(RULES),
                         help="default relative_sd")
     p_stop.add_argument("--eps", type=float, default=None)
     p_stop.add_argument("--alpha", type=float, default=None, help="default 0.05")
@@ -255,38 +254,6 @@ def cmd_confregion(args) -> int:
     return 0
 
 
-# The stop rule's parameters, keyed and ordered as in the resume state file:
-# each key's stop flag (its argparse dest), default (None: required) and
-# JSON type in the state file.
-_RULE = {
-    "epsilon": ("eps", None, "a number"),
-    "alpha": ("alpha", 0.05, "a number"),
-    "n_star": ("nstar", "auto", "an integer"),
-    "metric": ("rule", "relative_sd", "a string"),
-    "batch": ("batch", "nu:0.5", "a string"),
-    "check_growth": ("growth", 0.10, "a number"),
-    "n_max": ("nmax", 10**8, "an integer"),
-}
-
-
-def _config(values: dict, p: int) -> StoppingConfig:
-    """The StoppingConfig of rule values keyed as in _RULE.
-
-    n_star may also be --nstar's text: auto resolves against the values'
-    alpha, epsilon and batch.
-    """
-    kw = dict(values)
-    kw["batch_policy"] = BatchPolicy.parse(kw.pop("batch"))
-    if kw["n_star"] == "auto":
-        kw["n_star"] = default_nstar(p, kw["alpha"], kw["epsilon"], kw["batch_policy"])
-    elif isinstance(kw["n_star"], str):
-        try:
-            kw["n_star"] = int(kw["n_star"])
-        except ValueError:
-            raise ConfigError("--nstar must be an integer or auto") from None
-    return StoppingConfig(**kw)
-
-
 def _stop_rule(args, state: dict, p: int) -> tuple[dict, StoppingConfig]:
     """The rule's state values and its StoppingConfig.
 
@@ -297,16 +264,16 @@ def _stop_rule(args, state: dict, p: int) -> tuple[dict, StoppingConfig]:
     """
     if not state:
         values = {key: default if getattr(args, dest) is None else getattr(args, dest)
-                  for key, (dest, default, _) in _RULE.items()}
+                  for key, (dest, default, _) in RULE_PARAMS.items()}
         if values["epsilon"] is None:
             raise ConfigError("stop needs --eps")
-        config = _config(values, p)
+        config = rule_config(values, p)
         return dict(values, n_star=config.n_star), config
-    values = {key: state[key] for key in _RULE}
-    config = _config(values, p)
-    for key, (dest, _, _) in _RULE.items():
+    values = {key: state[key] for key in RULE_PARAMS}
+    config = rule_config(values, p)
+    for key, (dest, _, _) in RULE_PARAMS.items():
         given = getattr(args, dest)
-        if given is not None and _config({**values, key: given}, p) != config:
+        if given is not None and rule_config({**values, key: given}, p) != config:
             raise ConfigError(f"state file pins {key}; rerun without --{dest} "
                               "or delete the state file")
     return values, config
@@ -355,7 +322,7 @@ def cmd_stop(args) -> int:
 # The JSON type of each state key, and of the read_prefix keys a call reads.
 # read_prefix's rows_sha256 and rows_format are left out: a value that is
 # not the cache's digest or this call's --format only means a full parse.
-_STATE_KEYS = {**{key: kind for key, (_, _, kind) in _RULE.items()},
+_STATE_KEYS = {**{key: kind for key, (_, _, kind) in RULE_PARAMS.items()},
                "next_checkpoint": "an integer", "done": "true or false",
                "read_prefix": "an object"}
 _READ_PREFIX_KEYS = {"bytes": "an integer", "sha256": "a string"}

@@ -44,7 +44,7 @@ from .samplers import (
     ar1_cov,
     load_logit_data,
 )
-from .stopping import StoppingConfig, default_nstar, drive_checkpoints
+from .stopping import RULE_PARAMS, StoppingConfig, drive_checkpoints, rule_config
 
 _METHODS = ("mbm", "ubm_bonferroni", "ubm")
 _METHOD_METRIC = {
@@ -521,14 +521,19 @@ def _relerr_rows(spec, source, sizes):
         yield {"n": int(n), "rel_error": rel, "seconds": seconds}
 
 
-def relative_error_study(spec: StudySpec, sizes: Sequence[int]) -> StudyReport:
+def relative_error_study(
+    spec: StudySpec, sizes: Optional[Sequence[int]] = None
+) -> StudyReport:
     """Relative Frobenius error of the batch means estimate per size.
 
-    Needs a model with an analytic asymptotic covariance (VAR(1)).
+    sizes defaults to the lengths of a fixed-n spec.stopping. Needs a
+    model with an analytic asymptotic covariance (VAR(1)).
     """
     if not hasattr(spec.model, "sigma_true"):
         raise DomainError("relative error study needs a model with analytic Σ")
-    sizes = tuple(int(n) for n in sizes)
+    if sizes is None and not spec.is_fixed_n:
+        raise DomainError("relative error study needs sizes or fixed-n lengths")
+    sizes = tuple(int(n) for n in (spec.stopping if sizes is None else sizes))
     if not sizes or any(n < 2 for n in sizes):
         raise DomainError("sizes must all be >= 2")
     rows = _replicate(_relerr_rows, spec, sizes)
@@ -602,8 +607,7 @@ def batch_sensitivity_study(
 
 _STUDY_KEYS = {
     "study", "model", "replications", "methods", "mode", "fixed_n",
-    "epsilon", "alpha", "n_star", "batch", "metric", "n_max",
-    "check_growth", "seed_base", "sizes", "nus", "eps_list",
+    "seed_base", "sizes", "nus", "eps_list", *RULE_PARAMS,
 }
 
 
@@ -659,8 +663,13 @@ def _validate_study_config(raw: dict) -> dict:
     seed_base = _conv(raw, "seed_base", int)
     if seed_base is None:
         raise ConfigError("missing required config key 'seed_base'")
-    alpha = _conv(raw, "alpha", float, 0.10)
-    policy = BatchPolicy.parse(raw["batch"]) if "batch" in raw else BatchPolicy.exponent()
+    # The rule keys take the defaults and checks of `mcstop stop`
+    # (stopping.RULE_PARAMS), each text read as its default's type (n_star
+    # stays text), except that alpha defaults to 0.10, the 90% level of the
+    # coverage studies: a config without alpha keeps its rows.
+    defaults = {**{key: d for key, (_, d, _) in RULE_PARAMS.items()}, "alpha": 0.10}
+    alpha = _conv(raw, "alpha", float, defaults["alpha"])
+    policy = BatchPolicy.parse(raw.get("batch", defaults["batch"]))
     out = {"study": study, "model": model}
 
     def floats(key):
@@ -670,23 +679,9 @@ def _validate_study_config(raw: dict) -> dict:
         return tuple(int(x) for x in raw[key].split(","))
 
     def build_config(epsilon):
-        n_star_raw = raw.get("n_star", "auto")
-        if n_star_raw == "auto":
-            n_star = default_nstar(model.p, alpha, epsilon, policy)
-        else:
-            try:
-                n_star = int(n_star_raw)
-            except ValueError:
-                raise ConfigError("n_star must be an integer or auto") from None
-        return StoppingConfig(
-            epsilon=epsilon,
-            alpha=alpha,
-            n_star=n_star,
-            batch_policy=policy,
-            metric=raw.get("metric", "relative_sd"),
-            check_growth=_conv(raw, "check_growth", float, 0.10),
-            n_max=_conv(raw, "n_max", int, 10**8),
-        )
+        values = {key: _conv(raw, key, type(default), default)
+                  for key, default in defaults.items() if key != "epsilon"}
+        return rule_config(dict(values, epsilon=epsilon), model.p)
 
     try:
         if study == "coverage":
@@ -749,7 +744,7 @@ def run_study(parsed: dict) -> StudyReport:
     if study == "coverage":
         return coverage_study(parsed["spec"])
     if study == "relative_error":
-        return relative_error_study(parsed["spec"], parsed["spec"].stopping)
+        return relative_error_study(parsed["spec"])
     return batch_sensitivity_study(
         parsed["spec"], parsed["nus"], parsed.get("eps_list")
     )

@@ -22,7 +22,7 @@ checkpoint and limited to the rows a file holds so far.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -33,8 +33,6 @@ from .errors import ConfigError, DomainError, InsufficientData
 from .estimators import BatchPolicy, batch_size, ubm_diag
 from .ess import min_ess, multivariate_ess
 from .regions import hotelling_cutoff, rectangle_volume, region_volume, t_cutoff
-
-_METRICS = ("relative_sd", "absolute", "univariate_bonferroni", "univariate_uncorrected")
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,7 @@ class StoppingConfig:
         Minimum simulation effort; the rule cannot fire below it.
     batch_policy : BatchPolicy
     metric : str
-        One of "relative_sd", "absolute", "univariate_bonferroni",
-        "univariate_uncorrected".
+        A key of RULES.
     check_growth : float
         Fractional growth of the checkpoint grid (default 0.10).
     n_max : int
@@ -78,7 +75,7 @@ class StoppingConfig:
             raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
         if self.n_star < 0:
             raise DomainError(f"n_star must be >= 0, got {self.n_star}")
-        if self.metric not in _METRICS:
+        if self.metric not in RULES:
             raise DomainError(f"unknown metric {self.metric!r}")
         if self.check_growth <= 0.0:
             raise DomainError(f"check_growth must be positive, got {self.check_growth}")
@@ -129,6 +126,46 @@ def default_nstar(p: int, alpha: float, eps: float, batch_policy: BatchPolicy) -
     return max(n_pos(p, batch_policy), int(math.ceil(bound)))
 
 
+# The rule's parameters as both front ends take them: `mcstop stop` flags
+# and study config keys. Keyed as StoppingConfig's fields (batch is a
+# BatchPolicy's text) and ordered as in the stop resume state file: each
+# key's stop flag (its argparse dest), default (None: required) and JSON
+# type in the state file. Study configs default alpha to 0.10 instead.
+RULE_PARAMS = {
+    "epsilon": ("eps", None, "a number"),
+    "alpha": ("alpha", 0.05, "a number"),
+    "n_star": ("nstar", "auto", "an integer"),
+    "metric": ("rule", StoppingConfig.metric, "a string"),
+    "batch": ("batch", "nu:0.5", "a string"),
+    "check_growth": ("growth", StoppingConfig.check_growth, "a number"),
+    "n_max": ("nmax", StoppingConfig.n_max, "an integer"),
+}
+
+
+def rule_config(values: dict, p: int) -> StoppingConfig:
+    """The StoppingConfig of rule values keyed as in RULE_PARAMS.
+
+    n_star may also be text, an integer or "auto". The values are checked
+    before auto resolves against their alpha, epsilon and batch, so a bad
+    value gets StoppingConfig's message whatever n_star is.
+    """
+    kw = dict(values)
+    kw["batch_policy"] = BatchPolicy.parse(kw.pop("batch"))
+    n_star = kw.pop("n_star")
+    auto = n_star == "auto"
+    if isinstance(n_star, str) and not auto:
+        try:
+            n_star = int(n_star)
+        except ValueError:
+            raise ConfigError(f"n_star must be an integer or auto, "
+                              f"got {n_star!r}") from None
+    config = StoppingConfig(n_star=0 if auto else n_star, **kw)
+    if auto:
+        config = replace(config, n_star=default_nstar(
+            p, config.alpha, config.epsilon, config.batch_policy))
+    return config
+
+
 # ---------------------------------------------------------------------------
 # the four rules, each a function of one checkpoint estimate
 
@@ -165,7 +202,7 @@ def _univariate(est: CheckpointEstimate, config: StoppingConfig, bonferroni: boo
     return bool((lhs <= config.epsilon * lam).all())
 
 
-_RULES = {
+RULES = {
     "relative_sd": _relative_sd,
     "absolute": _absolute,
     "univariate_bonferroni": lambda est, cfg: _univariate(est, cfg, True),
@@ -237,7 +274,7 @@ def _engine_metric(rule, config: StoppingConfig) -> Optional[str]:
     if rule is None:
         return config.metric
     if isinstance(rule, str):
-        if rule not in _RULES:
+        if rule not in RULES:
             raise DomainError(f"unknown rule {rule!r}")
         return rule
     if rule is check_relative_sd:
@@ -335,7 +372,7 @@ def drive_checkpoints(
             if engine is None:
                 engine = CheckpointEngine(rows.shape[1], config.batch_policy)
             engine.append(rows[engine.n : n])
-            fired = _RULES[metric](engine.estimate(), config)
+            fired = RULES[metric](engine.estimate(), config)
         if p is None:
             p = rows.shape[1]
             cap = _length_cap(config, p)

@@ -1,4 +1,5 @@
 """Command-line interface, exercised in process through main(argv)."""
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mcstop import ChainMatrix, load_chain, min_ess
+from mcstop import ChainMatrix, load_chain, min_ess, read_study_config
 import mcstop.cli as cli
 from mcstop.cli import main
 from mcstop.errors import ParseError
@@ -710,6 +711,62 @@ class TestStopRuleTable:
         code, out, err = _run(capsys, argv + flag)
         assert (code, out, err) == (1, "", f"mcstop: error: {message}\n")
         assert (state.read_bytes(), cache.read_bytes()) == before
+
+
+class TestOneRuleTable:
+    """`mcstop stop` flags and study config keys build the rule the same way."""
+
+    STOP = ["stop", "--model", "iid:p=3", "--seed", "1"]
+
+    def _study(self, tmp_path, **keys):
+        keys = {"study": "coverage", "model": "iid:p=3", "mode": "sequential",
+                "replications": "1", "seed_base": "0", **keys}
+        path = tmp_path / "study.conf"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+        return str(path)
+
+    def _stop_config(self, flags):
+        args = cli._build_parser().parse_args(self.STOP + flags)
+        return cli._stop_rule(args, {}, 3)[1]
+
+    @pytest.mark.parametrize("flag,key,value,message", [
+        ("--eps", "epsilon", "-1", "epsilon must be positive, got -1.0"),
+        ("--eps", "epsilon", "0", "epsilon must be positive, got 0.0"),
+        ("--nstar", "n_star", "abc", "n_star must be an integer or auto, got 'abc'"),
+    ])
+    def test_bad_value_has_one_wording(self, capsys, tmp_path, flag, key, value,
+                                       message):
+        flags = {"--eps": "0.1", flag: value}
+        code, out, err = _run(capsys, self.STOP + [x for f in flags.items() for x in f])
+        assert (code, out, err) == (1, "", f"mcstop: error: {message}\n")
+        config = self._study(tmp_path, **{"epsilon": "0.1", key: value})
+        code, out, err = _run(capsys, ["replicate", config,
+                                       "--out-prefix", str(tmp_path / "out")])
+        assert (code, out, err) == (1, "", f"mcstop: error: {message}\n")
+
+    @pytest.mark.parametrize("n_star", ["auto", "100"])
+    def test_first_bad_value_in_key_order_whatever_n_star(self, capsys, tmp_path,
+                                                          n_star):
+        stop = _run(capsys, self.STOP + ["--eps", "-1", "--alpha", "2", "--nstar", n_star])
+        config = self._study(tmp_path, epsilon="-1", alpha="2", n_star=n_star)
+        study = _run(capsys, ["replicate", config, "--out-prefix", str(tmp_path / "out")])
+        assert stop == study == (1, "", "mcstop: error: epsilon must be positive, got -1.0\n")
+
+    @pytest.mark.parametrize("n_star", ["auto", "500"])
+    def test_equal_values_give_equal_configs(self, tmp_path, n_star):
+        study = read_study_config(self._study(
+            tmp_path, epsilon="0.07", alpha="0.2", n_star=n_star, metric="absolute",
+            batch="fixed:7", check_growth="0.3", n_max="90000"))["spec"].stopping
+        assert study == self._stop_config([
+            "--eps", "0.07", "--alpha", "0.2", "--nstar", n_star, "--rule", "absolute",
+            "--batch", "fixed:7", "--growth", "0.3", "--nmax", "90000"])
+
+    def test_alpha_default_is_per_front_end(self, tmp_path):
+        study = read_study_config(
+            self._study(tmp_path, epsilon="0.07", n_star="500"))["spec"].stopping
+        stop = self._stop_config(["--eps", "0.07", "--nstar", "500"])
+        assert (study.alpha, stop.alpha) == (0.10, 0.05)
+        assert study == dataclasses.replace(stop, alpha=0.10)
 
 
 class TestResumeRowCache:

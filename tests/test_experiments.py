@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from mcstop import (
 )
 from mcstop.errors import ConfigError, DomainError, InsufficientData
 from mcstop.experiments import _workers
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def _seq_config(**kw):
@@ -268,6 +272,20 @@ class TestRelativeErrorStudy:
         with pytest.raises(DomainError):
             relative_error_study(spec, sizes=(100,))
 
+    def test_sizes_default_to_spec_stopping(self):
+        spec = StudySpec(model=var1_benchmark(3), replications=2,
+                         stopping=(300, 1200), seed_base=4)
+
+        def rows(report):
+            return [{k: v for k, v in r.items() if k != "seconds"} for r in report.rows]
+
+        assert rows(relative_error_study(spec)) == rows(
+            relative_error_study(spec, sizes=spec.stopping))
+        sequential = StudySpec(model=var1_benchmark(3), replications=1,
+                               stopping=_seq_config())
+        with pytest.raises(DomainError, match="needs sizes"):
+            relative_error_study(sequential)
+
 
 class TestBatchSensitivityStudy:
     def test_grid_shape(self):
@@ -441,6 +459,36 @@ class TestReadStudyConfig:
         report = run_study(parsed)
         assert report.study == "coverage"
         assert len(report.rows) == 4 * 2
+
+    def test_unparsable_key_reported_before_rule_checks(self, tmp_path):
+        text = (
+            "study = coverage\nmodel = iid:p=2\nmode = sequential\nepsilon = 0.2\n"
+            "replications = 2\nseed_base = 0\nn_star = abc\nn_max = x\n"
+        )
+        with pytest.raises(ConfigError) as exc:
+            read_study_config(_write(tmp_path, text))
+        assert str(exc.value) == "bad value for 'n_max': 'x'"
+
+    def test_fixed_mode_ignores_sequential_keys(self, tmp_path):
+        text = self.GOOD + "n_star = abc\nmetric = nosuch\nn_max = x\ncheck_growth = y\n"
+        assert read_study_config(_write(tmp_path, text))["spec"].stopping == (300, 600)
+
+
+class TestShippedConfigs:
+    def _spec(self, name):
+        return read_study_config(str(CONFIGS / name))["spec"]
+
+    def test_var1_sequential(self):
+        assert self._spec("var1_sequential.conf").stopping == StoppingConfig(
+            epsilon=0.05, alpha=0.10, n_star=1000, batch_policy=BatchPolicy.exponent(),
+            metric="relative_sd", check_growth=0.10, n_max=10**8)
+
+    def test_logistic_coverage(self):
+        spec = self._spec("logistic_coverage.conf")
+        assert (spec.stopping, spec.eff_alpha) == ((100000,), 0.10)
+
+    def test_var1_relative_error(self):
+        assert self._spec("var1_relative_error.conf").stopping == (1000, 10000, 100000)
 
 
 class TestReportOutput:
