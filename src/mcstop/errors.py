@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the positive-value check."""
+import math
 
 
 class McstopError(Exception):
@@ -45,3 +46,11 @@ class NotStationary(McstopError):
 
 class ConfigError(McstopError):
     """A configuration is invalid or internally inconsistent."""
+
+
+def require_positive(name: str, value: float) -> None:
+    """DomainError unless value is a finite positive number."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    if value <= 0.0:
+        raise DomainError(f"{name} must be positive, got {value}")

@@ -28,12 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import MeanVector
 from .checkpoint import reference_estimate
 from .errors import ConfigError, DomainError, McstopError
-from .estimators import BatchPolicy, batch_size, mbm, require_batches
-from .ess import multivariate_ess
-from .regions import contains, make_region, rectangle_volume, t_cutoff, vol_p
+from .estimators import BatchPolicy, batch_size, mbm
 from .samplers import (
     LOGIT_REFERENCE_MEAN,
     IidGaussianSource,
@@ -44,13 +41,20 @@ from .samplers import (
     ar1_cov,
     load_logit_data,
 )
-from .stopping import RULE_PARAMS, StoppingConfig, drive_checkpoints, rule_config
+from .stopping import (RULE_PARAMS, StoppingConfig, drive_checkpoints, rule_config,
+                       summarize)
 
-_METHODS = ("mbm", "ubm_bonferroni", "ubm")
+# Each method's metrics, its default first: the rule a sequential study
+# runs (mbm keeps an absolute config's rule) and the confidence set of
+# its rows, mbm's ellipsoid or a univariate rule's hyperrectangle.
 _METHOD_METRIC = {
-    "ubm_bonferroni": "univariate_bonferroni",
-    "ubm": "univariate_uncorrected",
+    "mbm": ("relative_sd", "absolute"),
+    "ubm_bonferroni": ("univariate_bonferroni",),
+    "ubm": ("univariate_uncorrected",),
 }
+# The studies' alpha when none is given: the 90% level of the coverage
+# studies, where `mcstop stop` defaults to 95% (stopping.RULE_PARAMS).
+_STUDY_ALPHA = 0.10
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +66,6 @@ class Var1Spec:
     """VAR(1) study model; truth is the analytic zero mean."""
 
     model: Var1Model
-    kind: str = field(default="var1", init=False)
 
     @property
     def p(self) -> int:
@@ -86,7 +89,6 @@ class LogisticSpec:
 
     model: LogisticModel
     proxy_truth: np.ndarray = field(default_factory=lambda: LOGIT_REFERENCE_MEAN)
-    kind: str = field(default="logistic", init=False)
 
     @property
     def p(self) -> int:
@@ -105,7 +107,6 @@ class IidGaussianSpec:
     """Independent N(0, I_p) model; the exact-theory baseline."""
 
     dim: int
-    kind: str = field(default="iid_gaussian", init=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -227,7 +228,7 @@ class StudySpec:
         methods = tuple(self.methods)
         if not methods:
             raise DomainError("methods must be nonempty")
-        bad = set(methods) - set(_METHODS)
+        bad = set(methods) - set(_METHOD_METRIC)
         if bad:
             raise DomainError(f"unknown methods {sorted(bad)}")
         object.__setattr__(self, "methods", methods)
@@ -261,7 +262,7 @@ class StudySpec:
     def eff_alpha(self) -> float:
         if isinstance(self.stopping, StoppingConfig):
             return self.stopping.alpha
-        return 0.10 if self.alpha is None else self.alpha
+        return _STUDY_ALPHA if self.alpha is None else self.alpha
 
     @property
     def eff_policy(self) -> BatchPolicy:
@@ -434,28 +435,6 @@ def _replicate(body, spec: StudySpec, *extra) -> list:
 # coverage study
 
 
-def _coverage_eval(est, method: str, truth, alpha: float) -> dict:
-    """ess, covered, vol_p and log_volume under one method, from one estimate."""
-    n, sig = est.n, est.sigma
-    require_batches(n, est.b_n)
-    ess_val = float("nan")
-    if sig.is_pd and est.lam.is_pd:
-        ess_val = multivariate_ess(est.lam, sig, n)
-    if method == "mbm":
-        covered, log_vol = False, float("nan")
-        if sig.is_pd:
-            region = make_region(MeanVector(est.theta), sig, n, alpha)
-            covered = contains(region, MeanVector(truth))
-            log_vol = region.log_volume
-    else:
-        bonf = method == "ubm_bonferroni"
-        log_vol = rectangle_volume(n, est.p, est.a_n, est.ubm, alpha, bonf)
-        half = t_cutoff(alpha, est.p, est.a_n, bonf) * np.sqrt(est.ubm) / math.sqrt(n)
-        covered = (np.abs(est.theta - truth) < half).all()
-    return {"ess": ess_val, "covered": int(covered),
-            "vol_p": vol_p(log_vol, est.p), "log_volume": log_vol}
-
-
 def _fixed_n_rows(spec, source):
     """One reference estimate per n, shared by every method's row."""
     for n in spec.stopping:
@@ -465,7 +444,8 @@ def _fixed_n_rows(spec, source):
         shared = time.perf_counter() - t0
         for method in spec.methods:
             t0 = time.perf_counter()
-            row = _coverage_eval(est, method, spec.eff_truth, spec.eff_alpha)
+            row = summarize(est, _METHOD_METRIC[method][0], spec.eff_alpha,
+                            spec.eff_truth)
             yield {"method": method, "n": int(n), **row, "reason": "fixed_n",
                    "seconds": shared + time.perf_counter() - t0}
 
@@ -474,14 +454,12 @@ def _sequential_rows(spec, source):
     """Each method's own stopping rule, run on the one shared source."""
     config = spec.stopping
     for method in spec.methods:
-        metric = _METHOD_METRIC.get(method, config.metric)
-        if method == "mbm" and metric not in ("relative_sd", "absolute"):
-            metric = "relative_sd"
+        metrics = _METHOD_METRIC[method]
+        metric = config.metric if config.metric in metrics else metrics[0]
         cfg = dataclasses.replace(config, metric=metric)
         t0 = time.perf_counter()
         run = drive_checkpoints(source, None, cfg)
-        # its ess is the run's ess_at_termination, from the same estimate
-        row = _coverage_eval(run.final, method, spec.eff_truth, cfg.alpha)
+        row = summarize(run.final, metric, cfg.alpha, spec.eff_truth)
         yield {"method": method, "n": run.result.n_final, **row,
                "reason": run.result.reason, "seconds": time.perf_counter() - t0}
 
@@ -557,21 +535,20 @@ def _sensitivity_rows(spec, source, nus, eps_list):
             )
             t0 = time.perf_counter()
             run = drive_checkpoints(source, None, cfg)
-            row = _coverage_eval(run.final, "mbm", spec.eff_truth, cfg.alpha)
+            row = summarize(run.final, cfg.metric, cfg.alpha, spec.eff_truth)
             sig = run.final.sigma
             max_eig = float("nan")
             if sig.is_pd:
                 max_eig = float(np.linalg.eigvalsh(sig.matrix)[-1])
-            result = run.result
             yield {
                 "nu": float(nu),
                 "eps": float(eps),
-                "n": result.n_final,
-                "ess": result.ess_at_termination,
+                "n": run.result.n_final,
+                "ess": row["ess"],
                 "covered": row["covered"],
-                "vol_p": vol_p(result.log_volume, spec.model.p),
+                "vol_p": row["vol_p"],
                 "max_eigenvalue": max_eig,
-                "reason": result.reason,
+                "reason": run.result.reason,
                 "seconds": time.perf_counter() - t0,
             }
 
@@ -665,9 +642,10 @@ def _validate_study_config(raw: dict) -> dict:
         raise ConfigError("missing required config key 'seed_base'")
     # The rule keys take the defaults and checks of `mcstop stop`
     # (stopping.RULE_PARAMS), each text read as its default's type (n_star
-    # stays text), except that alpha defaults to 0.10, the 90% level of the
-    # coverage studies: a config without alpha keeps its rows.
-    defaults = {**{key: d for key, (_, d, _) in RULE_PARAMS.items()}, "alpha": 0.10}
+    # stays text), except that alpha defaults to _STUDY_ALPHA: a config
+    # without alpha keeps its rows.
+    defaults = {**{key: d for key, (_, d, _) in RULE_PARAMS.items()},
+                "alpha": _STUDY_ALPHA}
     alpha = _conv(raw, "alpha", float, defaults["alpha"])
     policy = BatchPolicy.parse(raw.get("batch", defaults["batch"]))
     out = {"study": study, "model": model}

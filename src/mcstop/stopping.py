@@ -13,9 +13,11 @@ the new rows of each checkpoint to a streaming CheckpointEngine, so a
 check costs O(new rows) instead of a rescan of the whole prefix. Any
 other callable rule receives a ChainMatrix at every checkpoint. The
 public check functions evaluate the same rule functions on estimates
-built by the reference batch estimators, and the final summary (ESS
-and log volume at n_final) is computed once, by the reference
-estimators too, on the one ChainMatrix an engine decision builds. The
+built by the reference batch estimators. summarize reads a decision's
+summary off the reference estimate at n_final, built on the one
+ChainMatrix an engine decision makes: the ESS, and the volume and (given
+a truth) the coverage of the confidence set of the rule that was run.
+StoppingResult and every study row take their values from it. The
 resume protocol of the command line runs the same loop, from a saved
 checkpoint and limited to the rows a file holds so far.
 """
@@ -27,12 +29,13 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import ChainMatrix
+from .chain import ChainMatrix, MeanVector
 from .checkpoint import CheckpointEngine, CheckpointEstimate, reference_estimate
-from .errors import ConfigError, DomainError, InsufficientData
-from .estimators import BatchPolicy, batch_size, ubm_diag
+from .errors import ConfigError, DomainError, InsufficientData, require_positive
+from .estimators import BatchPolicy, batch_size, require_batches, ubm_diag
 from .ess import min_ess, multivariate_ess
-from .regions import hotelling_cutoff, rectangle_volume, region_volume, t_cutoff
+from .regions import (contains, hotelling_cutoff, make_region, rectangle_volume,
+                      region_volume, t_cutoff, vol_p)
 
 
 @dataclass(frozen=True)
@@ -69,16 +72,14 @@ class StoppingConfig:
     memory_budget_bytes: int = 4 * 2**30
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise DomainError(f"epsilon must be positive, got {self.epsilon}")
+        require_positive("epsilon", self.epsilon)
         if not (0.0 < self.alpha < 1.0):
             raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
         if self.n_star < 0:
             raise DomainError(f"n_star must be >= 0, got {self.n_star}")
         if self.metric not in RULES:
             raise DomainError(f"unknown metric {self.metric!r}")
-        if self.check_growth <= 0.0:
-            raise DomainError(f"check_growth must be positive, got {self.check_growth}")
+        require_positive("check_growth", self.check_growth)
         if self.n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
         if self.memory_budget_bytes < 1:
@@ -290,28 +291,37 @@ def _engine_metric(rule, config: StoppingConfig) -> Optional[str]:
     raise DomainError("rule must be None, a metric name, or a callable")
 
 
-def _final_summary(est: CheckpointEstimate, config: StoppingConfig) -> tuple:
-    """(ESS-hat, log volume) at n_final; nan when unsupported.
+def summarize(est: CheckpointEstimate, metric: str, alpha: float, truth=None) -> dict:
+    """ESS, coverage, Vol^{1/p} and log volume of a decision at est.n.
 
-    The elliptical log volume needs both estimates positive definite,
-    the rectangle only a_n >= 2.
+    The confidence set is the metric's: the ellipsoid of make_region for
+    relative_sd and absolute, which needs Σ_n positive definite, or the
+    fixed-width hyperrectangle of a univariate rule, which needs a_n >= 2.
+    The ESS needs both estimates positive definite. nan marks what the
+    estimate cannot support. covered is None without a truth; with one,
+    it is 1 iff the set holds the truth, and a_n < 2 raises
+    InsufficientData.
     """
-    sig, lam = est.sigma, est.lam
-    ess_val = float("nan")
-    log_vol = float("nan")
-    if sig is None:
-        return ess_val, log_vol
-    if sig.is_pd and lam.is_pd:
-        ess_val = multivariate_ess(lam, sig, est.n)
-        if config.metric in ("relative_sd", "absolute"):
-            cutoff = hotelling_cutoff(config.alpha, est.p, sig.a_n)
-            log_vol = region_volume(est.n, est.p, cutoff, sig.log_det)
-    if config.metric not in ("relative_sd", "absolute"):
-        bonf = config.metric == "univariate_bonferroni"
-        log_vol = rectangle_volume(
-            est.n, est.p, est.a_n, est.ubm, config.alpha, bonf
-        )
-    return ess_val, log_vol
+    sig, n, p = est.sigma, est.n, est.p
+    if truth is not None:
+        require_batches(n, est.b_n)
+    ess_val = log_vol = float("nan")
+    covered = False
+    if sig is not None and sig.is_pd and est.lam.is_pd:
+        ess_val = multivariate_ess(est.lam, sig, n)
+    if metric in ("relative_sd", "absolute"):
+        if sig is not None and sig.is_pd:
+            region = make_region(MeanVector(est.theta), sig, n, alpha)
+            log_vol = region.log_volume
+            covered = truth is not None and contains(region, MeanVector(truth))
+    elif sig is not None:
+        bonf = metric == "univariate_bonferroni"
+        log_vol = rectangle_volume(n, p, est.a_n, est.ubm, alpha, bonf)
+        if truth is not None:
+            half = t_cutoff(alpha, p, est.a_n, bonf) * np.sqrt(est.ubm) / math.sqrt(n)
+            covered = (np.abs(est.theta - truth) < half).all()
+    return {"ess": ess_val, "covered": None if truth is None else int(covered),
+            "vol_p": vol_p(log_vol, p), "log_volume": log_vol}
 
 
 @dataclass(frozen=True)
@@ -388,12 +398,12 @@ def drive_checkpoints(
     if metric is not None:
         chain = ChainMatrix(rows)
     final = reference_estimate(chain, config.batch_policy)
-    ess_val, log_vol = _final_summary(final, config)
+    summary = summarize(final, metric or config.metric, config.alpha)
     result = StoppingResult(
         terminated=(reason == "criterion_met"),
         n_final=n,
-        ess_at_termination=ess_val,
-        log_volume=log_vol,
+        ess_at_termination=summary["ess"],
+        log_volume=summary["log_volume"],
         reason=reason,
     )
     return CheckpointRun(result=result, next_checkpoint=n, final=final)

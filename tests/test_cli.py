@@ -43,6 +43,11 @@ class TestEssCommand:
         assert payload["min_ess_ceiling"] == 8605
         assert payload["min_ess"] == min_ess(5, 0.05, 0.05)
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_refused(self, capsys, eps):
+        code, out, err = _run(capsys, ["ess", "-p", "2", "--eps", eps])
+        assert (code, out, err) == (1, "", f"mcstop: error: eps must be finite, got {eps}\n")
+
     def test_no_input_no_dims(self, capsys):
         code, _, err = _run(capsys, ["ess"])
         assert code == 1
@@ -236,6 +241,15 @@ class TestStopCommand:
         )
         assert code == 2
         assert "n_max_reached" in out
+
+    def test_nan_eps_refused_before_sampling(self, capsys):
+        # a nan tolerance never fires, so it would run to the cap
+        code, out, err = _run(
+            capsys,
+            ["stop", "--model", "iid:p=2", "--seed", "1",
+             "--eps", "nan", "--nstar", "50", "--nmax", "3000"],
+        )
+        assert (code, out, err) == (1, "", "mcstop: error: epsilon must be finite, got nan\n")
 
     def test_model_needs_seed(self, capsys):
         code, _, err = _run(
@@ -732,6 +746,9 @@ class TestOneRuleTable:
     @pytest.mark.parametrize("flag,key,value,message", [
         ("--eps", "epsilon", "-1", "epsilon must be positive, got -1.0"),
         ("--eps", "epsilon", "0", "epsilon must be positive, got 0.0"),
+        ("--eps", "epsilon", "nan", "epsilon must be finite, got nan"),
+        ("--growth", "check_growth", "nan", "check_growth must be finite, got nan"),
+        ("--growth", "check_growth", "inf", "check_growth must be finite, got inf"),
         ("--nstar", "n_star", "abc", "n_star must be an integer or auto, got 'abc'"),
     ])
     def test_bad_value_has_one_wording(self, capsys, tmp_path, flag, key, value,

@@ -175,6 +175,9 @@ class TestMinEss:
             min_ess(0, 0.05, 0.05)
         with pytest.raises(DomainError):
             min_ess(5, 1.0, 0.05)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="^eps must be finite, got "):
+                min_ess(5, 0.05, eps)
 
 
 class TestEpsFromEss:
@@ -197,6 +200,9 @@ class TestEpsFromEss:
     def test_domain(self):
         with pytest.raises(DomainError):
             eps_from_ess(5, 0.05, 0.0)
+        for ess in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="^ess must be finite, got "):
+                eps_from_ess(5, 0.05, ess)
 
 
 class TestEssReport:

@@ -16,6 +16,7 @@ from mcstop import (
     StudySpec,
     Var1Spec,
     batch_sensitivity_study,
+    batch_size,
     coverage_study,
     parse_model_spec,
     read_study_config,
@@ -246,6 +247,62 @@ class TestCoverageStudy:
         assert calls == [100, 400] * 3
 
 
+    @staticmethod
+    def _spy_summary(monkeypatch):
+        # the summary's ESS and F cutoffs, as (name, n) and (name, a_n);
+        # rules call stopping.hotelling_cutoff, make_region regions'
+        import mcstop.regions as regions
+        import mcstop.stopping as stopping
+
+        calls = []
+        for module, name in ((stopping, "multivariate_ess"),
+                             (stopping, "hotelling_cutoff"),
+                             (regions, "hotelling_cutoff")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name,
+                lambda *a, _real=real, _name=name: calls.append((_name, a[2]))
+                or _real(*a),
+            )
+        return calls
+
+    def test_sequential_decision_summary_calls(self, monkeypatch):
+        # at n_final: the rule's last check, then one summary for the
+        # StoppingResult and one, with coverage, for the row
+        calls = self._spy_summary(monkeypatch)
+        spec = StudySpec(
+            model=var1_benchmark(5),
+            replications=1,
+            stopping=_seq_config(epsilon=0.15, n_star=1000),
+            seed_base=3,
+        )
+        (row,) = coverage_study(spec).rows
+        n = row["n"]
+        a_n = n // batch_size(n, spec.eff_policy)
+        assert (n, a_n) == (1612, 40)
+        assert [c for c in calls if c[0] == "multivariate_ess" or c[1] == a_n] == [
+            ("hotelling_cutoff", a_n),
+            ("multivariate_ess", n), ("hotelling_cutoff", a_n),
+            ("multivariate_ess", n), ("hotelling_cutoff", a_n),
+        ]
+
+    def test_fixed_n_summary_calls(self, monkeypatch):
+        # each (n, method) row: one ESS; an F cutoff for mbm's ellipsoid only
+        calls = self._spy_summary(monkeypatch)
+        spec = StudySpec(
+            model=IidGaussianSpec(2),
+            replications=1,
+            stopping=[100, 400],
+            methods=("mbm", "ubm_bonferroni", "ubm"),
+        )
+        coverage_study(spec)
+        assert [name for name, _ in calls] == [
+            "multivariate_ess", "hotelling_cutoff",
+            "multivariate_ess",
+            "multivariate_ess",
+        ] * 2
+
+
 class TestRelativeErrorStudy:
     def test_decreasing_and_recomputable(self):
         spec = StudySpec(
@@ -375,6 +432,13 @@ class TestReadStudyConfig:
         from mcstop import default_nstar
 
         assert cfg.n_star == default_nstar(2, 0.10, 0.2, BatchPolicy.exponent())
+
+    def test_methods_by_their_row_names(self, tmp_path):
+        text = self.GOOD + "methods = mbm, ubm_bonferroni, ubm\n"
+        spec = read_study_config(_write(tmp_path, text))["spec"]
+        assert spec.methods == ("mbm", "ubm_bonferroni", "ubm")
+        with pytest.raises(ConfigError, match=r"unknown methods \['ubm_uncorrected'\]"):
+            read_study_config(_write(tmp_path, self.GOOD + "methods = ubm_uncorrected\n"))
 
     def test_unknown_keys_listed(self, tmp_path):
         text = self.GOOD + "zeta = 1\nansatz = 2\n"

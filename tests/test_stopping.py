@@ -1,4 +1,5 @@
 """Sequential stopping rules and the checkpointed driver."""
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from mcstop import (
     run_sequential,
     sample_covariance,
     ubm_diag,
+    var1_benchmark,
 )
 from mcstop.errors import ConfigError, DomainError, InsufficientData
 
@@ -347,6 +349,22 @@ class TestRunSequential:
         assert res.n_final == seen[-1] >= 300
         assert len(built) == len(seen) > 1
 
+    @pytest.mark.parametrize("rule,metric", [
+        ("univariate_bonferroni", "univariate_bonferroni"),
+        (check_univariate, "univariate_uncorrected"),
+    ])
+    def test_summary_is_of_the_rule_that_was_run(self, rule, metric):
+        # a relative_sd config run under a univariate rule reports the
+        # rule's hyperrectangle, as a config naming that rule does
+        spec = var1_benchmark(5)
+        cfg = _config(epsilon=0.2, alpha=0.10, n_star=200)
+        res = run_sequential(spec.make_source(1), rule, cfg)
+        same = run_sequential(spec.make_source(1), None,
+                              dataclasses.replace(cfg, metric=metric))
+        assert res == same
+        if rule == "univariate_bonferroni":
+            assert (res.n_final, round(res.log_volume, 3)) == (11159, -12.482)
+
     def test_result_invariant(self):
         src = IidGaussianSource(2, seed=8)
         cfg = _config(epsilon=0.2, n_star=400)
@@ -369,6 +387,12 @@ class TestStoppingConfig:
             _config(check_growth=0.0)
         with pytest.raises(DomainError):
             _config(n_max=0)
+
+    @pytest.mark.parametrize("key", ["epsilon", "check_growth"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, key, value):
+        with pytest.raises(DomainError, match=f"^{key} must be finite, got "):
+            _config(**{key: value})
 
     def test_unknown_rule_name(self):
         src = IidGaussianSource(1, seed=0)
