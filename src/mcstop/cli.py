@@ -46,7 +46,7 @@ from .experiments import parse_model_spec, read_study_config, run_study
 from .regions import ellipse_boundary, make_region, scheffe_interval, vol_p
 from .samplers import FileChainSource
 from .stopping import (RULE_PARAMS, RULES, StoppingConfig, drive_checkpoints,
-                       rule_config, run_sequential)
+                       rule_config, rule_value, run_sequential)
 
 _NOT_PD_MSG = "increase n: covariance estimate not positive definite (a_n ≤ p)"
 
@@ -114,16 +114,17 @@ def _build_parser() -> _Parser:
                         help="sidecar JSON state path (resume mode)")
     p_stop.add_argument("--format", choices=("csv", "tsv"), default="csv")
     # None marks a flag the user did not pass: RULE_PARAMS holds the
-    # defaults, and resume checks only flags that were passed.
+    # defaults, and resume checks only flags that were passed. The rule's
+    # flags stay text, read by stopping.rule_value as study config lines are.
     p_stop.add_argument("--rule", default=None, choices=tuple(RULES),
                         help="default relative_sd")
-    p_stop.add_argument("--eps", type=float, default=None)
-    p_stop.add_argument("--alpha", type=float, default=None, help="default 0.05")
+    p_stop.add_argument("--eps", default=None)
+    p_stop.add_argument("--alpha", default=None, help="default 0.05")
     p_stop.add_argument("--nstar", default=None,
                         help="auto (default) or an integer")
     p_stop.add_argument("--batch", default=None, help="default nu:0.5")
-    p_stop.add_argument("--growth", type=float, default=None, help="default 0.10")
-    p_stop.add_argument("--nmax", type=int, default=None, help="default 10^8")
+    p_stop.add_argument("--growth", default=None, help="default 0.10")
+    p_stop.add_argument("--nmax", default=None, help="default 10^8")
     p_stop.add_argument("--json", action="store_true")
 
     p_rep = sub.add_parser("replicate",
@@ -263,7 +264,8 @@ def _stop_rule(args, state: dict, p: int) -> tuple[dict, StoppingConfig]:
     first in key order that does not is refused.
     """
     if not state:
-        values = {key: default if getattr(args, dest) is None else getattr(args, dest)
+        values = {key: rule_value(key, default if getattr(args, dest) is None
+                                  else getattr(args, dest))
                   for key, (dest, default, _) in RULE_PARAMS.items()}
         if values["epsilon"] is None:
             raise ConfigError("stop needs --eps")

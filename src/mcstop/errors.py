@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the positive-value check."""
+"""Exception types shared across the package, and the value checks."""
 import math
 
 
@@ -54,3 +54,9 @@ def require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite, got {value}")
     if value <= 0.0:
         raise DomainError(f"{name} must be positive, got {value}")
+
+
+def require_alpha(alpha: float) -> None:
+    """DomainError unless alpha, one minus a confidence level, lies in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0,1), got {alpha}")

@@ -16,7 +16,7 @@ import numpy as np
 from . import specfns
 from .chain import ChainMatrix
 from .checkpoint import reference_estimate
-from .errors import DomainError, NotPositiveDefinite, require_positive
+from .errors import DomainError, NotPositiveDefinite, require_alpha, require_positive
 from .estimators import (
     BatchPolicy,
     CovEstimate,
@@ -119,8 +119,7 @@ def min_ess(p: int, alpha: float, eps: float) -> float:
     """
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    require_alpha(alpha)
     require_positive("eps", eps)
     return math.exp(_log_min_ess_unit_eps(p, alpha) - 2.0 * math.log(eps))
 
@@ -132,8 +131,7 @@ def eps_from_ess(p: int, alpha: float, ess: float) -> float:
     """
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    require_alpha(alpha)
     require_positive("ess", ess)
     return math.exp(0.5 * (_log_min_ess_unit_eps(p, alpha) - math.log(ess)))
 

@@ -22,14 +22,13 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .checkpoint import reference_estimate
-from .errors import ConfigError, DomainError, McstopError
+from .errors import ConfigError, DomainError, McstopError, require_alpha
 from .estimators import BatchPolicy, batch_size, mbm
 from .samplers import (
     LOGIT_REFERENCE_MEAN,
@@ -42,7 +41,7 @@ from .samplers import (
     load_logit_data,
 )
 from .stopping import (RULE_PARAMS, StoppingConfig, drive_checkpoints, rule_config,
-                       summarize)
+                       rule_value, summarize)
 
 # Each method's metrics, its default first: the rule a sequential study
 # runs (mbm keeps an absolute config's rule) and the confidence set of
@@ -248,6 +247,8 @@ class StudySpec:
             if not sizes or any(n < 2 for n in sizes):
                 raise DomainError("fixed-n lengths must all be >= 2")
             object.__setattr__(self, "stopping", sizes)
+            if self.alpha is not None:
+                require_alpha(self.alpha)
         if self.truth is not None:
             t = np.asarray(self.truth, dtype=np.float64).reshape(-1)
             if t.size != self.model.p:
@@ -424,6 +425,8 @@ def _replicate(body, spec: StudySpec, *extra) -> list:
     payloads = [(body, spec, r, extra) for r in range(spec.replications)]
     w = _workers()
     if w > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=w) as pool:
             results = list(pool.map(_run_replication, payloads))
     else:
@@ -620,13 +623,12 @@ def _need(raw: dict, key: str) -> str:
     return raw[key]
 
 
-def _conv(raw: dict, key: str, conv, default=None):
-    if key not in raw:
-        return default
+def _need_int(raw: dict, key: str) -> int:
+    text = _need(raw, key)
     try:
-        return conv(raw[key])
+        return int(text)
     except ValueError:
-        raise ConfigError(f"bad value for {key!r}: {raw[key]!r}") from None
+        raise ConfigError(f"bad value for {key!r}: {text!r}") from None
 
 
 def _validate_study_config(raw: dict) -> dict:
@@ -634,20 +636,13 @@ def _validate_study_config(raw: dict) -> dict:
     if study not in ("coverage", "relative_error", "batch_sensitivity"):
         raise ConfigError(f"unknown study {study!r}")
     model = parse_model_spec(_need(raw, "model"))
-    replications = _conv(raw, "replications", int)
-    if replications is None:
-        raise ConfigError("missing required config key 'replications'")
-    seed_base = _conv(raw, "seed_base", int)
-    if seed_base is None:
-        raise ConfigError("missing required config key 'seed_base'")
-    # The rule keys take the defaults and checks of `mcstop stop`
-    # (stopping.RULE_PARAMS), each text read as its default's type (n_star
-    # stays text), except that alpha defaults to _STUDY_ALPHA: a config
-    # without alpha keeps its rows.
+    replications = _need_int(raw, "replications")
+    seed_base = _need_int(raw, "seed_base")
+    # The rule keys take the defaults, readings and checks of `mcstop stop`
+    # (stopping.RULE_PARAMS), except that alpha defaults to _STUDY_ALPHA:
+    # a config without alpha keeps its rows.
     defaults = {**{key: d for key, (_, d, _) in RULE_PARAMS.items()},
                 "alpha": _STUDY_ALPHA}
-    alpha = _conv(raw, "alpha", float, defaults["alpha"])
-    policy = BatchPolicy.parse(raw.get("batch", defaults["batch"]))
     out = {"study": study, "model": model}
 
     def floats(key):
@@ -657,9 +652,16 @@ def _validate_study_config(raw: dict) -> dict:
         return tuple(int(x) for x in raw[key].split(","))
 
     def build_config(epsilon):
-        values = {key: _conv(raw, key, type(default), default)
-                  for key, default in defaults.items() if key != "epsilon"}
+        values = {key: raw.get(key, default) for key, default in defaults.items()}
         return rule_config(dict(values, epsilon=epsilon), model.p)
+
+    def fixed_spec(sizes, methods):
+        return StudySpec(
+            model=model, replications=replications, stopping=sizes,
+            methods=methods, seed_base=seed_base,
+            alpha=rule_value("alpha", raw.get("alpha", defaults["alpha"])),
+            batch_policy=BatchPolicy.parse(raw.get("batch", defaults["batch"])),
+        )
 
     try:
         if study == "coverage":
@@ -671,18 +673,13 @@ def _validate_study_config(raw: dict) -> dict:
                 sizes = ints("fixed_n") if "fixed_n" in raw else None
                 if sizes is None:
                     raise ConfigError("fixed mode needs fixed_n = <comma list>")
-                spec = StudySpec(
-                    model=model, replications=replications, stopping=sizes,
-                    methods=methods, seed_base=seed_base,
-                    alpha=alpha, batch_policy=policy,
-                )
+                spec = fixed_spec(sizes, methods)
             elif mode == "sequential":
-                epsilon = _conv(raw, "epsilon", float)
-                if epsilon is None:
+                if "epsilon" not in raw:
                     raise ConfigError("sequential mode needs epsilon")
                 spec = StudySpec(
                     model=model, replications=replications,
-                    stopping=build_config(epsilon),
+                    stopping=build_config(raw["epsilon"]),
                     methods=methods, seed_base=seed_base,
                 )
             else:
@@ -691,20 +688,13 @@ def _validate_study_config(raw: dict) -> dict:
         elif study == "relative_error":
             if "sizes" not in raw:
                 raise ConfigError("relative_error study needs sizes = <comma list>")
-            spec = StudySpec(
-                model=model, replications=replications,
-                stopping=ints("sizes"),
-                methods=("mbm",), seed_base=seed_base,
-                alpha=alpha, batch_policy=policy,
-            )
-            out.update({"spec": spec})
+            out.update({"spec": fixed_spec(ints("sizes"), ("mbm",))})
         else:
-            epsilon = _conv(raw, "epsilon", float, 0.05)
             if "nus" not in raw:
                 raise ConfigError("batch_sensitivity study needs nus = <comma list>")
             spec = StudySpec(
                 model=model, replications=replications,
-                stopping=build_config(epsilon),
+                stopping=build_config(raw.get("epsilon", 0.05)),
                 methods=("mbm",), seed_base=seed_base,
             )
             eps_list = floats("eps_list") if "eps_list" in raw else None

@@ -18,6 +18,7 @@ from .errors import (
     DomainError,
     InsufficientBatches,
     NotPositiveDefinite,
+    require_alpha,
 )
 from .estimators import CovEstimate
 
@@ -63,8 +64,7 @@ def hotelling_cutoff(alpha: float, p: int, a_n: int) -> float:
     Requires more batches than dimensions; a_n ≤ p is the regime where
     the batch means estimate cannot be positive definite.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    require_alpha(alpha)
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
     if a_n <= p:
@@ -109,6 +109,7 @@ def t_cutoff(alpha: float, p: int, a_n: int, bonferroni: bool) -> float:
     The level is 1 - α/(2p) with the Bonferroni correction over p
     components and 1 - α/2 without it.
     """
+    require_alpha(alpha)
     level = 1.0 - alpha / (2.0 * p) if bonferroni else 1.0 - alpha / 2.0
     return specfns.quantile(specfns.student_t(a_n - 1), level)
 

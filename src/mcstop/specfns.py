@@ -4,7 +4,10 @@ Log-gamma, the regularized incomplete gamma and beta functions, and the
 chi-square / F / Student-t family used by region volumes, Hotelling
 cutoffs and sample-size thresholds. Each function validates its
 arguments (DomainError outside the domain) and hands the arithmetic to
-scipy.special, returning a Python float.
+scipy.special, returning a Python float. scipy.special is slow to
+import (it pulls in numpy.testing and numpy.f2py too), so the first call
+that computes a value loads it, not `import mcstop`: a CLI call that
+needs no quantile never pays for it.
 
 Quantiles use the lower-tail inverses (gammaincinv, fdtri, stdtrit), so
 a level near 1 is never turned into a small upper-tail probability
@@ -12,12 +15,19 @@ a level near 1 is never turned into a small upper-tail probability
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from scipy import special
-
 from .errors import DomainError
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported on first use."""
+    from scipy import special
+
+    return special
 
 
 def log_gamma(x: float) -> float:
@@ -25,7 +35,7 @@ def log_gamma(x: float) -> float:
     x = float(x)
     if not 0.0 < x < math.inf:
         raise DomainError(f"log_gamma requires x > 0 and finite, got {x}")
-    return float(special.gammaln(x))
+    return float(_special().gammaln(x))
 
 
 def reg_inc_gamma(a: float, x: float) -> float:
@@ -34,7 +44,7 @@ def reg_inc_gamma(a: float, x: float) -> float:
         raise DomainError(f"reg_inc_gamma requires a > 0, got {a}")
     if x < 0.0:
         raise DomainError(f"reg_inc_gamma requires x >= 0, got {x}")
-    return float(special.gammainc(a, x))
+    return float(_special().gammainc(a, x))
 
 
 def reg_inc_beta(a: float, b: float, x: float) -> float:
@@ -43,7 +53,7 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
         raise DomainError(f"reg_inc_beta requires a, b > 0, got {a}, {b}")
     if x < 0.0 or x > 1.0:
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got {x}")
-    return float(special.betainc(a, b, x))
+    return float(_special().betainc(a, b, x))
 
 
 @dataclass(frozen=True)
@@ -79,10 +89,10 @@ def cdf(dist: DistSpec, x: float) -> float:
     """Cumulative distribution function of `dist` at x."""
     x = float(x)
     if dist.kind == "chi2":
-        return float(special.chdtr(dist.d1, x)) if x > 0.0 else 0.0
+        return float(_special().chdtr(dist.d1, x)) if x > 0.0 else 0.0
     if dist.kind == "f":
-        return float(special.fdtr(dist.d1, dist.d2, x)) if x > 0.0 else 0.0
-    return float(special.stdtr(dist.d1, x))
+        return float(_special().fdtr(dist.d1, dist.d2, x)) if x > 0.0 else 0.0
+    return float(_special().stdtr(dist.d1, x))
 
 
 def quantile(dist: DistSpec, level: float) -> float:
@@ -91,11 +101,11 @@ def quantile(dist: DistSpec, level: float) -> float:
     if not (0.0 < level < 1.0):
         raise DomainError(f"quantile level must lie in (0, 1), got {level}")
     if dist.kind == "chi2":
-        x = 2.0 * special.gammaincinv(dist.d1 / 2.0, level)
+        x = 2.0 * _special().gammaincinv(dist.d1 / 2.0, level)
     elif dist.kind == "f":
-        x = special.fdtri(dist.d1, dist.d2, level)
+        x = _special().fdtri(dist.d1, dist.d2, level)
     else:
-        x = special.stdtrit(dist.d1, level)
+        x = _special().stdtrit(dist.d1, level)
     if not math.isfinite(x):
         raise DomainError(f"no finite quantile of {dist} at level {level}")
     return float(x)

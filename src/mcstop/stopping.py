@@ -31,7 +31,8 @@ import numpy as np
 
 from .chain import ChainMatrix, MeanVector
 from .checkpoint import CheckpointEngine, CheckpointEstimate, reference_estimate
-from .errors import ConfigError, DomainError, InsufficientData, require_positive
+from .errors import (ConfigError, DomainError, InsufficientData, require_alpha,
+                     require_positive)
 from .estimators import BatchPolicy, batch_size, require_batches, ubm_diag
 from .ess import min_ess, multivariate_ess
 from .regions import (contains, hotelling_cutoff, make_region, rectangle_volume,
@@ -73,8 +74,7 @@ class StoppingConfig:
 
     def __post_init__(self):
         require_positive("epsilon", self.epsilon)
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
+        require_alpha(self.alpha)
         if self.n_star < 0:
             raise DomainError(f"n_star must be >= 0, got {self.n_star}")
         if self.metric not in RULES:
@@ -141,16 +141,34 @@ RULE_PARAMS = {
     "check_growth": ("growth", StoppingConfig.check_growth, "a number"),
     "n_max": ("nmax", StoppingConfig.n_max, "an integer"),
 }
+_NUMBER_TYPES = {"a number": float, "an integer": int}
+
+
+def rule_value(key: str, value):
+    """A rule value keyed as in RULE_PARAMS, a number's text read as its type.
+
+    Both front ends give text: `mcstop stop` flags and study config
+    lines. Typed values, and n_star's text ("auto" or an integer, read
+    by rule_config), are returned as given.
+    """
+    conv = _NUMBER_TYPES.get(RULE_PARAMS[key][2])
+    if conv is None or key == "n_star" or not isinstance(value, str):
+        return value
+    try:
+        return conv(value)
+    except ValueError:
+        raise ConfigError(f"bad value for {key!r}: {value!r}") from None
 
 
 def rule_config(values: dict, p: int) -> StoppingConfig:
     """The StoppingConfig of rule values keyed as in RULE_PARAMS.
 
-    n_star may also be text, an integer or "auto". The values are checked
-    before auto resolves against their alpha, epsilon and batch, so a bad
-    value gets StoppingConfig's message whatever n_star is.
+    Values may be text (rule_value). Every text is read before any value
+    is checked, and the values are checked before n_star "auto" resolves
+    against their alpha, epsilon and batch, so a bad value gets
+    StoppingConfig's message whatever n_star is.
     """
-    kw = dict(values)
+    kw = {key: rule_value(key, value) for key, value in values.items()}
     kw["batch_policy"] = BatchPolicy.parse(kw.pop("batch"))
     n_star = kw.pop("n_star")
     auto = n_star == "auto"

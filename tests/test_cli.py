@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from mcstop import ChainMatrix, load_chain, min_ess, read_study_config
+from mcstop import (ChainMatrix, IidGaussianSource, load_chain, min_ess,
+                    read_study_config)
 import mcstop.cli as cli
 from mcstop.cli import main
 from mcstop.errors import ParseError
@@ -717,6 +718,7 @@ class TestStopRuleTable:
         (["--eps", "-1"], "epsilon must be positive, got -1.0"),
         (["--nstar", "-5"], "n_star must be >= 0, got -5"),
         (["--batch", "nu:1.5"], "batch exponent must lie in (0,1), got 1.5"),
+        (["--nmax", "x"], "bad value for 'n_max': 'x'"),
     ])
     def test_invalid_flag_gets_its_validation_error(self, capsys, tmp_path, flag,
                                                     message):
@@ -750,6 +752,11 @@ class TestOneRuleTable:
         ("--growth", "check_growth", "nan", "check_growth must be finite, got nan"),
         ("--growth", "check_growth", "inf", "check_growth must be finite, got inf"),
         ("--nstar", "n_star", "abc", "n_star must be an integer or auto, got 'abc'"),
+        ("--eps", "epsilon", "x", "bad value for 'epsilon': 'x'"),
+        ("--alpha", "alpha", "0.1.2", "bad value for 'alpha': '0.1.2'"),
+        ("--growth", "check_growth", "", "bad value for 'check_growth': ''"),
+        ("--nmax", "n_max", "x", "bad value for 'n_max': 'x'"),
+        ("--nmax", "n_max", "1e5", "bad value for 'n_max': '1e5'"),
     ])
     def test_bad_value_has_one_wording(self, capsys, tmp_path, flag, key, value,
                                        message):
@@ -760,6 +767,25 @@ class TestOneRuleTable:
         code, out, err = _run(capsys, ["replicate", config,
                                        "--out-prefix", str(tmp_path / "out")])
         assert (code, out, err) == (1, "", f"mcstop: error: {message}\n")
+
+    def test_unparsable_value_reported_before_rule_checks(self, capsys, tmp_path):
+        stop = _run(capsys, self.STOP + ["--eps", "-1", "--nstar", "abc", "--nmax", "x"])
+        config = self._study(tmp_path, epsilon="-1", n_star="abc", n_max="x")
+        study = _run(capsys, ["replicate", config, "--out-prefix", str(tmp_path / "out")])
+        assert stop == study == (1, "", "mcstop: error: bad value for 'n_max': 'x'\n")
+
+    @pytest.mark.parametrize("methods", ["mbm", "ubm"])
+    def test_fixed_n_alpha_refused_before_sampling(self, capsys, tmp_path, monkeypatch,
+                                                   methods):
+        def no_draws(self, n):
+            raise AssertionError("the chain was drawn")
+
+        monkeypatch.setattr(IidGaussianSource, "take", no_draws)
+        config = self._study(tmp_path, mode="fixed", fixed_n="2000", alpha="2",
+                             methods=methods)
+        study = _run(capsys, ["replicate", config, "--out-prefix", str(tmp_path / "out")])
+        stop = _run(capsys, self.STOP + ["--eps", "0.1", "--alpha", "2"])
+        assert study == stop == (1, "", "mcstop: error: alpha must lie in (0,1), got 2.0\n")
 
     @pytest.mark.parametrize("n_star", ["auto", "100"])
     def test_first_bad_value_in_key_order_whatever_n_star(self, capsys, tmp_path,

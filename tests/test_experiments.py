@@ -126,6 +126,10 @@ class TestStudySpec:
             )
         with pytest.raises(DomainError):
             StudySpec(model=IidGaussianSpec(2), replications=2, stopping=[1])
+        for alpha in (0.0, 2.0, math.nan):
+            with pytest.raises(DomainError, match=r"^alpha must lie in \(0,1\), got "):
+                StudySpec(model=IidGaussianSpec(2), replications=2, stopping=[100],
+                          alpha=alpha)
         with pytest.raises(DomainError, match="truth length"):
             StudySpec(
                 model=IidGaussianSpec(2), replications=2, stopping=[100],

@@ -3,10 +3,16 @@
 No library module imports a sibling's private name: a name with a
 leading underscore belongs to its module, and a helper that another
 module needs gets a public name in the module that owns it. Tests may
-still import private names. `scipy.signal` is slow to import, so it is
-loaded only when a diagonal VAR(1) block is first generated.
+still import private names.
+
+`import mcstop` loads no SciPy and no `concurrent.futures`, so a CLI call
+that computes no quantile pays only for NumPy. `scipy.special` is loaded
+by the first special-function call (`specfns`), `scipy.signal` when a
+diagonal VAR(1) block is first generated, and the process pool only when
+a study runs with MCSTOP_WORKERS > 1. Each check runs a fresh interpreter.
 """
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -15,8 +21,28 @@ import sys
 import numpy as np
 
 import mcstop
+from mcstop import specfns
+from mcstop.cli import main
 
 PACKAGE_DIR = pathlib.Path(mcstop.__file__).parent
+# Prints, last, the SciPy and concurrent.futures modules the process loaded.
+LOADED = ("print(sorted(m for m in sys.modules "
+          "if m.split('.')[0] == 'scipy' or m.startswith('concurrent')))\n")
+
+
+def _python(script, *args):
+    """stdout lines of a fresh interpreter running script with args."""
+    path = os.pathsep.join(
+        filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 def _private_imports(source: str) -> list:
@@ -60,6 +86,49 @@ def test_no_module_imports_a_private_name():
     assert offenders == []
 
 
+def test_import_loads_no_scipy_and_no_process_pool():
+    assert _python("import sys\nimport mcstop\n" + LOADED) == ["[]"]
+
+
+def _cli(*argv):
+    """The modules a fresh `mcstop` call with argv loaded, after its exit code."""
+    script = ("import sys\nfrom mcstop.cli import main\n"
+              "try:\n    code = main(sys.argv[1:])\n"
+              "except SystemExit as exc:\n    code = exc.code\n"
+              "print(code)\n" + LOADED)
+    return _python(script, *argv)[-2:]
+
+
+def test_cli_call_without_a_quantile_loads_no_scipy(tmp_path):
+    assert _cli("--help") == ["0", "[]"]
+    rows = np.random.default_rng(5).standard_normal((3000, 2)).tolist()
+    chain, state = tmp_path / "chain.csv", tmp_path / "state.json"
+
+    def grow(n):
+        chain.write_text("".join(f"{a!r},{b!r}\n" for a, b in rows[:n]))
+
+    grow(100)
+    argv = ["stop", "--input", chain, "--resume", state]
+    assert main([str(x) for x in argv] + ["--eps", "0.2"]) == 0
+    due = json.loads(state.read_text())["next_checkpoint"]
+    grow(due - 1)
+    assert _cli(*argv) == ["0", "[]"]
+    assert json.loads(state.read_text())["next_checkpoint"] == due
+    grow(due)
+    code, loaded = _cli(*argv)
+    assert code == "0"
+    assert "'scipy.special'" in loaded and "'scipy.signal'" not in loaded
+
+
+def test_first_quantile_loads_scipy_special():
+    script = ("import sys\nfrom mcstop import specfns\n"
+              "print('scipy.special' in sys.modules)\n"
+              "print(repr(specfns.quantile(specfns.f(5, 40), 0.9)))\n"
+              "print('scipy.special' in sys.modules)\n")
+    value = repr(specfns.quantile(specfns.f(5, 40), 0.9))
+    assert _python(script) == ["False", value, "True"]
+
+
 def test_scipy_signal_loads_only_for_a_diagonal_var1_block(tmp_path):
     script = (
         "import sys\n"
@@ -73,16 +142,6 @@ def test_scipy_signal_loads_only_for_a_diagonal_var1_block(tmp_path):
         "print('after', 'scipy.signal' in sys.modules)\n"
     )
     out = tmp_path / "rows.npy"
-    path = os.pathsep.join(
-        filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(out)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["before False", "after True"]
+    assert _python(script, out)[-2:] == ["before False", "after True"]
     fresh = mcstop.Var1Source(mcstop.var1_benchmark(5).model, seed=3).take(4096)
     np.testing.assert_array_equal(np.load(out), fresh.data)

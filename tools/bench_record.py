@@ -15,8 +15,10 @@ end-to-end metric over the seeds, with the failed-op count and the
 decisions digest of each seed. It also holds the Tier-1 wall time with
 the durations of the slow acceptance criteria, from the README's pytest
 command run with --durations=0 and PYTHONPATH=src, the output of
-tools/resume_scale.py (one resume call on a 10^6-row chain file) and
-that of tools/sampler_rates.py (rows/s of each built-in sampler).
+tools/resume_scale.py (one resume call on a 10^6-row chain file), that
+of tools/sampler_rates.py (rows/s of each built-in sampler) and that of
+tools/cold_start.py (fresh-process times of `import mcstop` and four CLI
+calls, with the SciPy subpackages each loaded).
 """
 import argparse
 import json
@@ -121,6 +123,8 @@ def main(argv=None) -> int:
     scale = _tool("tools/resume_scale.py")
     print("bench_record: sampler_rates", file=sys.stderr, flush=True)
     rates = _tool("tools/sampler_rates.py")
+    print("bench_record: cold_start", file=sys.stderr, flush=True)
+    cold = _tool("tools/cold_start.py")
     print("bench_record: tier-1", file=sys.stderr, flush=True)
     payload = {
         "command": "python3 bench/run.py --workload W --seed S "
@@ -130,6 +134,7 @@ def main(argv=None) -> int:
         "tier1": tier1(),
         "resume_scale": scale,
         "sampler_rates": rates,
+        "cold_start": cold,
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
