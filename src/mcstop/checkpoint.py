@@ -2,10 +2,17 @@
 
 A CheckpointEstimate bundles θ_n, the sample covariance Λ_n, the batch
 means estimate Σ_n at b_n (whose diagonal is the uBM variances) and the
-column variances. reference_estimate builds one from a ChainMatrix with
-the batch estimators of estimators.py; CheckpointEngine builds one from
-a growing chain in O((new rows + _TILE)·p² + a_n·p² + p³) per
-checkpoint, with no term that grows with n itself.
+column variances, which are computed when first read: only the
+univariate rules and ess_report read them. reference_estimate builds one
+from a ChainMatrix, bitwise equal to the batch estimators of
+estimators.py; CheckpointEngine builds one from a growing chain in
+O((new rows + _TILE)·p² + a_n·p² + p³) per checkpoint, with no term that
+grows with n itself.
+
+reference_estimate sums the columns of the rows once: the sum of the
+first a_n·b_n rows is mbm's centre and, continued over the tail rows,
+gives θ_n (p >= 2; NumPy sums a single column pairwise, so p = 1 sums
+all rows again).
 
 The engine shifts every row by row 0 and keeps two summaries of the
 shifted rows d_t = y_t - y_0:
@@ -15,18 +22,21 @@ shifted rows d_t = y_t - y_0:
 * cross-products Σ d_t d_tᵀ summed over fixed tiles of rows aligned to
   absolute row numbers, plus the rows of the tile still open.
 
-Prefix sums are accumulated strictly left to right from the last prefix
-value, and every tile covers the same rows whatever the append sizes,
-so an estimate is bitwise a function of the rows alone, not of how
-they were appended. The shift keeps the cancellation in
+append subtracts row 0 from the new rows straight into the prefix-sum
+buffer, copies them into the open tile, and then sums them in place, with
+no temporary array. Prefix sums are accumulated strictly left to right
+from the last prefix value, and every tile covers the same rows whatever
+the append sizes, so an estimate is bitwise a function of the rows
+alone, not of how they were appended. The shift keeps the cancellation in
 Λ_n = (Σ d dᵀ - n d̄ d̄ᵀ)/(n-1) at the scale of the draws' spread, not
 of their mean (the shifted one-pass algorithm of Chan, Golub and
 LeVeque, 1983).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,10 +47,10 @@ from .estimators import (
     CovEstimate,
     LogDet,
     NotPD,
+    batch_means,
     batch_size,
     centered_covariance,
     log_det,
-    mbm,
 )
 
 # Rows per cross-product tile: the open tile is re-multiplied at every
@@ -64,7 +74,9 @@ class CheckpointEstimate:
     sigma : CovEstimate or None
         Batch means estimate Σ_n at b_n; None when a_n < 2.
     col_var : ndarray
-        Column variances (n - 1 denominator).
+        Column variances (n - 1 denominator), computed on first read by
+        the _col_var callable: only the univariate rules and ess_report
+        read them.
     """
 
     n: int
@@ -74,7 +86,11 @@ class CheckpointEstimate:
     theta: np.ndarray
     lam: CovEstimate
     sigma: Optional[CovEstimate]
-    col_var: np.ndarray
+    _col_var: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def col_var(self) -> np.ndarray:
+        return self._col_var()
 
     @property
     def ubm(self) -> np.ndarray:
@@ -82,31 +98,44 @@ class CheckpointEstimate:
         return np.diag(self.sigma.matrix)
 
 
+def _column_variances(data: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """data.var(axis=0, ddof=1) given θ_n, its column means, bit for bit."""
+    dev = data - theta
+    return np.add.reduce(np.multiply(dev, dev, out=dev), axis=0) / (data.shape[0] - 1)
+
+
 def reference_estimate(chain: ChainMatrix, policy: BatchPolicy) -> CheckpointEstimate:
     """The estimate at chain.n from the batch estimators (n >= 2).
 
-    θ_n and the centred rows are computed once and serve Λ_n and the
-    column variances, bitwise equal to sample_covariance(chain) and
-    data.var(axis=0, ddof=1). The centred rows are squared in place and
-    released before mbm makes its own n-by-p temporary.
+    Bitwise equal to the separate passes: θ_n to data.mean(axis=0), Λ_n
+    to sample_covariance(chain), Σ_n to mbm(chain, b_n) and the column
+    variances to data.var(axis=0, ddof=1). The rows centred at θ_n serve
+    Λ_n and are released before the batch means make their own temporary.
     """
-    n = chain.n
+    data = chain.data
+    n, p = data.shape
     b = batch_size(n, policy)
     a = n // b
-    theta = chain.data.mean(axis=0)
-    dev = chain.data - theta
-    lam = centered_covariance(dev)
-    col_var = np.add.reduce(np.multiply(dev, dev, out=dev), axis=0) / (n - 1)
-    del dev
+    kept = a * b
+    head = np.add.reduce(data[:kept], axis=0)
+    # NumPy sums a C-contiguous (n, p >= 2) array down axis 0 one row at a
+    # time, so head continued over the tail rows is bitwise the sum of all
+    # rows; a single column it sums pairwise, so p = 1 takes its own pass.
+    if p > 1:
+        total = np.add.reduce(np.concatenate((head[None], data[kept:])), axis=0)
+    else:
+        total = np.add.reduce(data, axis=0)
+    theta = total / n
+    lam = centered_covariance(data - theta)
     return CheckpointEstimate(
         n=n,
-        p=chain.p,
+        p=p,
         b_n=b,
         a_n=a,
         theta=theta,
         lam=lam,
-        sigma=mbm(chain, b) if a >= 2 else None,
-        col_var=col_var,
+        sigma=batch_means(data[:kept], b, head / kept) if a >= 2 else None,
+        _col_var=partial(_column_variances, data, theta),
     )
 
 
@@ -152,16 +181,15 @@ class CheckpointEngine:
             return
         if self._n == 0:
             self._shift = rows[0].copy()
-        shifted = rows - self._shift
         n, end = self._n, self._n + m
         if end + 1 > self._cum.shape[0]:
             grown = np.empty((max(end + 1, 2 * self._cum.shape[0]), self._p))
             grown[: n + 1] = self._cum[: n + 1]
             self._cum = grown
         seg = self._cum[n : end + 1]
-        seg[1:] = shifted
-        np.cumsum(seg, axis=0, out=seg)
-        self._n = end
+        # The shifted rows go straight into the prefix-sum buffer, and are
+        # copied into the tiles before they are summed in place.
+        shifted = np.subtract(rows, self._shift, out=seg[1:])
         # Every tile product is taken on the one _open buffer, so its bits
         # cannot depend on the memory layout of the appended chunks.
         start = 0
@@ -173,6 +201,8 @@ class CheckpointEngine:
             if self._open_n == _TILE:
                 self._closed = self._closed + self._open.T @ self._open
                 self._open_n = 0
+        np.cumsum(seg, axis=0, out=seg)
+        self._n = end
 
     def estimate(self) -> CheckpointEstimate:
         """The estimates at the current length n (n >= 2)."""
@@ -203,5 +233,5 @@ class CheckpointEngine:
             theta=self._shift + mean,
             lam=lam,
             sigma=sigma,
-            col_var=np.diag(lam_mat).copy(),
+            _col_var=np.diag(lam_mat).copy,
         )

@@ -218,12 +218,21 @@ def mbm(chain: ChainMatrix, b_n: int) -> CovEstimate:
     attempted only when a_n > p; fewer batches cannot produce a
     positive definite estimate.
     """
-    n, p = chain.n, chain.p
     if b_n < 1:
         raise DomainError(f"batch size must be >= 1, got {b_n}")
-    a_n = require_batches(n, b_n)
+    a_n = require_batches(chain.n, b_n)
     prefix = chain.data[: a_n * b_n]
-    center = prefix.mean(axis=0)
+    return batch_means(prefix, b_n, prefix.mean(axis=0))
+
+
+def batch_means(prefix: np.ndarray, b_n: int, center: np.ndarray) -> CovEstimate:
+    """The kernel of mbm: Σ_n of prefix, a_n·b_n rows with a_n >= 2.
+
+    center is the column means of prefix, passed by a caller that already
+    holds their sum; mbm computes them itself.
+    """
+    a_n = prefix.shape[0] // b_n
+    p = prefix.shape[1]
     # Center the rows before batching: Ȳ_k - θ_n then cancels at the scale
     # of the draws' spread, not of their mean.
     dev = (prefix - center).reshape(a_n, b_n, p).mean(axis=1)

@@ -427,6 +427,10 @@ def _replicate(body, spec: StudySpec, *extra) -> list:
     if w > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # Every study computes quantiles: load scipy.special once here, so
+        # forked workers inherit it instead of each importing it again.
+        import scipy.special  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=w) as pool:
             results = list(pool.map(_run_replication, payloads))
     else:

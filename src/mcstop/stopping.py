@@ -413,6 +413,8 @@ def drive_checkpoints(
         n = min(n + int(math.ceil(config.check_growth * n)), cap)
     else:
         return CheckpointRun(result=None, next_checkpoint=n)
+    # The final estimate reads the rows, not the engine: release its buffers.
+    del engine
     if metric is not None:
         chain = ChainMatrix(rows)
     final = reference_estimate(chain, config.batch_policy)

@@ -90,7 +90,7 @@ class TestEssCommand:
     def test_one_batch_means_estimate_per_run(self, capsys, tmp_path, rng, monkeypatch):
         import mcstop.estimators as estimators
 
-        real = estimators.mbm
+        real = estimators.batch_means
         calls = []
 
         def spy(*args):
@@ -99,8 +99,8 @@ class TestEssCommand:
 
         for mod in list(sys.modules.values()):
             if (getattr(mod, "__name__", "").startswith("mcstop")
-                    and getattr(mod, "mbm", None) is real):
-                monkeypatch.setattr(mod, "mbm", spy)
+                    and getattr(mod, "batch_means", None) is real):
+                monkeypatch.setattr(mod, "batch_means", spy)
         path = _write_chain(tmp_path, rng.standard_normal((2000, 3)))
         code, out, _ = _run(capsys, ["ess", path, "--json"])
         assert code == 0

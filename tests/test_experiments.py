@@ -214,7 +214,7 @@ class TestCoverageStudy:
         import mcstop.checkpoint as checkpoint
 
         calls = []
-        for name in ("mbm", "centered_covariance"):
+        for name in ("batch_means", "centered_covariance"):
             real = getattr(checkpoint, name)
             monkeypatch.setattr(
                 checkpoint, name,
@@ -228,16 +228,17 @@ class TestCoverageStudy:
             seed_base=5,
         )
         coverage_study(spec)
-        assert sorted(calls) == ["centered_covariance"] * 9 + ["mbm"] * 9
+        assert sorted(calls) == ["batch_means"] * 9 + ["centered_covariance"] * 9
 
     def test_fixed_n_one_estimate_per_length(self, monkeypatch):
         # every method reads the same reference estimate at each n
         import mcstop.checkpoint as checkpoint
 
         calls = []
-        real = checkpoint.mbm
+        real = checkpoint.batch_means
+        # the batch means of the first a_n·b_n rows, here all n of them
         monkeypatch.setattr(
-            checkpoint, "mbm", lambda *a: calls.append(a[0].n) or real(*a)
+            checkpoint, "batch_means", lambda *a: calls.append(len(a[0])) or real(*a)
         )
         spec = StudySpec(
             model=IidGaussianSpec(2),

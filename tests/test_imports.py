@@ -9,7 +9,8 @@ still import private names.
 that computes no quantile pays only for NumPy. `scipy.special` is loaded
 by the first special-function call (`specfns`), `scipy.signal` when a
 diagonal VAR(1) block is first generated, and the process pool only when
-a study runs with MCSTOP_WORKERS > 1. Each check runs a fresh interpreter.
+a study runs with MCSTOP_WORKERS > 1, after `scipy.special`, so forked
+workers inherit it. Each check runs a fresh interpreter.
 """
 import ast
 import json
@@ -145,3 +146,29 @@ def test_scipy_signal_loads_only_for_a_diagonal_var1_block(tmp_path):
     assert _python(script, out)[-2:] == ["before False", "after True"]
     fresh = mcstop.Var1Source(mcstop.var1_benchmark(5).model, seed=3).take(4096)
     np.testing.assert_array_equal(np.load(out), fresh.data)
+
+
+def test_pool_starts_after_scipy_special_is_loaded():
+    # Forked workers inherit the parent's modules; a worker whose parent
+    # had not loaded scipy.special would import it again itself.
+    script = (
+        "import os, sys\n"
+        "import concurrent.futures\n"
+        "import mcstop\n"
+        "class Pool:\n"
+        "    def __init__(self, max_workers):\n"
+        "        print('pool', 'scipy.special' in sys.modules)\n"
+        "    def __enter__(self):\n"
+        "        return self\n"
+        "    def __exit__(self, *exc):\n"
+        "        return False\n"
+        "    def map(self, fn, items):\n"
+        "        return map(fn, items)\n"
+        "concurrent.futures.ProcessPoolExecutor = Pool\n"
+        "os.environ['MCSTOP_WORKERS'] = '2'\n"
+        "os.cpu_count = lambda: 2\n"
+        "spec = mcstop.StudySpec(mcstop.IidGaussianSpec(2), 2, (50,), methods=('mbm',))\n"
+        "print('before', 'scipy.special' in sys.modules)\n"
+        "print(len(mcstop.coverage_study(spec).rows))\n"
+    )
+    assert _python(script) == ["before False", "pool True", "2"]

@@ -1,0 +1,133 @@
+"""The reference estimate against the form it had before its shared column sum.
+
+reference_estimate sums the first a_n·b_n rows once: that sum is mbm's
+centre and, continued over the tail rows, gives θ_n. That is bitwise the
+separate passes only because NumPy sums a C-contiguous (n, p >= 2) array
+down axis 0 one row at a time; the guard tests below pin that behaviour,
+so that a NumPy change fails here first.
+"""
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from mcstop import BatchPolicy, ChainMatrix, IidGaussianSource, StoppingConfig
+from mcstop.checkpoint import reference_estimate
+from mcstop.estimators import batch_size, centered_covariance, mbm
+from mcstop.stopping import drive_checkpoints
+
+
+# reference_estimate before the shared column sum, kept verbatim as the
+# oracle, apart from returning its fields in a namespace.
+def _ref_reference_estimate(chain, policy):
+    n = chain.n
+    b = batch_size(n, policy)
+    a = n // b
+    theta = chain.data.mean(axis=0)
+    dev = chain.data - theta
+    lam = centered_covariance(dev)
+    col_var = np.add.reduce(np.multiply(dev, dev, out=dev), axis=0) / (n - 1)
+    del dev
+    return SimpleNamespace(
+        n=n,
+        p=chain.p,
+        b_n=b,
+        a_n=a,
+        theta=theta,
+        lam=lam,
+        sigma=mbm(chain, b) if a >= 2 else None,
+        col_var=col_var,
+    )
+
+
+def _same_cov(got, want):
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    # a float compared bitwise, or the NotPD singleton
+    assert repr(got.log_det) == repr(want.log_det)
+    assert (got.method, got.a_n, got.b_n) == (want.method, want.a_n, want.b_n)
+
+
+_POLICIES = st.one_of(
+    st.floats(0.2, 0.9).map(BatchPolicy.exponent),
+    st.integers(1, 400).map(BatchPolicy.fixed),
+)
+
+
+class TestAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=st.integers(1, 8),
+        n=st.integers(2, 4000),
+        policy=_POLICIES,
+        seed=st.integers(0, 2**31),
+        offset=st.sampled_from([0.0, 1e3, -37.5]),
+    )
+    # a_n < 2
+    @example(p=3, n=3, policy=BatchPolicy.exponent(0.8), seed=1, offset=0.0)
+    # 2 <= a_n <= p, with a_n·b_n = n
+    @example(p=8, n=40, policy=BatchPolicy.fixed(10), seed=2, offset=1e3)
+    # a_n > p, with a_n·b_n = n and with tail rows, p = 1 included
+    @example(p=5, n=1_000, policy=BatchPolicy.fixed(10), seed=3, offset=0.0)
+    @example(p=5, n=1_000, policy=BatchPolicy.fixed(7), seed=4, offset=1e3)
+    @example(p=1, n=1_001, policy=BatchPolicy.exponent(0.5), seed=5, offset=1e3)
+    @example(p=1, n=2, policy=BatchPolicy.exponent(0.5), seed=6, offset=0.0)
+    def test_every_field_bitwise(self, p, n, policy, seed, offset):
+        rng = np.random.default_rng(seed)
+        chain = ChainMatrix(offset + rng.standard_normal((n, p)).cumsum(axis=0) / 50)
+        got = reference_estimate(chain, policy)
+        want = _ref_reference_estimate(chain, policy)
+        assert (got.n, got.p, got.b_n, got.a_n) == (want.n, want.p, want.b_n, want.a_n)
+        assert got.theta.tobytes() == want.theta.tobytes()
+        _same_cov(got.lam, want.lam)
+        assert (got.sigma is None) == (want.sigma is None)
+        if want.sigma is not None:
+            _same_cov(got.sigma, want.sigma)
+        assert "col_var" not in vars(got)
+        assert got.col_var.tobytes() == want.col_var.tobytes()
+
+
+def test_summary_of_a_decision_reads_no_column_variances():
+    cfg = StoppingConfig(epsilon=0.3, alpha=0.10, n_star=200)
+    run = drive_checkpoints(IidGaussianSource(3, 4), None, cfg)
+    assert run.result.terminated
+    assert "col_var" not in vars(run.final)
+
+
+class TestNumpyColumnSum:
+    """The NumPy behaviour reference_estimate's shared sum relies on."""
+
+    @staticmethod
+    def _rows(n, p):
+        # mixed magnitudes, so that summation orders give different bits
+        rng = np.random.default_rng(7)
+        return rng.standard_normal((n, p)) * 10.0 ** rng.integers(-6, 7, (n, 1))
+
+    @staticmethod
+    def _one_row_at_a_time(x):
+        total = x[0].copy()
+        for row in x[1:]:
+            total = total + row
+        return total
+
+    @pytest.mark.parametrize("p", [2, 5, 50])
+    def test_axis0_sum_is_sequential_per_column(self, p):
+        x = self._rows(3_000, p)
+        assert x.flags.c_contiguous
+        got = np.add.reduce(x, axis=0)
+        assert got.tobytes() == self._one_row_at_a_time(x).tobytes()
+
+    @pytest.mark.parametrize("p", [2, 5, 50])
+    def test_continued_sum_is_the_full_sum(self, p):
+        x = self._rows(3_000, p)
+        full = np.add.reduce(x, axis=0)
+        for k in (1, 127, 128, 1_000, 2_999, 3_000):
+            head = np.add.reduce(x[:k], axis=0)
+            cont = np.add.reduce(np.concatenate((head[None], x[k:])), axis=0)
+            assert cont.tobytes() == full.tobytes()
+
+    def test_single_column_is_not_summed_sequentially(self):
+        # NumPy sums a single column pairwise: the reason p = 1 takes its
+        # own pass over all rows
+        x = self._rows(3_000, 1)
+        assert np.add.reduce(x, axis=0).tobytes() != self._one_row_at_a_time(x).tobytes()

@@ -16,9 +16,11 @@ decisions digest of each seed. It also holds the Tier-1 wall time with
 the durations of the slow acceptance criteria, from the README's pytest
 command run with --durations=0 and PYTHONPATH=src, the output of
 tools/resume_scale.py (one resume call on a 10^6-row chain file), that
-of tools/sampler_rates.py (rows/s of each built-in sampler) and that of
+of tools/sampler_rates.py (rows/s of each built-in sampler), that of
 tools/cold_start.py (fresh-process times of `import mcstop` and four CLI
-calls, with the SciPy subpackages each loaded).
+calls, with the SciPy subpackages each loaded) and that of
+tools/estimator_grid.py (the batch estimators and one engine append on
+an (n, p) grid).
 """
 import argparse
 import json
@@ -125,6 +127,8 @@ def main(argv=None) -> int:
     rates = _tool("tools/sampler_rates.py")
     print("bench_record: cold_start", file=sys.stderr, flush=True)
     cold = _tool("tools/cold_start.py")
+    print("bench_record: estimator_grid", file=sys.stderr, flush=True)
+    grid = _tool("tools/estimator_grid.py")
     print("bench_record: tier-1", file=sys.stderr, flush=True)
     payload = {
         "command": "python3 bench/run.py --workload W --seed S "
@@ -135,6 +139,7 @@ def main(argv=None) -> int:
         "resume_scale": scale,
         "sampler_rates": rates,
         "cold_start": cold,
+        "estimator_grid": grid,
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

@@ -1,0 +1,89 @@
+"""Time the batch estimators and one engine append on an (n, p) grid.
+
+Usage:
+  python3 tools/estimator_grid.py [--src DIR] [--repeats N] [--n N ...] [--p P ...]
+
+For every n (default 10^4, 10^5, 10^6) and p (default 2, 5, 50) this
+draws an iid N(0, 1) chain of n rows and p columns (seed 1) and times,
+on the mcstop package under --src (default: this checkout's src):
+
+  reference_estimate   checkpoint.reference_estimate(chain, nu:0.5)
+  mbm                  estimators.mbm(chain, b_n) at b_n = ⌊√n⌋
+  sample_covariance    estimators.sample_covariance(chain)
+  log_det              estimators.log_det of Λ_n (p x p, independent of n)
+  engine_append        CheckpointEngine(p, nu:0.5).append(rows): the n rows
+                       appended at once to a new engine
+
+Each is called N times (default 7), the calls of one cell taking turns,
+and the median wall time is reported, with every run's time. Prints one
+JSON object. The (10^6, 50) cell holds a 400 MB chain and up to two
+temporaries of its size; --n and --p run a smaller grid. To compare two
+trees, run it on each with --src, taking turns.
+"""
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+NS = (10**4, 10**5, 10**6)
+PS = (2, 5, 50)
+
+
+def _cases(checkpoint, estimators, chain, policy):
+    """The timed calls of one cell, by name."""
+    b_n = estimators.batch_size(chain.n, policy)
+    lam = estimators.sample_covariance(chain).matrix
+    return {
+        "reference_estimate": lambda: checkpoint.reference_estimate(chain, policy),
+        "mbm": lambda: estimators.mbm(chain, b_n),
+        "sample_covariance": lambda: estimators.sample_covariance(chain),
+        "log_det": lambda: estimators.log_det(lam),
+        "engine_append":
+            lambda: checkpoint.CheckpointEngine(chain.p, policy).append(chain.data),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(ROOT / "src"),
+                    help="the mcstop source tree to time (default: this checkout's)")
+    ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--n", type=int, nargs="+", default=list(NS))
+    ap.add_argument("--p", type=int, nargs="+", default=list(PS))
+    args = ap.parse_args(argv)
+    src = str(Path(args.src).resolve())
+    sys.path.insert(0, src)
+    import mcstop.checkpoint as checkpoint
+    import mcstop.estimators as estimators
+
+    policy = estimators.BatchPolicy.exponent(0.5)
+    cells = []
+    for n in args.n:
+        for p in args.p:
+            chain = estimators.ChainMatrix(np.random.default_rng(1).standard_normal((n, p)))
+            cases = _cases(checkpoint, estimators, chain, policy)
+            runs = {name: [] for name in cases}
+            for _ in range(args.repeats):
+                for name, call in cases.items():
+                    t0 = time.perf_counter()
+                    call()
+                    runs[name].append(time.perf_counter() - t0)
+            cells.append({"n": n, "p": p,
+                          "median_s": {k: statistics.median(v) for k, v in runs.items()},
+                          "runs_s": runs})
+            del chain, cases
+    print(json.dumps({"src": src, "repeats": args.repeats,
+                      "python": platform.python_version(), "numpy": np.__version__,
+                      "nproc": os.cpu_count(), "cells": cells}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
