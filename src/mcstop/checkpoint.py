@@ -30,7 +30,9 @@ the append sizes, so an estimate is bitwise a function of the rows
 alone, not of how they were appended. The shift keeps the cancellation in
 Λ_n = (Σ d dᵀ - n d̄ d̄ᵀ)/(n-1) at the scale of the draws' spread, not
 of their mean (the shifted one-pass algorithm of Chan, Golub and
-LeVeque, 1983).
+LeVeque, 1983). Both estimates end in estimators.finish, as the batch
+estimators' do: one symmetrising scale and one positive definiteness
+rule for every Λ_n and Σ_n.
 """
 from __future__ import annotations
 
@@ -45,12 +47,10 @@ from .errors import DomainError
 from .estimators import (
     BatchPolicy,
     CovEstimate,
-    LogDet,
-    NotPD,
     batch_means,
     batch_size,
     centered_covariance,
-    log_det,
+    finish,
 )
 
 # Rows per cross-product tile: the open tile is re-multiplied at every
@@ -139,10 +139,6 @@ def reference_estimate(chain: ChainMatrix, policy: BatchPolicy) -> CheckpointEst
     )
 
 
-def _symmetric(mat: np.ndarray, scale: float) -> np.ndarray:
-    return (mat + mat.T) * (0.5 * scale)
-
-
 class CheckpointEngine:
     """Streaming checkpoint estimates of a chain that only grows.
 
@@ -213,18 +209,14 @@ class CheckpointEngine:
         mean = cum[n] / n
         tail = self._open[: self._open_n]
         cross = self._closed + tail.T @ tail
-        lam_mat = _symmetric(cross - n * np.outer(mean, mean), 1.0 / (n - 1.0))
-        lam_ld: LogDet = log_det(lam_mat) if p < n else NotPD
-        lam = CovEstimate(matrix=lam_mat, method="sample", a_n=0, b_n=0, log_det=lam_ld)
+        lam = finish(cross - n * np.outer(mean, mean), 1.0 / (n - 1.0), n - 1, "sample")
         b = batch_size(n, self._policy)
         a = n // b
         sigma = None
         if a >= 2:
             edges = cum[: a * b + 1 : b]
             dev = (edges[1:] - edges[:-1]) / b - edges[-1] / (a * b)
-            sig_mat = _symmetric(dev.T @ dev, b / (a - 1.0))
-            sig_ld: LogDet = log_det(sig_mat) if a > p else NotPD
-            sigma = CovEstimate(matrix=sig_mat, method="mbm", a_n=a, b_n=b, log_det=sig_ld)
+            sigma = finish(dev.T @ dev, b / (a - 1.0), a - 1, "mbm", a, b)
         return CheckpointEstimate(
             n=n,
             p=p,
@@ -233,5 +225,5 @@ class CheckpointEngine:
             theta=self._shift + mean,
             lam=lam,
             sigma=sigma,
-            _col_var=np.diag(lam_mat).copy,
+            _col_var=np.diag(lam.matrix).copy,
         )

@@ -17,13 +17,7 @@ from . import specfns
 from .chain import ChainMatrix
 from .checkpoint import reference_estimate
 from .errors import DomainError, NotPositiveDefinite, require_alpha, require_positive
-from .estimators import (
-    BatchPolicy,
-    CovEstimate,
-    batch_size,
-    require_batches,
-    ubm_diag,
-)
+from .estimators import BatchPolicy, CovEstimate, require_batches, ubm_diag
 
 
 @dataclass(frozen=True)
@@ -144,14 +138,13 @@ def ess_report(chain: ChainMatrix, policy: BatchPolicy) -> EssReport:
     variances. Fewer than 2 batches raise InsufficientData, an estimate
     that is not positive definite NotPositiveDefinite.
     """
-    b_n = batch_size(chain.n, policy)
-    require_batches(chain.n, b_n)
     est = reference_estimate(chain, policy)
+    require_batches(chain.n, est.b_n)
     return EssReport(
         ess_multivariate=multivariate_ess(est.lam, est.sigma, chain.n),
         ess_univariate=_variance_ratio(chain.n, est.col_var, est.ubm),
         n=chain.n,
         p=chain.p,
         policy=policy,
-        b_n=b_n,
+        b_n=est.b_n,
     )

@@ -4,6 +4,11 @@ Provides the sample covariance of the draws, the multivariate batch
 means (mBM) estimator of the asymptotic covariance, its univariate
 diagonal variant, and a Cholesky-based log-determinant that reports
 non-positive-definiteness as a value rather than an exception.
+
+Every estimate, here and in the checkpoint engine, ends in finish: it
+symmetrises and scales a cross-product sum, and attempts the
+log-determinant only when the estimate's degrees of freedom (n - 1 for
+Λ_n, a_n - 1 for Σ_n) reach p.
 """
 from __future__ import annotations
 
@@ -98,7 +103,7 @@ class CovEstimate:
     ----------
     matrix : ndarray
         Symmetric estimate; write-protected.
-    method : {"mbm", "sample", "ubm_diag"}
+    method : {"mbm", "sample"}
     a_n : int
         Batch count (0 when method="sample").
     b_n : int
@@ -120,7 +125,7 @@ class CovEstimate:
             raise DomainError("covariance estimate must be a square matrix")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
-        if self.method not in ("mbm", "sample", "ubm_diag"):
+        if self.method not in ("mbm", "sample"):
             raise DomainError(f"unknown estimator method {self.method!r}")
 
     @property
@@ -183,20 +188,27 @@ def require_batches(n: int, b_n: int) -> int:
     return a_n
 
 
-def _scaled_gram(dev: np.ndarray, scale: float) -> np.ndarray:
-    # shared kernel so mbm at b_n=1 reproduces sample_covariance bitwise
-    m = dev.T @ dev
-    return (m + m.T) * (0.5 * scale)
+def finish(gram: np.ndarray, scale: float, dof: int, method: str,
+           a_n: int = 0, b_n: int = 0) -> CovEstimate:
+    """The CovEstimate (gram + gramᵀ)·scale/2 of a cross-product sum.
+
+    dof is n - 1 for Λ_n and a_n - 1 for Σ_n: the log-determinant is
+    attempted only when dof >= p, since fewer degrees of freedom cannot
+    give a positive definite estimate, and is NotPD otherwise.
+    """
+    # one form for every estimate, so mbm at b_n=1 reproduces
+    # sample_covariance bitwise
+    mat = (gram + gram.T) * (0.5 * scale)
+    ld: LogDet = log_det(mat) if dof >= mat.shape[0] else NotPD
+    return CovEstimate(matrix=mat, method=method, a_n=a_n, b_n=b_n, log_det=ld)
 
 
 def centered_covariance(dev: np.ndarray) -> CovEstimate:
     """Λ_n from dev, the (n, p) rows less their column means."""
-    n, p = dev.shape
+    n = dev.shape[0]
     if n < 2:
         raise InsufficientData(f"sample covariance needs n >= 2, got n={n}")
-    mat = _scaled_gram(dev, 1.0 / (n - 1.0))
-    ld: LogDet = log_det(mat) if p < n else NotPD
-    return CovEstimate(matrix=mat, method="sample", a_n=0, b_n=0, log_det=ld)
+    return finish(dev.T @ dev, 1.0 / (n - 1.0), n - 1, "sample")
 
 
 def sample_covariance(chain: ChainMatrix) -> CovEstimate:
@@ -214,9 +226,8 @@ def mbm(chain: ChainMatrix, b_n: int) -> CovEstimate:
         (b_n / (a_n - 1)) Σ_k (Ȳ_k - θ_n)(Ȳ_k - θ_n)ᵀ
 
     where Ȳ_k is the k-th batch mean and θ_n the mean of the retained
-    rows. Trailing remainder rows are dropped. The log-determinant is
-    attempted only when a_n > p; fewer batches cannot produce a
-    positive definite estimate.
+    rows. Trailing remainder rows are dropped. With a_n <= p batches the
+    estimate cannot be positive definite, and its log-determinant is NotPD.
     """
     if b_n < 1:
         raise DomainError(f"batch size must be >= 1, got {b_n}")
@@ -236,9 +247,7 @@ def batch_means(prefix: np.ndarray, b_n: int, center: np.ndarray) -> CovEstimate
     # Center the rows before batching: Ȳ_k - θ_n then cancels at the scale
     # of the draws' spread, not of their mean.
     dev = (prefix - center).reshape(a_n, b_n, p).mean(axis=1)
-    mat = _scaled_gram(dev, b_n / (a_n - 1.0))
-    ld: LogDet = log_det(mat) if a_n > p else NotPD
-    return CovEstimate(matrix=mat, method="mbm", a_n=a_n, b_n=b_n, log_det=ld)
+    return finish(dev.T @ dev, b_n / (a_n - 1.0), a_n - 1, "mbm", a_n, b_n)
 
 
 def ubm_diag(chain: ChainMatrix, b_n: int) -> np.ndarray:

@@ -465,9 +465,8 @@ def _sequential_rows(spec, source):
         metric = config.metric if config.metric in metrics else metrics[0]
         cfg = dataclasses.replace(config, metric=metric)
         t0 = time.perf_counter()
-        run = drive_checkpoints(source, None, cfg)
-        row = summarize(run.final, metric, cfg.alpha, spec.eff_truth)
-        yield {"method": method, "n": run.result.n_final, **row,
+        run = drive_checkpoints(source, None, cfg, truth=spec.eff_truth)
+        yield {"method": method, "n": run.result.n_final, **run.summary,
                "reason": run.result.reason, "seconds": time.perf_counter() - t0}
 
 
@@ -541,8 +540,7 @@ def _sensitivity_rows(spec, source, nus, eps_list):
                 metric="relative_sd",
             )
             t0 = time.perf_counter()
-            run = drive_checkpoints(source, None, cfg)
-            row = summarize(run.final, cfg.metric, cfg.alpha, spec.eff_truth)
+            run = drive_checkpoints(source, None, cfg, truth=spec.eff_truth)
             sig = run.final.sigma
             max_eig = float("nan")
             if sig.is_pd:
@@ -551,9 +549,9 @@ def _sensitivity_rows(spec, source, nus, eps_list):
                 "nu": float(nu),
                 "eps": float(eps),
                 "n": run.result.n_final,
-                "ess": row["ess"],
-                "covered": row["covered"],
-                "vol_p": row["vol_p"],
+                "ess": run.summary["ess"],
+                "covered": run.summary["covered"],
+                "vol_p": run.summary["vol_p"],
                 "max_eigenvalue": max_eig,
                 "reason": run.result.reason,
                 "seconds": time.perf_counter() - t0,

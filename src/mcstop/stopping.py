@@ -31,8 +31,7 @@ import numpy as np
 
 from .chain import ChainMatrix, MeanVector
 from .checkpoint import CheckpointEngine, CheckpointEstimate, reference_estimate
-from .errors import (ConfigError, DomainError, InsufficientData, require_alpha,
-                     require_positive)
+from .errors import ConfigError, DomainError, require_alpha, require_positive
 from .estimators import BatchPolicy, batch_size, require_batches, ubm_diag
 from .ess import min_ess, multivariate_ess
 from .regions import (contains, hotelling_cutoff, make_region, rectangle_volume,
@@ -281,11 +280,9 @@ def rectangle_log_volume(
 
     Product over components of the interval widths 2 t_* σ_{n,i}/√n.
     """
-    n, p = chain.n, chain.p
-    a_n = n // b_n
-    if a_n < 2:
-        raise InsufficientData(f"need at least 2 batches, got a_n={a_n}")
-    return rectangle_volume(n, p, a_n, ubm_diag(chain, b_n), alpha, bonferroni)
+    # ubm_diag's mbm refuses b_n < 1, and a_n < 2 through require_batches
+    ubm = ubm_diag(chain, b_n)
+    return rectangle_volume(chain.n, chain.p, chain.n // b_n, ubm, alpha, bonferroni)
 
 
 def _engine_metric(rule, config: StoppingConfig) -> Optional[str]:
@@ -348,13 +345,14 @@ class CheckpointRun:
 
     result is None when the rows ran out before a decision; then
     next_checkpoint is the length the next check needs. Once decided,
-    next_checkpoint is n_final and final the reference estimate at
-    n_final, from which result's summary was computed.
+    next_checkpoint is n_final, final the reference estimate at n_final
+    and summary its summarize dict, from which result was read.
     """
 
     result: Optional[StoppingResult]
     next_checkpoint: int
     final: Optional[CheckpointEstimate] = None
+    summary: Optional[dict] = None
 
 
 def _length_cap(config: StoppingConfig, p: Optional[int]) -> int:
@@ -372,7 +370,7 @@ def _length_cap(config: StoppingConfig, p: Optional[int]) -> int:
 
 def drive_checkpoints(
     sampler, rule, config: StoppingConfig, start: Optional[int] = None,
-    available: Optional[int] = None,
+    available: Optional[int] = None, truth=None,
 ) -> CheckpointRun:
     """The checkpoint loop behind run_sequential and the resume protocol.
 
@@ -381,7 +379,8 @@ def drive_checkpoints(
     available set, the loop stops before the first checkpoint beyond
     that many rows and reports it instead of taking it. The engine
     reads sampler.rows(n), or take(n).data from a sampler without rows;
-    a ChainMatrix rule gets take(n).
+    a ChainMatrix rule gets take(n). A study passes its truth, so that the
+    decision's one summary also holds the coverage.
     """
     metric = _engine_metric(rule, config)
     p = getattr(sampler, "p", None)
@@ -418,7 +417,7 @@ def drive_checkpoints(
     if metric is not None:
         chain = ChainMatrix(rows)
     final = reference_estimate(chain, config.batch_policy)
-    summary = summarize(final, metric or config.metric, config.alpha)
+    summary = summarize(final, metric or config.metric, config.alpha, truth)
     result = StoppingResult(
         terminated=(reason == "criterion_met"),
         n_final=n,
@@ -426,7 +425,8 @@ def drive_checkpoints(
         log_volume=summary["log_volume"],
         reason=reason,
     )
-    return CheckpointRun(result=result, next_checkpoint=n, final=final)
+    return CheckpointRun(result=result, next_checkpoint=n, final=final,
+                         summary=summary)
 
 
 def run_sequential(sampler, rule, config: StoppingConfig) -> StoppingResult:

@@ -19,7 +19,7 @@ from mcstop import (
     simulate_var1,
     univariate_ess,
 )
-from mcstop.errors import DomainError, NotPositiveDefinite
+from mcstop.errors import DomainError, InsufficientData, NotPositiveDefinite
 
 # frozen oracle values, computed once from the closed form in log space
 # and cross-checked against 40-digit arithmetic
@@ -221,3 +221,11 @@ class TestEssReport:
         rep = ess_report(ChainMatrix(x), BatchPolicy.exponent(0.5))
         assert rep.ess_multivariate >= 0.0
         assert np.all(np.asarray(rep.ess_univariate) >= 0.0)
+
+    def test_fewer_than_two_batches(self):
+        # n = 5 at nu = 0.9: b_n = 4, a_n = 1
+        with pytest.raises(InsufficientData, match="got a_n=1 from n=5, b_n=4"):
+            ess_report(ChainMatrix(np.arange(10.0).reshape(5, 2)),
+                       BatchPolicy.exponent(0.9))
+        with pytest.raises(InsufficientData):
+            ess_report(ChainMatrix(np.ones((1, 2))), BatchPolicy.exponent(0.5))

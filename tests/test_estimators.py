@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mcstop import (
     BatchPolicy,
     ChainMatrix,
+    CovEstimate,
     NotPD,
     Var1Model,
     ar1_cov,
@@ -208,6 +209,13 @@ class TestUbmDiag:
         x = np.array([[1.0], [3.0], [2.0], [8.0], [5.0], [1.0]])
         val = ubm_diag(ChainMatrix(x), 2)[0]
         assert val == pytest.approx(mbm(ChainMatrix(x), 2).matrix[0, 0], rel=1e-14)
+
+    def test_returns_an_array_not_an_estimate(self):
+        # no CovEstimate has method "ubm_diag": the diagonal is a plain array
+        x = np.arange(12.0).reshape(6, 2)
+        assert isinstance(ubm_diag(ChainMatrix(x), 2), np.ndarray)
+        with pytest.raises(DomainError, match="unknown estimator method"):
+            CovEstimate(np.eye(2), "ubm_diag", 3, 2, 0.0)
 
 
 class TestLogDet:

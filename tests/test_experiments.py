@@ -253,16 +253,17 @@ class TestCoverageStudy:
 
 
     @staticmethod
-    def _spy_summary(monkeypatch):
-        # the summary's ESS and F cutoffs, as (name, n) and (name, a_n);
-        # rules call stopping.hotelling_cutoff, make_region regions'
+    def _spy_summary(monkeypatch, cutoff="hotelling_cutoff"):
+        # the summary's ESS and cutoffs, as (name, n) and (name, a_n); rules
+        # and the summary call stopping's cutoff, make_region and
+        # rectangle_volume regions'
         import mcstop.regions as regions
         import mcstop.stopping as stopping
 
         calls = []
         for module, name in ((stopping, "multivariate_ess"),
-                             (stopping, "hotelling_cutoff"),
-                             (regions, "hotelling_cutoff")):
+                             (stopping, cutoff),
+                             (regions, cutoff)):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name,
@@ -272,8 +273,8 @@ class TestCoverageStudy:
         return calls
 
     def test_sequential_decision_summary_calls(self, monkeypatch):
-        # at n_final: the rule's last check, then one summary for the
-        # StoppingResult and one, with coverage, for the row
+        # at n_final: the rule's last check, then the decision's one
+        # summary, which also gives the row's coverage
         calls = self._spy_summary(monkeypatch)
         spec = StudySpec(
             model=var1_benchmark(5),
@@ -288,6 +289,43 @@ class TestCoverageStudy:
         assert [c for c in calls if c[0] == "multivariate_ess" or c[1] == a_n] == [
             ("hotelling_cutoff", a_n),
             ("multivariate_ess", n), ("hotelling_cutoff", a_n),
+        ]
+
+    def test_univariate_decision_summary_calls(self, monkeypatch):
+        # the rule's last t cutoff, then the summary's two: one for the
+        # rectangle's volume and one for its coverage
+        calls = self._spy_summary(monkeypatch, "t_cutoff")
+        spec = StudySpec(
+            model=var1_benchmark(5),
+            replications=1,
+            stopping=_seq_config(epsilon=0.15, n_star=1000),
+            methods=("ubm_bonferroni",),
+            seed_base=3,
+        )
+        (row,) = coverage_study(spec).rows
+        n = row["n"]
+        a_n = n // batch_size(n, spec.eff_policy)
+        assert (n, a_n) == (19263, 139)
+        assert [c for c in calls if c[0] == "multivariate_ess" or c[1] == a_n] == [
+            ("t_cutoff", a_n),
+            ("multivariate_ess", n), ("t_cutoff", a_n), ("t_cutoff", a_n),
+        ]
+
+    def test_sensitivity_cell_summary_calls(self, monkeypatch):
+        # one cell: the rule's last check, then the cell's one summary
+        calls = self._spy_summary(monkeypatch)
+        spec = StudySpec(
+            model=var1_benchmark(5),
+            replications=1,
+            stopping=_seq_config(n_star=200),
+            seed_base=11,
+        )
+        (row,) = batch_sensitivity_study(spec, [0.5], [0.2]).rows
+        n = row["n"]
+        a_n = n // batch_size(n, BatchPolicy.exponent(0.5))
+        assert (n, a_n) == (932, 31)
+        assert [c for c in calls if c[0] == "multivariate_ess" or c[1] == a_n] == [
+            ("hotelling_cutoff", a_n),
             ("multivariate_ess", n), ("hotelling_cutoff", a_n),
         ]
 

@@ -234,6 +234,12 @@ class TestRectangleLogVolume:
         with pytest.raises(InsufficientData):
             rectangle_log_volume(ch, 0.05, 10, False)
 
+    @pytest.mark.parametrize("b_n", [0, -1])
+    def test_bad_batch_size(self, rng, b_n):
+        ch = ChainMatrix(rng.standard_normal((10, 2)))
+        with pytest.raises(DomainError, match="batch size must be >= 1"):
+            rectangle_log_volume(ch, 0.05, b_n, False)
+
 
 class TestRunSequential:
     def test_always_pass_stops_at_nstar(self):

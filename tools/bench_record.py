@@ -18,9 +18,10 @@ command run with --durations=0 and PYTHONPATH=src, the output of
 tools/resume_scale.py (one resume call on a 10^6-row chain file), that
 of tools/sampler_rates.py (rows/s of each built-in sampler), that of
 tools/cold_start.py (fresh-process times of `import mcstop` and four CLI
-calls, with the SciPy subpackages each loaded) and that of
+calls, with the SciPy subpackages each loaded), that of
 tools/estimator_grid.py (the batch estimators and one engine append on
-an (n, p) grid).
+an (n, p) grid) and, under "parity", the last line of
+tools/summary_parity.py: the SHA-256 of the outputs a change must keep.
 """
 import argparse
 import json
@@ -104,11 +105,16 @@ def tier1() -> dict:
     }
 
 
-def _tool(script: str) -> dict:
-    """The JSON object a tools/ script prints."""
+def _stdout(script: str) -> str:
+    """What a tools/ script prints."""
     proc = subprocess.run([sys.executable, script], cwd=ROOT,
                           capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _tool(script: str) -> dict:
+    """The JSON object a tools/ script prints."""
+    return json.loads(_stdout(script))
 
 
 def main(argv=None) -> int:
@@ -129,6 +135,8 @@ def main(argv=None) -> int:
     cold = _tool("tools/cold_start.py")
     print("bench_record: estimator_grid", file=sys.stderr, flush=True)
     grid = _tool("tools/estimator_grid.py")
+    print("bench_record: summary_parity", file=sys.stderr, flush=True)
+    parity = _stdout("tools/summary_parity.py").splitlines()[-1]
     print("bench_record: tier-1", file=sys.stderr, flush=True)
     payload = {
         "command": "python3 bench/run.py --workload W --seed S "
@@ -140,6 +148,7 @@ def main(argv=None) -> int:
         "sampler_rates": rates,
         "cold_start": cold,
         "estimator_grid": grid,
+        "parity": parity,
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

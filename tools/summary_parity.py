@@ -11,10 +11,16 @@ Runs, on the mcstop package under --src (default: this checkout's src):
   - run_sequential with each metric, as None, a rule name, a check
     function and a ChainMatrix callable, including runs capped by n_max;
   - `mcstop stop --json` on a model, and `mcstop replicate
-    configs/var1_sequential.conf` (its table, CSV rows and JSON summary).
+    configs/var1_sequential.conf` (its table, CSV rows and JSON summary);
+  - `mcstop ess` and `mcstop confregion --directions`, in text and JSON,
+    on seeded chain files, including one whose Σ_n is not positive
+    definite (a_n <= p) and one with a_n < 2.
 Each output is one line: study rows without their `seconds` column,
-StoppingResult reprs, CLI output. Diff the output of two checkouts to
-compare them; the last line is a SHA-256 of all lines before it.
+StoppingResult reprs, CLI calls with their exit code, stdout and stderr.
+Paths are printed relative to the checkout or to the scratch directory,
+so the lines do not depend on where either is. Diff the output of two
+checkouts to compare them; the last line is a SHA-256 of all lines
+before it.
 """
 import argparse
 import contextlib
@@ -26,6 +32,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("relative_sd", "absolute", "univariate_bonferroni",
@@ -98,7 +106,7 @@ def cli(m, workdir):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = mcli.main(argv)
         line = f"{argv} -> {code} {out.getvalue()!r} {err.getvalue()!r}"
-        return line.replace(workdir, "<workdir>")
+        return line.replace(workdir, "<workdir>").replace(f"{ROOT}{os.sep}", "")
 
     for rule in METRICS:
         yield call(["stop", "--model", "var1_bench5", "--seed", "3", "--eps",
@@ -114,6 +122,26 @@ def cli(m, workdir):
             yield repr(row)
     with open(prefix + ".json") as fh:
         yield fh.read()
+    yield from estimators_cli(m, workdir, call)
+
+
+def estimators_cli(m, workdir, call):
+    """`ess` and `confregion` on seeded chains, not positive definite included."""
+    rows = m.var1_benchmark(5).make_source(8).take(3000).data
+    dirs = os.path.join(workdir, "dirs.csv")
+    with open(dirs, "w") as fh:
+        fh.write("1,0,0,0,0\n0,0,1,0,0\n1,1,1,1,1\n")
+    # (rows, --batch): a_n = 55 and 14 (positive definite), a_n = 5 = p
+    # (Σ_n not positive definite) and a_n = 1
+    chains = ((rows, "nu:0.5"), (rows[:700], "nu:0.6"), (rows[:20], "nu:0.5"),
+              (rows[:5], "nu:0.9"))
+    for k, (data, batch) in enumerate(chains):
+        path = os.path.join(workdir, f"chain{k}.csv")
+        np.savetxt(path, data, fmt="%.17g", delimiter=",")
+        for fmt in ([], ["--json"]):
+            yield call(["ess", path, "--batch", batch, *fmt])
+            yield call(["confregion", path, "--batch", batch, "--alpha", "0.1",
+                        "--directions", dirs, *fmt])
 
 
 def main() -> int:
