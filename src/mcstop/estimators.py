@@ -8,11 +8,20 @@ non-positive-definiteness as a value rather than an exception.
 Every estimate, here and in the checkpoint engine, ends in finish: it
 symmetrises and scales a cross-product sum, and attempts the
 log-determinant only when the estimate's degrees of freedom (n - 1 for
-Λ_n, a_n - 1 for Σ_n) reach p.
+Λ_n, a_n - 1 for Σ_n) reach p. finish factors the matrix it built
+directly: it is exactly symmetric by construction, so log_det's checks
+are spent only on a matrix with an entry that is not finite or exceeds
+DBL_MAX/2, where they raise or change the result. The public log_det
+keeps every check for matrices from elsewhere.
+
+The batch means are summed down the columns of one wide copy of the rows
+(p >= 2), which NumPy does one row at a time, in the order of the
+(a_n, b_n, p) view's mean(axis=1) and bitwise equal to it.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -42,6 +51,10 @@ class _NotPDType:
 NotPD = _NotPDType()
 
 LogDet = Union[float, _NotPDType]
+
+# Beyond this magnitude an entry doubles to inf, so log_det's symmetrising
+# (arr + arr.T) * 0.5 no longer gives a symmetric matrix back unchanged.
+_HALF_MAX = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -156,7 +169,9 @@ def log_det(matrix: np.ndarray) -> LogDet:
     """Log-determinant of a symmetric matrix via Cholesky.
 
     Returns NotPD when factorization fails (the matrix has a
-    non-positive pivot); raises DomainError for asymmetric input.
+    non-positive pivot); raises DomainError for non-square, non-finite or
+    asymmetric input. finish factors the matrices it builds without these
+    checks, which they pass by construction.
     """
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -167,15 +182,20 @@ def log_det(matrix: np.ndarray) -> LogDet:
     asym = float(np.abs(arr - arr.T).max()) if arr.size else 0.0
     if asym > 1e-8 * max(1.0, scale):
         raise DomainError(f"matrix asymmetry {asym:.3e} exceeds tolerance")
-    sym = (arr + arr.T) * 0.5
+    return _cholesky_log_det((arr + arr.T) * 0.5)
+
+
+def _cholesky_log_det(sym: np.ndarray) -> LogDet:
+    """log det of sym, exactly symmetric, as 2·Σ log diag of its Cholesky factor."""
     try:
         chol = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         return NotPD
-    diag = np.diag(chol)
-    if not (diag > 0.0).all():
-        return NotPD
-    return float(2.0 * np.log(diag).sum())
+    # potrf refuses a zero or negative pivot, so each pivot is positive,
+    # or NaN where the factorisation overflowed (OpenBLAS lets a NaN pivot
+    # through): the log-determinant is NaN exactly when a pivot is not > 0.
+    ld = 2.0 * float(np.log(chol.diagonal()).sum())
+    return NotPD if math.isnan(ld) else ld
 
 
 def require_batches(n: int, b_n: int) -> int:
@@ -199,7 +219,16 @@ def finish(gram: np.ndarray, scale: float, dof: int, method: str,
     # one form for every estimate, so mbm at b_n=1 reproduces
     # sample_covariance bitwise
     mat = (gram + gram.T) * (0.5 * scale)
-    ld: LogDet = log_det(mat) if dof >= mat.shape[0] else NotPD
+    if dof < mat.shape[0]:
+        ld: LogDet = NotPD
+    elif np.abs(mat).max(initial=0.0) <= _HALF_MAX:
+        # mat is exactly symmetric, finite, and small enough that log_det's
+        # symmetrising would give it back unchanged: factor it directly.
+        ld = _cholesky_log_det(mat)
+    else:
+        # log_det raises for NaN or ±inf; past DBL_MAX/2 its symmetrising
+        # overflows, and the result must stay what it gives
+        ld = log_det(mat)
     return CovEstimate(matrix=mat, method=method, a_n=a_n, b_n=b_n, log_det=ld)
 
 
@@ -240,13 +269,25 @@ def batch_means(prefix: np.ndarray, b_n: int, center: np.ndarray) -> CovEstimate
     """The kernel of mbm: Σ_n of prefix, a_n·b_n rows with a_n >= 2.
 
     center is the column means of prefix, passed by a caller that already
-    holds their sum; mbm computes them itself.
+    holds their sum; mbm computes them itself. For p >= 2 the batch sums
+    run down the columns of one (b_n, a_n·p) copy of the rows, whose row
+    j holds row j of every batch: NumPy sums a C-contiguous array of two
+    or more columns one row at a time, so that is bitwise the mean(axis=1)
+    of the (a_n, b_n, p) view, along rows a_n·p wide instead of p wide. A
+    single column NumPy sums pairwise, so p = 1 keeps mean(axis=1).
     """
     a_n = prefix.shape[0] // b_n
     p = prefix.shape[1]
     # Center the rows before batching: Ȳ_k - θ_n then cancels at the scale
     # of the draws' spread, not of their mean.
-    dev = (prefix - center).reshape(a_n, b_n, p).mean(axis=1)
+    if p == 1:
+        dev = (prefix - center).reshape(a_n, b_n, p).mean(axis=1)
+    else:
+        # copy(), unlike ascontiguousarray, never returns prefix itself (it
+        # would at b_n = 1), so the copy can be centred in place
+        wide = prefix.reshape(a_n, b_n, p).transpose(1, 0, 2).copy().reshape(b_n, a_n * p)
+        wide -= np.tile(center, a_n)
+        dev = (np.add.reduce(wide, axis=0) / b_n).reshape(a_n, p)
     return finish(dev.T @ dev, b_n / (a_n - 1.0), a_n - 1, "mbm", a_n, b_n)
 
 

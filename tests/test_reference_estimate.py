@@ -3,8 +3,9 @@
 reference_estimate sums the first a_n·b_n rows once: that sum is mbm's
 centre and, continued over the tail rows, gives θ_n. That is bitwise the
 separate passes only because NumPy sums a C-contiguous (n, p >= 2) array
-down axis 0 one row at a time; the guard tests below pin that behaviour,
-so that a NumPy change fails here first.
+down axis 0 one row at a time. batch_means relies on the same behaviour
+when it sums its batches down the columns of a wide (b_n, a_n·p) copy.
+The guard tests below pin it, so that a NumPy change fails here first.
 """
 from types import SimpleNamespace
 
@@ -131,3 +132,21 @@ class TestNumpyColumnSum:
         # own pass over all rows
         x = self._rows(3_000, 1)
         assert np.add.reduce(x, axis=0).tobytes() != self._one_row_at_a_time(x).tobytes()
+
+    @pytest.mark.parametrize("p", [2, 5, 8])
+    @pytest.mark.parametrize("a_n, b_n", [(2, 1), (2, 300), (37, 41), (300, 7)])
+    def test_wide_axis0_sum_is_the_batch_mean(self, p, a_n, b_n):
+        # batch_means' wide copy: row j holds row j of every batch
+        x = self._rows(a_n * b_n, p).reshape(a_n, b_n, p)
+        wide = x.transpose(1, 0, 2).copy().reshape(b_n, a_n * p)
+        got = np.add.reduce(wide, axis=0).reshape(a_n, p)
+        assert got.tobytes() == np.add.reduce(x, axis=1).tobytes()
+        assert (got / b_n).tobytes() == x.mean(axis=1).tobytes()
+
+    def test_single_column_batches_are_not_summed_sequentially(self):
+        # a batch of one column is summed pairwise, unlike the wide copy's
+        # columns: the reason batch_means keeps mean(axis=1) at p = 1
+        a_n, b_n = 5, 3_000
+        x = self._rows(a_n * b_n, 1).reshape(a_n, b_n, 1)
+        wide = x.transpose(1, 0, 2).copy().reshape(b_n, a_n)
+        assert np.add.reduce(wide, axis=0).tobytes() != np.add.reduce(x, axis=1).ravel().tobytes()

@@ -19,9 +19,11 @@ tools/resume_scale.py (one resume call on a 10^6-row chain file), that
 of tools/sampler_rates.py (rows/s of each built-in sampler), that of
 tools/cold_start.py (fresh-process times of `import mcstop` and four CLI
 calls, with the SciPy subpackages each loaded), that of
-tools/estimator_grid.py (the batch estimators and one engine append on
-an (n, p) grid) and, under "parity", the last line of
-tools/summary_parity.py: the SHA-256 of the outputs a change must keep.
+tools/estimator_grid.py (the batch estimators, finish and one engine
+append on an (n, p) grid), that of tools/checkpoint_overhead.py (the
+stopping driver's milliseconds per checkpoint, sampler and the rest) and,
+under "parity", the last line of tools/summary_parity.py: the SHA-256 of
+the outputs a change must keep.
 """
 import argparse
 import json
@@ -135,6 +137,8 @@ def main(argv=None) -> int:
     cold = _tool("tools/cold_start.py")
     print("bench_record: estimator_grid", file=sys.stderr, flush=True)
     grid = _tool("tools/estimator_grid.py")
+    print("bench_record: checkpoint_overhead", file=sys.stderr, flush=True)
+    overhead = _tool("tools/checkpoint_overhead.py")
     print("bench_record: summary_parity", file=sys.stderr, flush=True)
     parity = _stdout("tools/summary_parity.py").splitlines()[-1]
     print("bench_record: tier-1", file=sys.stderr, flush=True)
@@ -148,6 +152,7 @@ def main(argv=None) -> int:
         "sampler_rates": rates,
         "cold_start": cold,
         "estimator_grid": grid,
+        "checkpoint_overhead": overhead,
         "parity": parity,
         "runs": runs,
     }

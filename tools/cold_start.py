@@ -21,7 +21,8 @@ The CLI cases call mcstop.cli.main, as the installed `mcstop` script
 does. The resume cases share one state file, pinned by a first call on
 the first PINNED rows of an iid N(0, I_5) chain (eps 0.05, n* auto);
 the state and row cache are restored before every run, so each run
-makes the same call. Prints one JSON object.
+makes the same call. Prints one JSON object; its nproc is the number of
+CPUs the process may run on, as bench/run.py records it.
 """
 import argparse
 import json
@@ -103,7 +104,7 @@ def main(argv=None) -> int:
     } for name, (_, case_argv) in cases.items()}
     print(json.dumps({"src": src, "repeats": args.repeats,
                       "python": platform.python_version(),
-                      "nproc": os.cpu_count(), "cases": out}, indent=2))
+                      "nproc": len(os.sched_getaffinity(0)), "cases": out}, indent=2))
     return 0
 
 

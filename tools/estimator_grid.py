@@ -9,8 +9,15 @@ on the mcstop package under --src (default: this checkout's src):
 
   reference_estimate   checkpoint.reference_estimate(chain, nu:0.5)
   mbm                  estimators.mbm(chain, b_n) at b_n = ⌊√n⌋
+  batch_means          estimators.batch_means, mbm's kernel, on the first
+                       a_n·b_n rows and their column means
   sample_covariance    estimators.sample_covariance(chain)
-  log_det              estimators.log_det of Λ_n (p x p, independent of n)
+  log_det              estimators.log_det of Λ_n (p x p, independent of n):
+                       the public, validated path, which checkpoints do
+                       not take
+  finish               estimators.finish of Λ_n, at scale 1: the scale,
+                       symmetrising and log-determinant that end every
+                       checkpoint estimate (independent of n)
   engine_append        CheckpointEngine(p, nu:0.5).append(rows): the n rows
                        appended at once to a new engine
 
@@ -18,7 +25,8 @@ Each is called N times (default 7), the calls of one cell taking turns,
 and the median wall time is reported, with every run's time. Prints one
 JSON object. The (10^6, 50) cell holds a 400 MB chain and up to two
 temporaries of its size; --n and --p run a smaller grid. To compare two
-trees, run it on each with --src, taking turns.
+trees, run it on each with --src, taking turns. nproc is the number of
+CPUs the process may run on, as bench/run.py records it.
 """
 import argparse
 import json
@@ -38,13 +46,18 @@ PS = (2, 5, 50)
 
 def _cases(checkpoint, estimators, chain, policy):
     """The timed calls of one cell, by name."""
-    b_n = estimators.batch_size(chain.n, policy)
+    n = chain.n
+    b_n = estimators.batch_size(n, policy)
+    prefix = chain.data[: n // b_n * b_n]
+    center = prefix.mean(axis=0)
     lam = estimators.sample_covariance(chain).matrix
     return {
         "reference_estimate": lambda: checkpoint.reference_estimate(chain, policy),
         "mbm": lambda: estimators.mbm(chain, b_n),
+        "batch_means": lambda: estimators.batch_means(prefix, b_n, center),
         "sample_covariance": lambda: estimators.sample_covariance(chain),
         "log_det": lambda: estimators.log_det(lam),
+        "finish": lambda: estimators.finish(lam, 1.0, n - 1, "sample"),
         "engine_append":
             lambda: checkpoint.CheckpointEngine(chain.p, policy).append(chain.data),
     }
@@ -81,7 +94,7 @@ def main(argv=None) -> int:
             del chain, cases
     print(json.dumps({"src": src, "repeats": args.repeats,
                       "python": platform.python_version(), "numpy": np.__version__,
-                      "nproc": os.cpu_count(), "cells": cells}, indent=2))
+                      "nproc": len(os.sched_getaffinity(0)), "cells": cells}, indent=2))
     return 0
 
 
