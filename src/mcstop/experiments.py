@@ -22,7 +22,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,10 +84,9 @@ class Var1Spec:
 
 @dataclass(frozen=True)
 class LogisticSpec:
-    """Logistic RWM study model; truth defaults to the proxy reference mean."""
+    """Logistic RWM study model; truth is the proxy reference mean."""
 
     model: LogisticModel
-    proxy_truth: np.ndarray = field(default_factory=lambda: LOGIT_REFERENCE_MEAN)
 
     @property
     def p(self) -> int:
@@ -95,7 +94,7 @@ class LogisticSpec:
 
     @property
     def truth(self) -> np.ndarray:
-        return np.asarray(self.proxy_truth, dtype=np.float64)
+        return LOGIT_REFERENCE_MEAN
 
     def make_source(self, seed: int) -> RwmLogisticSource:
         return RwmLogisticSource(self.model, seed, init="prior_draw")
@@ -206,17 +205,17 @@ def parse_model_spec(text: str):
 class StudySpec:
     """One replication study.
 
-    stopping is either a StoppingConfig (sequential studies) or a
-    sequence of chain lengths (fixed-n studies). In fixed-n mode the
-    confidence level and batch policy ride in alpha / batch_policy;
-    in sequential mode they ride in the StoppingConfig.
+    model is a study model (p, truth, make_source); coverage is of
+    model.truth. stopping is either a StoppingConfig (sequential
+    studies) or a sequence of chain lengths (fixed-n studies). In
+    fixed-n mode the confidence level and batch policy ride in alpha /
+    batch_policy; in sequential mode they ride in the StoppingConfig.
     """
 
     model: object
     replications: int
     stopping: object
     methods: Sequence[str] = ("mbm",)
-    truth: Optional[np.ndarray] = None
     seed_base: int = 0
     alpha: Optional[float] = None
     batch_policy: Optional[BatchPolicy] = None
@@ -249,11 +248,6 @@ class StudySpec:
             object.__setattr__(self, "stopping", sizes)
             if self.alpha is not None:
                 require_alpha(self.alpha)
-        if self.truth is not None:
-            t = np.asarray(self.truth, dtype=np.float64).reshape(-1)
-            if t.size != self.model.p:
-                raise DomainError(f"truth length {t.size} != p={self.model.p}")
-            object.__setattr__(self, "truth", t)
 
     @property
     def is_fixed_n(self) -> bool:
@@ -270,10 +264,6 @@ class StudySpec:
         if isinstance(self.stopping, StoppingConfig):
             return self.stopping.batch_policy
         return BatchPolicy.exponent() if self.batch_policy is None else self.batch_policy
-
-    @property
-    def eff_truth(self) -> np.ndarray:
-        return self.model.truth if self.truth is None else self.truth
 
 
 @dataclass(frozen=True)
@@ -452,7 +442,7 @@ def _fixed_n_rows(spec, source):
         for method in spec.methods:
             t0 = time.perf_counter()
             row = summarize(est, _METHOD_METRIC[method][0], spec.eff_alpha,
-                            spec.eff_truth)
+                            spec.model.truth)
             yield {"method": method, "n": int(n), **row, "reason": "fixed_n",
                    "seconds": shared + time.perf_counter() - t0}
 
@@ -465,7 +455,7 @@ def _sequential_rows(spec, source):
         metric = config.metric if config.metric in metrics else metrics[0]
         cfg = dataclasses.replace(config, metric=metric)
         t0 = time.perf_counter()
-        run = drive_checkpoints(source, None, cfg, truth=spec.eff_truth)
+        run = drive_checkpoints(source, None, cfg, truth=spec.model.truth)
         yield {"method": method, "n": run.result.n_final, **run.summary,
                "reason": run.result.reason, "seconds": time.perf_counter() - t0}
 
@@ -479,12 +469,10 @@ def coverage_study(spec: StudySpec) -> StudyReport:
     replication.
     """
     rows = _replicate(_fixed_n_rows if spec.is_fixed_n else _sequential_rows, spec)
-    group_keys = ["method", "n"] if spec.is_fixed_n else ["method"]
-    summary = _aggregate(rows, group_keys, ["n", "ess", "covered", "vol_p"])
     if spec.is_fixed_n:
-        for g in summary:
-            g.pop("mean_n", None)
-            g.pop("se_n", None)
+        summary = _aggregate(rows, ["method", "n"], ["ess", "covered", "vol_p"])
+    else:
+        summary = _aggregate(rows, ["method"], ["n", "ess", "covered", "vol_p"])
     return StudyReport(study="coverage", rows=tuple(rows), summary=summary)
 
 
@@ -540,7 +528,7 @@ def _sensitivity_rows(spec, source, nus, eps_list):
                 metric="relative_sd",
             )
             t0 = time.perf_counter()
-            run = drive_checkpoints(source, None, cfg, truth=spec.eff_truth)
+            run = drive_checkpoints(source, None, cfg, truth=spec.model.truth)
             sig = run.final.sigma
             max_eig = float("nan")
             if sig.is_pd:

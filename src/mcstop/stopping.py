@@ -56,10 +56,12 @@ class StoppingConfig:
     check_growth : float
         Fractional growth of the checkpoint grid (default 0.10).
     n_max : int
-        Hard cap on the chain length.
-    memory_budget_bytes : int
-        The driver refuses to grow the chain past this storage budget
-        (8 bytes per entry).
+        Hard cap on the chain length; the driver also caps the chain at
+        a 4 GiB storage budget (8 bytes per entry).
+
+    These are exactly the keys of RULE_PARAMS, batch_policy read from
+    the batch key's text, so `mcstop stop` and study configs can set
+    every field.
     """
 
     epsilon: float
@@ -69,7 +71,6 @@ class StoppingConfig:
     metric: str = "relative_sd"
     check_growth: float = 0.10
     n_max: int = 10**8
-    memory_budget_bytes: int = 4 * 2**30
 
     def __post_init__(self):
         require_positive("epsilon", self.epsilon)
@@ -81,8 +82,6 @@ class StoppingConfig:
         require_positive("check_growth", self.check_growth)
         if self.n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
-        if self.memory_budget_bytes < 1:
-            raise DomainError("memory budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -256,20 +255,17 @@ def check_absolute(chain: ChainMatrix, config: StoppingConfig) -> bool:
     )
 
 
-def check_univariate(
-    chain: ChainMatrix, config: StoppingConfig, bonferroni=None
-) -> bool:
+def check_univariate(chain: ChainMatrix, config: StoppingConfig) -> bool:
     """Component-wise relative standard deviation fixed-width rule.
 
     True iff n ≥ n* and, for every component,
-    2 t_* σ_{n,i}/√n + 1/n ≤ ε λ_{n,i}, with t_* at level 1 - α/2
-    (uncorrected) or 1 - α/(2p) (Bonferroni). When bonferroni is None
-    the choice follows config.metric.
+    2 t_* σ_{n,i}/√n + 1/n ≤ ε λ_{n,i}, with t_* at level 1 - α/(2p)
+    (Bonferroni) when config.metric is univariate_bonferroni and at
+    1 - α/2 (uncorrected) otherwise.
     """
-    if bonferroni is None:
-        bonferroni = config.metric == "univariate_bonferroni"
     return _due(chain, config) and _univariate(
-        reference_estimate(chain, config.batch_policy), config, bonferroni
+        reference_estimate(chain, config.batch_policy), config,
+        config.metric == "univariate_bonferroni",
     )
 
 
@@ -355,11 +351,13 @@ class CheckpointRun:
     summary: Optional[dict] = None
 
 
-def _length_cap(config: StoppingConfig, p: Optional[int]) -> int:
-    """n_max, lowered to the memory budget once the dimension p is known."""
-    cap = config.n_max
-    if p is not None:
-        cap = min(cap, config.memory_budget_bytes // (8 * int(p)))
+# The driver refuses to grow a chain past this storage (8 bytes per entry).
+_MEMORY_BUDGET_BYTES = 4 * 2**30
+
+
+def _length_cap(config: StoppingConfig, p: int) -> int:
+    """n_max, lowered to the memory budget of a p-column chain."""
+    cap = min(config.n_max, _MEMORY_BUDGET_BYTES // (8 * int(p)))
     if cap < max(config.n_star, 2):
         raise ConfigError(
             f"n_star={config.n_star} does not fit the cap of {cap} rows "
@@ -377,21 +375,20 @@ def drive_checkpoints(
     Checks run at start (default max(n*, 2)) and, after each failure,
     at n + ⌈check_growth · n⌉, capped at the effective n_max. With
     available set, the loop stops before the first checkpoint beyond
-    that many rows and reports it instead of taking it. The engine
-    reads sampler.rows(n), or take(n).data from a sampler without rows;
-    a ChainMatrix rule gets take(n). A study passes its truth, so that the
+    that many rows and reports it instead of taking it. sampler is a
+    chain source (samplers.ChainSource: p and take). The engine reads
+    sampler.rows(n), or take(n).data from a source without rows; a
+    ChainMatrix rule gets take(n). A study passes its truth, so that the
     decision's one summary also holds the coverage.
     """
     metric = _engine_metric(rule, config)
-    p = getattr(sampler, "p", None)
-    cap = _length_cap(config, p)
-    take = sampler.take if hasattr(sampler, "take") else sampler
-    read = getattr(sampler, "rows", lambda k: take(k).data)
+    cap = _length_cap(config, sampler.p)
+    read = getattr(sampler, "rows", lambda k: sampler.take(k).data)
     engine = None
     n = max(config.n_star, 2) if start is None else start
     while available is None or n <= available:
         if metric is None:
-            chain = take(n)
+            chain = sampler.take(n)
             rows = chain.data
             fired = rule(chain, config)
         else:
@@ -400,9 +397,6 @@ def drive_checkpoints(
                 engine = CheckpointEngine(rows.shape[1], config.batch_policy)
             engine.append(rows[engine.n : n])
             fired = RULES[metric](engine.estimate(), config)
-        if p is None:
-            p = rows.shape[1]
-            cap = _length_cap(config, p)
         if fired:
             reason = "criterion_met"
             break
@@ -430,15 +424,16 @@ def drive_checkpoints(
 
 
 def run_sequential(sampler, rule, config: StoppingConfig) -> StoppingResult:
-    """Drive a stopping rule over a growing chain.
+    """Drive a stopping rule over a chain source's growing chain.
 
-    The first checkpoint sits at n* (at least 2 rows so estimators are
-    defined); each failure grows the chain by ⌈check_growth · n⌉. rule
+    sampler is a chain source (samplers.ChainSource). The first
+    checkpoint sits at n* (at least 2 rows so estimators are defined);
+    each failure grows the chain by ⌈check_growth · n⌉. rule
     is None (config.metric), a metric name, a public check function, or
     any callable taking (ChainMatrix, StoppingConfig). The first three
     are evaluated by the streaming engine on the new rows of each
-    checkpoint; a callable of the last kind receives take(n). A
+    checkpoint; a callable of the last kind receives take(n). A 4 GiB
     memory budget caps the effective n_max; configurations whose n* does
-    not fit are refused.
+    not fit are refused before any row is drawn.
     """
     return drive_checkpoints(sampler, rule, config).result

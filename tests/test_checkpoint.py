@@ -240,9 +240,14 @@ class TestCheckpointLoop:
         assert run.final.n == whole.n_final
 
     def test_nothing_available_takes_no_rows(self):
-        def take(n):
-            raise AssertionError("no checkpoint is due")
+        class Unread:
+            p = 2
+
+            def take(self, n):
+                raise AssertionError("no checkpoint is due")
+
+            rows = take
 
         cfg = StoppingConfig(epsilon=0.1, alpha=0.1, n_star=100)
-        run = drive_checkpoints(take, None, cfg, available=99)
+        run = drive_checkpoints(Unread(), None, cfg, available=99)
         assert run.result is None and run.next_checkpoint == 100

@@ -130,11 +130,6 @@ class TestStudySpec:
             with pytest.raises(DomainError, match=r"^alpha must lie in \(0,1\), got "):
                 StudySpec(model=IidGaussianSpec(2), replications=2, stopping=[100],
                           alpha=alpha)
-        with pytest.raises(DomainError, match="truth length"):
-            StudySpec(
-                model=IidGaussianSpec(2), replications=2, stopping=[100],
-                truth=np.zeros(3),
-            )
 
 
 class TestCoverageStudy:

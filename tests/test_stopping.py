@@ -26,12 +26,25 @@ from mcstop import (
     var1_benchmark,
 )
 from mcstop.errors import ConfigError, DomainError, InsufficientData
+from mcstop.stopping import RULE_PARAMS
 
 
 def _config(**kw):
     base = dict(epsilon=0.05, alpha=0.10, n_star=0)
     base.update(kw)
     return StoppingConfig(**base)
+
+
+class _UnreadSource:
+    """A chain source of dimension p that fails if any row is read."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def take(self, n):
+        raise AssertionError(f"take({n}) was called")
+
+    rows = take
 
 
 class TestNPos:
@@ -156,15 +169,17 @@ class TestCheckUnivariate:
         a_n = n // b
         sig2 = ubm_diag(ch, b)
         lam = np.sqrt(x.var(axis=0, ddof=1))
-        for bonf in (True, False):
+        # config.metric selects the correction
+        for metric in ("univariate_bonferroni", "univariate_uncorrected"):
+            bonf = metric == "univariate_bonferroni"
             level = 1.0 - 0.10 / (2.0 * 3) if bonf else 1.0 - 0.10 / 2.0
             t = scipy.stats.t.ppf(level, a_n - 1)
             lhs = 2.0 * t * np.sqrt(sig2) / math.sqrt(n) + 1.0 / n
             eps_star = float((lhs / lam).max())
-            cfg_hi = _config(epsilon=eps_star * (1.0 + 1e-9))
-            cfg_lo = _config(epsilon=eps_star * (1.0 - 1e-9))
-            assert check_univariate(ch, cfg_hi, bonferroni=bonf)
-            assert not check_univariate(ch, cfg_lo, bonferroni=bonf)
+            cfg_hi = _config(epsilon=eps_star * (1.0 + 1e-9), metric=metric)
+            cfg_lo = _config(epsilon=eps_star * (1.0 - 1e-9), metric=metric)
+            assert check_univariate(ch, cfg_hi)
+            assert not check_univariate(ch, cfg_lo)
 
     def test_bonferroni_implies_uncorrected(self, rng):
         # the corrected rule is strictly harder to satisfy
@@ -172,20 +187,10 @@ class TestCheckUnivariate:
             g = np.random.default_rng(seed)
             ch = ChainMatrix(g.standard_normal((1500, 4)))
             for eps in (0.05, 0.08, 0.12, 0.2):
-                cfg = _config(epsilon=eps)
-                if check_univariate(ch, cfg, bonferroni=True):
-                    assert check_univariate(ch, cfg, bonferroni=False)
-
-    def test_metric_string_selects_correction(self, rng):
-        ch = ChainMatrix(rng.standard_normal((1500, 4)))
-        cfg_b = _config(epsilon=0.1, metric="univariate_bonferroni")
-        cfg_u = _config(epsilon=0.1, metric="univariate_uncorrected")
-        assert check_univariate(ch, cfg_b) == check_univariate(
-            ch, cfg_b, bonferroni=True
-        )
-        assert check_univariate(ch, cfg_u) == check_univariate(
-            ch, cfg_u, bonferroni=False
-        )
+                cfg_b = _config(epsilon=eps, metric="univariate_bonferroni")
+                cfg_u = _config(epsilon=eps, metric="univariate_uncorrected")
+                if check_univariate(ch, cfg_b):
+                    assert check_univariate(ch, cfg_u)
 
     def test_p1_first_crossing_matches_relative_sd(self):
         # at p = 1 the elliptical and fixed-width rules are the same
@@ -199,6 +204,7 @@ class TestCheckUnivariate:
             x[t] = 0.3 * x[t - 1] + eps_noise[t]
         data = x[:, None]
         cfg = _config(epsilon=0.10, n_star=100)
+        uncorrected = dataclasses.replace(cfg, metric="univariate_uncorrected")
 
         def first_fire(rule):
             n = 100
@@ -209,7 +215,7 @@ class TestCheckUnivariate:
             return None
 
         n_rel = first_fire(check_relative_sd)
-        n_uni = first_fire(lambda c, f: check_univariate(c, f, bonferroni=False))
+        n_uni = first_fire(lambda c, f: check_univariate(c, uncorrected))
         assert n_rel is not None
         assert n_rel == n_uni
 
@@ -278,10 +284,11 @@ class TestRunSequential:
         assert math.isfinite(res.ess_at_termination)
 
     def test_memory_budget_refused(self):
-        src = IidGaussianSource(4, seed=1)
-        cfg = _config(n_star=1000, memory_budget_bytes=800)
-        with pytest.raises(ConfigError):
-            run_sequential(src, lambda c, f: True, cfg)
+        # 4 GiB holds 134,217,728 rows of p = 4; a larger n* is refused
+        # before any row is drawn
+        cfg = _config(n_star=2 * 10**8, n_max=10**9)
+        with pytest.raises(ConfigError, match="cap of 134217728 rows"):
+            run_sequential(_UnreadSource(4), lambda c, f: True, cfg)
 
     def test_growth_grid(self):
         # with a never-passing rule the visited grid is n -> n + ceil(0.1 n)
@@ -307,18 +314,6 @@ class TestRunSequential:
             cfg = _config(epsilon=eps, alpha=0.10, n_star=500)
             finals.append(run_sequential(src, None, cfg).n_final)
         assert finals[0] >= finals[1] >= finals[2]
-
-    def test_callable_sampler(self):
-        g = np.random.default_rng(99)
-        data = g.standard_normal((5000, 2))
-
-        def take(n):
-            return ChainMatrix(data[:n])
-
-        cfg = _config(n_star=50)
-        res = run_sequential(take, lambda c, f: c.n >= 300, cfg)
-        assert res.terminated
-        assert res.n_final >= 300
 
     @pytest.mark.parametrize("rule", [None, "univariate_bonferroni", check_relative_sd])
     def test_engine_builds_one_chain_per_decision(self, monkeypatch, rule):
@@ -380,6 +375,13 @@ class TestRunSequential:
 
 
 class TestStoppingConfig:
+    def test_fields_are_the_rule_params(self):
+        # every field is a rule value that `mcstop stop` and study
+        # configs set; no other knob
+        fields = {f.name for f in dataclasses.fields(StoppingConfig)}
+        keys = {"batch_policy" if k == "batch" else k for k in RULE_PARAMS}
+        assert fields == keys
+
     def test_validation(self):
         with pytest.raises(DomainError):
             _config(epsilon=0.0)

@@ -6,10 +6,13 @@ Usage:
 Runs, on the mcstop package under --src (default: this checkout's src):
   - sequential coverage studies, each of the 4 metrics x 3 methods;
   - fixed-n coverage studies under 3 batch policies x 3 methods, at
-    lengths that include a not positive definite Σ_n;
+    lengths that include a not positive definite Σ_n, and one on the
+    logistic model, whose truth is the proxy reference mean;
   - two batch sensitivity grids;
   - run_sequential with each metric, as None, a rule name, a check
     function and a ChainMatrix callable, including runs capped by n_max;
+  - check_univariate(chain, config) under each metric, at lengths and
+    tolerances on both sides of its threshold;
   - `mcstop stop --json` on a model, and `mcstop replicate
     configs/var1_sequential.conf` (its table, CSV rows and JSON summary);
   - `mcstop ess` and `mcstop confregion --directions`, in text and JSON,
@@ -60,6 +63,10 @@ def studies(m):
                            seed_base=7, batch_policy=m.BatchPolicy.parse(batch))
         yield f"fixed-n coverage {batch}"
         yield from rows(m.coverage_study(spec))
+    spec = m.StudySpec(m.logistic_benchmark(), 2, (3000, 5000), methods=METHODS,
+                       seed_base=5)
+    yield "fixed-n coverage logistic"
+    yield from rows(m.coverage_study(spec))
     grids = ((bench5, (1 / 3, 0.5), (0.2, 0.1)),
              (m.IidGaussianSpec(3), (0.4, 0.6), (0.3,)))
     for model, nus, eps_list in grids:
@@ -96,6 +103,12 @@ def runs(m):
         yield f"{metric} iid p=3"
         yield repr(m.run_sequential(m.IidGaussianSpec(3).make_source(6), None,
                                     dataclasses.replace(cfg, epsilon=0.2)))
+    source = bench5.make_source(9)
+    for metric in METRICS:
+        results = [m.check_univariate(source.take(n), m.StoppingConfig(
+                       epsilon=eps, alpha=0.10, n_star=0, metric=metric))
+                   for n in (2, 40, 3000, 20000) for eps in (0.05, 0.1, 0.3)]
+        yield f"check_univariate {metric} {results}"
 
 
 def cli(m, workdir):
