@@ -116,15 +116,11 @@ def _build_parser() -> _Parser:
     # None marks a flag the user did not pass: RULE_PARAMS holds the
     # defaults, and resume checks only flags that were passed. The rule's
     # flags stay text, read by stopping.rule_value as study config lines are.
-    p_stop.add_argument("--rule", default=None, choices=tuple(RULES),
-                        help="default relative_sd")
-    p_stop.add_argument("--eps", default=None)
-    p_stop.add_argument("--alpha", default=None, help="default 0.05")
-    p_stop.add_argument("--nstar", default=None,
-                        help="auto (default) or an integer")
-    p_stop.add_argument("--batch", default=None, help="default nu:0.5")
-    p_stop.add_argument("--growth", default=None, help="default 0.10")
-    p_stop.add_argument("--nmax", default=None, help="default 10^8")
+    for key, (dest, default, _) in RULE_PARAMS.items():
+        p_stop.add_argument(f"--{dest}", default=None,
+                            choices=RULES if key == "metric" else None,
+                            help="required" if default is None
+                            else f"default {default}")
     p_stop.add_argument("--json", action="store_true")
 
     p_rep = sub.add_parser("replicate",

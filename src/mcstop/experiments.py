@@ -84,7 +84,7 @@ class Var1Spec:
 
 @dataclass(frozen=True)
 class LogisticSpec:
-    """Logistic RWM study model; truth is the proxy reference mean."""
+    """Logistic RWM study model; truth is the proxy reference mean (tau2 = 1)."""
 
     model: LogisticModel
 
@@ -94,6 +94,11 @@ class LogisticSpec:
 
     @property
     def truth(self) -> np.ndarray:
+        # tools/make_logit_dataset.py calibrated the proxy at tau2 = 1: a
+        # 2·10^5-step chain at tau2 = 4 lands 14-35 standard errors from it.
+        if self.model.tau2 != 1.0:
+            raise DomainError(f"the logistic proxy truth holds at tau2=1 only, "
+                              f"got tau2={self.model.tau2}")
         return LOGIT_REFERENCE_MEAN
 
     def make_source(self, seed: int) -> RwmLogisticSource:
@@ -223,6 +228,7 @@ class StudySpec:
     def __post_init__(self):
         if self.replications < 1:
             raise DomainError(f"replications must be >= 1, got {self.replications}")
+        self.model.truth  # a model without a truth is refused before any draw
         methods = tuple(self.methods)
         if not methods:
             raise DomainError("methods must be nonempty")
@@ -682,6 +688,9 @@ def _validate_study_config(raw: dict) -> dict:
         else:
             if "nus" not in raw:
                 raise ConfigError("batch_sensitivity study needs nus = <comma list>")
+            if raw.get("n_star", "auto") == "auto":
+                raise ConfigError("batch_sensitivity study needs an integer n_star: "
+                                  "auto would resolve at one (nu, eps) for every cell")
             spec = StudySpec(
                 model=model, replications=replications,
                 stopping=build_config(raw.get("epsilon", 0.05)),

@@ -6,14 +6,15 @@ standard deviation metric. An absolute variant and two univariate
 fixed-width baselines (with and without Bonferroni correction) share
 one checkpoint loop, drive_checkpoints, which grows the chain geometrically.
 
-Each rule is a function of a CheckpointEstimate (θ_n, Λ_n, Σ_n, the uBM
-diagonal and the column variances). When the rule is None, a metric
-name or one of the four public check functions, the loop feeds only
-the new rows of each checkpoint to a streaming CheckpointEngine, so a
-check costs O(new rows) instead of a rescan of the whole prefix. Any
-other callable rule receives a ChainMatrix at every checkpoint. The
-public check functions evaluate the same rule functions on estimates
-built by the reference batch estimators. summarize reads a decision's
+All four rules are one function, _fires, of a CheckpointEstimate (θ_n,
+Λ_n, Σ_n, the uBM diagonal and the column variances): the size of the
+confidence set plus 1/n must be at most ε times the metric. When the
+rule is None, a metric name or a public check function, the loop feeds
+only the new rows of each checkpoint to a streaming CheckpointEngine,
+so a check costs O(new rows) instead of a rescan of the whole prefix.
+Any other callable rule receives a ChainMatrix at every checkpoint. The
+public check functions evaluate _fires on the reference batch
+estimators' estimate. summarize reads a decision's
 summary off the reference estimate at n_final, built on the one
 ChainMatrix an engine decision makes: the ESS, and the volume and (given
 a truth) the coverage of the confidence set of the rule that was run.
@@ -52,7 +53,7 @@ class StoppingConfig:
         Minimum simulation effort; the rule cannot fire below it.
     batch_policy : BatchPolicy
     metric : str
-        A key of RULES.
+        One of RULES.
     check_growth : float
         Fractional growth of the checkpoint grid (default 0.10).
     n_max : int
@@ -184,52 +185,50 @@ def rule_config(values: dict, p: int) -> StoppingConfig:
 
 
 # ---------------------------------------------------------------------------
-# the four rules, each a function of one checkpoint estimate
+# the four rules: one inequality on one checkpoint estimate
+
+RULES = ("relative_sd", "absolute", "univariate_bonferroni", "univariate_uncorrected")
 
 
-def _volume_side(est: CheckpointEstimate, config: StoppingConfig) -> Optional[float]:
-    """Vol^{1/p} + 1/n, or None until both estimates are positive definite."""
-    sig = est.sigma
-    if sig is None or not (sig.is_pd and est.lam.is_pd):
-        return None
-    cutoff = hotelling_cutoff(config.alpha, est.p, sig.a_n)
-    log_vol = region_volume(est.n, est.p, cutoff, sig.log_det)
-    return math.exp(log_vol / est.p) + 1.0 / est.n
+def _fires(est: CheckpointEstimate, config: StoppingConfig, metric: str) -> bool:
+    """Whether the metric's rule fires on one checkpoint estimate.
+
+    The fixed-volume rules compare Vol^{1/p} + 1/n of the ellipsoid with
+    ε |Λ_n|^{1/(2p)} (relative_sd) or ε (absolute), and need both
+    estimates positive definite; the univariate rules compare each
+    2 t_* σ_{n,i}/√n + 1/n with ε λ_{n,i}, and need a_n ≥ 2. An
+    estimate that cannot support the rule's set gives False.
+    """
+    n, p = est.n, est.p
+    if metric in ("relative_sd", "absolute"):
+        sig = est.sigma
+        if sig is None or not (sig.is_pd and est.lam.is_pd):
+            return False
+        cutoff = hotelling_cutoff(config.alpha, p, sig.a_n)
+        log_vol = region_volume(n, p, cutoff, sig.log_det)
+        lhs = math.exp(log_vol / p) + 1.0 / n
+        if metric == "absolute":
+            return lhs <= config.epsilon
+        return lhs <= config.epsilon * math.exp(est.lam.log_det / (2.0 * p))
+    if est.a_n < 2:
+        return False
+    t_star = t_cutoff(config.alpha, p, est.a_n, metric == "univariate_bonferroni")
+    lhs = 2.0 * t_star * np.sqrt(est.ubm) / math.sqrt(n) + 1.0 / n
+    return bool((lhs <= config.epsilon * np.sqrt(est.col_var)).all())
 
 
-def _relative_sd(est: CheckpointEstimate, config: StoppingConfig) -> bool:
-    lhs = _volume_side(est, config)
-    return lhs is not None and lhs <= config.epsilon * math.exp(
-        est.lam.log_det / (2.0 * est.p)
+def _check(chain: ChainMatrix, config: StoppingConfig, metric: str) -> bool:
+    """The metric's rule on the reference estimate, from n = max(n*, 2) on."""
+    return chain.n >= max(config.n_star, 2) and _fires(
+        reference_estimate(chain, config.batch_policy), config, metric
     )
 
 
-def _absolute(est: CheckpointEstimate, config: StoppingConfig) -> bool:
-    lhs = _volume_side(est, config)
-    return lhs is not None and lhs <= config.epsilon
-
-
-def _univariate(est: CheckpointEstimate, config: StoppingConfig, bonferroni: bool) -> bool:
-    if est.a_n < 2:
-        return False
-    n = est.n
-    lam = np.sqrt(est.col_var)
-    t_star = t_cutoff(config.alpha, est.p, est.a_n, bonferroni)
-    lhs = 2.0 * t_star * np.sqrt(est.ubm) / math.sqrt(n) + 1.0 / n
-    return bool((lhs <= config.epsilon * lam).all())
-
-
-RULES = {
-    "relative_sd": _relative_sd,
-    "absolute": _absolute,
-    "univariate_bonferroni": lambda est, cfg: _univariate(est, cfg, True),
-    "univariate_uncorrected": lambda est, cfg: _univariate(est, cfg, False),
-}
-
-
-def _due(chain: ChainMatrix, config: StoppingConfig) -> bool:
-    """A rule can fire only from n = max(n*, 2) on."""
-    return chain.n >= max(config.n_star, 2)
+def _univariate_metric(config: StoppingConfig) -> str:
+    """check_univariate's rule: Bonferroni only under univariate_bonferroni."""
+    if config.metric == "univariate_bonferroni":
+        return "univariate_bonferroni"
+    return "univariate_uncorrected"
 
 
 def check_relative_sd(chain: ChainMatrix, config: StoppingConfig) -> bool:
@@ -239,9 +238,7 @@ def check_relative_sd(chain: ChainMatrix, config: StoppingConfig) -> bool:
     and Vol^{1/p} + 1/n ≤ ε |Λ_n|^{1/(2p)}. Estimates that are not yet
     positive definite yield false, never an error.
     """
-    return _due(chain, config) and _relative_sd(
-        reference_estimate(chain, config.batch_policy), config
-    )
+    return _check(chain, config, "relative_sd")
 
 
 def check_absolute(chain: ChainMatrix, config: StoppingConfig) -> bool:
@@ -250,9 +247,7 @@ def check_absolute(chain: ChainMatrix, config: StoppingConfig) -> bool:
     True iff n ≥ n*, estimates are positive definite, and
     Vol^{1/p} + 1/n ≤ ε.
     """
-    return _due(chain, config) and _absolute(
-        reference_estimate(chain, config.batch_policy), config
-    )
+    return _check(chain, config, "absolute")
 
 
 def check_univariate(chain: ChainMatrix, config: StoppingConfig) -> bool:
@@ -263,10 +258,7 @@ def check_univariate(chain: ChainMatrix, config: StoppingConfig) -> bool:
     (Bonferroni) when config.metric is univariate_bonferroni and at
     1 - α/2 (uncorrected) otherwise.
     """
-    return _due(chain, config) and _univariate(
-        reference_estimate(chain, config.batch_policy), config,
-        config.metric == "univariate_bonferroni",
-    )
+    return _check(chain, config, _univariate_metric(config))
 
 
 def rectangle_log_volume(
@@ -294,9 +286,7 @@ def _engine_metric(rule, config: StoppingConfig) -> Optional[str]:
     if rule is check_absolute:
         return "absolute"
     if rule is check_univariate:
-        if config.metric == "univariate_bonferroni":
-            return "univariate_bonferroni"
-        return "univariate_uncorrected"
+        return _univariate_metric(config)
     if callable(rule):
         return None
     raise DomainError("rule must be None, a metric name, or a callable")
@@ -396,7 +386,7 @@ def drive_checkpoints(
             if engine is None:
                 engine = CheckpointEngine(rows.shape[1], config.batch_policy)
             engine.append(rows[engine.n : n])
-            fired = RULES[metric](engine.estimate(), config)
+            fired = _fires(engine.estimate(), config, metric)
         if fired:
             reason = "criterion_met"
             break

@@ -1,4 +1,5 @@
 """Command-line interface, exercised in process through main(argv)."""
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -9,11 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from mcstop import (ChainMatrix, IidGaussianSource, load_chain, min_ess,
-                    read_study_config)
+from mcstop import (ChainMatrix, IidGaussianSource, RwmLogisticSource, load_chain,
+                    min_ess, read_study_config)
 import mcstop.cli as cli
 from mcstop.cli import main
 from mcstop.errors import ParseError
+from mcstop.stopping import RULE_PARAMS, RULES
 
 
 def _write_chain(tmp_path, data, name="chain.csv"):
@@ -428,6 +430,27 @@ class TestReplicateCommand:
         assert code == 0
         assert (tmp_path / "results" / "run1.csv").exists()
 
+    def test_logistic_study_refused_off_tau2_1(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "logit.conf"
+        cfg.write_text("study = coverage\nmodel = logistic:tau2=4\nmode = fixed\n"
+                       "fixed_n = 300\nreplications = 1\nseed_base = 0\n")
+        take = RwmLogisticSource.take
+
+        def no_draws(self, n):
+            raise AssertionError("the chain was drawn")
+
+        monkeypatch.setattr(RwmLogisticSource, "take", no_draws)
+        code, out, err = _run(capsys, ["replicate", str(cfg),
+                                       "--out-prefix", str(tmp_path / "out")])
+        assert (code, out) == (1, "")
+        assert err == ("mcstop: error: the logistic proxy truth holds at tau2=1 "
+                       "only, got tau2=4.0\n")
+        # a stopping run needs no truth
+        monkeypatch.setattr(RwmLogisticSource, "take", take)
+        code, out, _ = _run(capsys, ["stop", "--model", "logistic:tau2=4", "--seed",
+                                     "1", "--eps", "0.3", "--json"])
+        assert (code, json.loads(out)["reason"]) == (0, "criterion_met")
+
     def test_unknown_key_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "bad.conf"
         cfg.write_text(self.CONFIG + "bogus = 1\n")
@@ -744,6 +767,19 @@ class TestOneRuleTable:
     def _stop_config(self, flags):
         args = cli._build_parser().parse_args(self.STOP + flags)
         return cli._stop_rule(args, {}, 3)[1]
+
+    def test_stop_flags_are_the_rule_table(self):
+        (sub,) = [a for a in cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        dests = [dest for dest, _, _ in RULE_PARAMS.values()]
+        actions = [a for a in sub.choices["stop"]._actions if a.dest in dests]
+        assert [a.dest for a in actions] == dests
+        for action, (key, (dest, default, _)) in zip(actions, RULE_PARAMS.items()):
+            assert action.option_strings == [f"--{dest}"]
+            assert action.default is None
+            assert action.choices == (RULES if key == "metric" else None)
+            assert action.help.split()[-1] == ("required" if default is None
+                                               else str(default))
 
     @pytest.mark.parametrize("flag,key,value,message", [
         ("--eps", "epsilon", "-1", "epsilon must be positive, got -1.0"),

@@ -131,6 +131,19 @@ class TestStudySpec:
                 StudySpec(model=IidGaussianSpec(2), replications=2, stopping=[100],
                           alpha=alpha)
 
+    def test_logistic_truth_only_at_tau2_1(self, tmp_path):
+        # the proxy truth is the posterior mean at tau2 = 1; at another tau2
+        # every region would be scored against the wrong vector
+        seq = _seq_config(epsilon=0.2)
+        for stopping in ((300,), seq):
+            with pytest.raises(DomainError, match=r"tau2=1 only, got tau2=4\.0"):
+                StudySpec(parse_model_spec("logistic:tau2=4"), 1, stopping)
+            assert StudySpec(parse_model_spec("logistic:tau2=1.0"), 1, stopping)
+        text = ("study = coverage\nmodel = logistic:tau2=4\nmode = fixed\n"
+                "fixed_n = 300\nreplications = 1\nseed_base = 0\n")
+        with pytest.raises(ConfigError, match="tau2=1 only"):
+            read_study_config(_write(tmp_path, text))
+
 
 class TestCoverageStudy:
     def test_fixed_n_iid_binomial_band(self):
@@ -543,6 +556,19 @@ class TestReadStudyConfig:
         )
         with pytest.raises(ConfigError, match="nus"):
             read_study_config(_write(tmp_path, text3))
+
+    @pytest.mark.parametrize("line", ["", "n_star = auto\n"])
+    def test_batch_sensitivity_needs_an_integer_n_star(self, tmp_path, line):
+        # auto resolves at epsilon (0.05) and nu = 0.5, then floors every cell:
+        # 7180 rows for this eps = 0.2 cell, whose own floor is 449
+        text = ("study = batch_sensitivity\nmodel = var1_bench5\nnus = 0.5\n"
+                "eps_list = 0.2\nreplications = 1\nseed_base = 0\n")
+        with pytest.raises(ConfigError, match="needs an integer n_star"):
+            read_study_config(_write(tmp_path, text + line))
+        with pytest.raises(ConfigError, match="nus"):
+            read_study_config(_write(tmp_path, text.replace("nus = 0.5\n", "") + line))
+        parsed = read_study_config(_write(tmp_path, text + "n_star = 449\n"))
+        assert parsed["spec"].stopping.n_star == 449
 
     def test_batch_forms(self, tmp_path):
         text = self.GOOD + "batch = fixed:50\n"

@@ -1,9 +1,9 @@
 """Time mcstop's cold start: fresh-process wall times of five calls.
 
 Usage:
-  python3 tools/cold_start.py [--src DIR] [--repeats N]
+  python3 tools/cold_start.py [--src DIR]
 
-Each case runs N times (default 7, the cases taking turns) in a fresh
+Each case runs REPEATS (7) times, the cases taking turns, in a fresh
 interpreter with the tree under --src (default ./src) first on sys.path,
 and reports the median wall time from process start to exit, each run's
 time, the exit code, and the SciPy subpackages the process had loaded
@@ -39,6 +39,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED, BELOW, AT = 4000, 6000, 9000
+REPEATS = 7
 # Run in the child after the case: the public SciPy subpackages loaded.
 _REPORT = ("import atexit, json, sys\n"
            "atexit.register(lambda: sys.stderr.write('\\nscipy: ' + json.dumps(sorted(\n"
@@ -67,7 +68,6 @@ def _write_rows(path: Path, rows: np.ndarray) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"))
-    ap.add_argument("--repeats", type=int, default=7)
     args = ap.parse_args(argv)
     src = str(Path(args.src).resolve())
     rows = np.random.default_rng(1).standard_normal((AT, 5))
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
                                   "--eps", "0.2"]),
         }
         runs = {name: [] for name in cases}
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             for name, (body, case_argv) in cases.items():
                 for file, data in saved.items():
                     (work / file).write_bytes(data)
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
         "exit": sorted({run["exit"] for run in runs[name]}),
         "scipy_loaded": runs[name][-1]["scipy_loaded"],
     } for name, (_, case_argv) in cases.items()}
-    print(json.dumps({"src": src, "repeats": args.repeats,
+    print(json.dumps({"src": src, "repeats": REPEATS,
                       "python": platform.python_version(),
                       "nproc": len(os.sched_getaffinity(0)), "cases": out}, indent=2))
     return 0

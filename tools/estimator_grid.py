@@ -1,9 +1,9 @@
 """Time the batch estimators and one engine append on an (n, p) grid.
 
 Usage:
-  python3 tools/estimator_grid.py [--src DIR] [--repeats N] [--n N ...] [--p P ...]
+  python3 tools/estimator_grid.py [--src DIR]
 
-For every n (default 10^4, 10^5, 10^6) and p (default 2, 5, 50) this
+For every n in NS (10^4, 10^5, 10^6) and p in PS (2, 5, 50) this
 draws an iid N(0, 1) chain of n rows and p columns (seed 1) and times,
 on the mcstop package under --src (default: this checkout's src):
 
@@ -21,12 +21,12 @@ on the mcstop package under --src (default: this checkout's src):
   engine_append        CheckpointEngine(p, nu:0.5).append(rows): the n rows
                        appended at once to a new engine
 
-Each is called N times (default 7), the calls of one cell taking turns,
+Each is called REPEATS (7) times, the calls of one cell taking turns,
 and the median wall time is reported, with every run's time. Prints one
 JSON object. The (10^6, 50) cell holds a 400 MB chain and up to two
-temporaries of its size; --n and --p run a smaller grid. To compare two
-trees, run it on each with --src, taking turns. nproc is the number of
-CPUs the process may run on, as bench/run.py records it.
+temporaries of its size. To compare two trees, run it on each with
+--src, taking turns. nproc is the number of CPUs the process may run
+on, as bench/run.py records it.
 """
 import argparse
 import json
@@ -42,6 +42,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 NS = (10**4, 10**5, 10**6)
 PS = (2, 5, 50)
+REPEATS = 7
 
 
 def _cases(checkpoint, estimators, chain, policy):
@@ -67,9 +68,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="the mcstop source tree to time (default: this checkout's)")
-    ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--n", type=int, nargs="+", default=list(NS))
-    ap.add_argument("--p", type=int, nargs="+", default=list(PS))
     args = ap.parse_args(argv)
     src = str(Path(args.src).resolve())
     sys.path.insert(0, src)
@@ -78,12 +76,12 @@ def main(argv=None) -> int:
 
     policy = estimators.BatchPolicy.exponent(0.5)
     cells = []
-    for n in args.n:
-        for p in args.p:
+    for n in NS:
+        for p in PS:
             chain = estimators.ChainMatrix(np.random.default_rng(1).standard_normal((n, p)))
             cases = _cases(checkpoint, estimators, chain, policy)
             runs = {name: [] for name in cases}
-            for _ in range(args.repeats):
+            for _ in range(REPEATS):
                 for name, call in cases.items():
                     t0 = time.perf_counter()
                     call()
@@ -92,7 +90,7 @@ def main(argv=None) -> int:
                           "median_s": {k: statistics.median(v) for k, v in runs.items()},
                           "runs_s": runs})
             del chain, cases
-    print(json.dumps({"src": src, "repeats": args.repeats,
+    print(json.dumps({"src": src, "repeats": REPEATS,
                       "python": platform.python_version(), "numpy": np.__version__,
                       "nproc": len(os.sched_getaffinity(0)), "cells": cells}, indent=2))
     return 0

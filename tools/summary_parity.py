@@ -11,8 +11,9 @@ Runs, on the mcstop package under --src (default: this checkout's src):
   - two batch sensitivity grids;
   - run_sequential with each metric, as None, a rule name, a check
     function and a ChainMatrix callable, including runs capped by n_max;
-  - check_univariate(chain, config) under each metric, at lengths and
-    tolerances on both sides of its threshold;
+  - check_univariate(chain, config) under each metric, and
+    check_relative_sd and check_absolute, on one grid of 4 lengths x 3
+    tolerances, on both sides of each threshold;
   - `mcstop stop --json` on a model, and `mcstop replicate
     configs/var1_sequential.conf` (its table, CSV rows and JSON summary);
   - `mcstop ess` and `mcstop confregion --directions`, in text and JSON,
@@ -104,11 +105,16 @@ def runs(m):
         yield repr(m.run_sequential(m.IidGaussianSpec(3).make_source(6), None,
                                     dataclasses.replace(cfg, epsilon=0.2)))
     source = bench5.make_source(9)
+    grid = [(n, eps) for n in (2, 40, 3000, 20000) for eps in (0.05, 0.1, 0.3)]
     for metric in METRICS:
         results = [m.check_univariate(source.take(n), m.StoppingConfig(
                        epsilon=eps, alpha=0.10, n_star=0, metric=metric))
-                   for n in (2, 40, 3000, 20000) for eps in (0.05, 0.1, 0.3)]
+                   for n, eps in grid]
         yield f"check_univariate {metric} {results}"
+    for check in (m.check_relative_sd, m.check_absolute):
+        results = [check(source.take(n), m.StoppingConfig(
+                       epsilon=eps, alpha=0.10, n_star=0)) for n, eps in grid]
+        yield f"{check.__name__} {results}"
 
 
 def cli(m, workdir):
