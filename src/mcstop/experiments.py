@@ -384,7 +384,7 @@ def _aggregate(rows: list, group_keys: list, value_cols: list) -> tuple:
 
 
 def _workers() -> int:
-    """MCSTOP_WORKERS (default 1), capped at the CPU count; < 1 is an error."""
+    """MCSTOP_WORKERS (default 1), capped at the usable CPUs; < 1 is an error."""
     raw = os.environ.get("MCSTOP_WORKERS", "1")
     try:
         w = int(raw)
@@ -392,7 +392,14 @@ def _workers() -> int:
         raise ConfigError(f"MCSTOP_WORKERS must be an integer, got {raw!r}") from None
     if w < 1:
         raise ConfigError(f"MCSTOP_WORKERS must be >= 1, got {w}")
-    return min(w, os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    # An affinity mask (taskset, a container's cpuset) narrower than the
+    # online CPUs leaves the process only the CPUs in the mask.
+    if hasattr(os, "sched_getaffinity"):
+        mask = len(os.sched_getaffinity(0))
+        if mask < os.sysconf("SC_NPROCESSORS_ONLN"):
+            cpus = min(cpus, mask)
+    return min(w, cpus)
 
 
 def _run_replication(payload) -> list:
@@ -691,6 +698,14 @@ def _validate_study_config(raw: dict) -> dict:
             if raw.get("n_star", "auto") == "auto":
                 raise ConfigError("batch_sensitivity study needs an integer n_star: "
                                   "auto would resolve at one (nu, eps) for every cell")
+            # Every cell runs relative_sd at b_n = floor(n^nu) and at each
+            # eps_list value, so these keys would be read and then ignored.
+            ignored = ["metric", "batch"] + (["epsilon"] if "eps_list" in raw else [])
+            for key in ignored:
+                if key in raw:
+                    raise ConfigError(
+                        f"batch_sensitivity study refuses {key!r}: every cell runs "
+                        "relative_sd at b_n = floor(n^nu) and at each eps_list value")
             spec = StudySpec(
                 model=model, replications=replications,
                 stopping=build_config(raw.get("epsilon", 0.05)),

@@ -309,6 +309,13 @@ class RwmLogisticSource(_BlockSource):
     in the same order whatever the take() sizes, but Metropolis steps
     run only up to the last row a take asks for; the next take resumes
     from the cursor inside the current block.
+
+    The log posterior is concave, so its tangent plane at the current
+    state bounds every proposal's log Metropolis ratio from above. A
+    step whose uniform already fails that bound is a rejection, and its
+    likelihood is never evaluated; every other step runs the exact
+    arithmetic, which alone decides. The chain is the same, bit for
+    bit, as one that evaluates every proposal.
     """
 
     def __init__(
@@ -330,20 +337,103 @@ class RwmLogisticSource(_BlockSource):
                 raise DomainError(f"init length {beta0.size} != r={model.r}")
         self._cur = beta0
         self._cur_lp = log_posterior_logistic(beta0, model)
+        self._cur_sq = float(beta0.dot(beta0))
         # flags[k] records whether step k (which made row k + 1) accepted.
         self._flags = np.empty(0, dtype=bool)
         self._steps: list = []
         self._log_u: list = []
+        self._half_sq: list = []
         self._pos = _BLOCK
         self._append(beta0[None, :])
+        # The tangent bound's constants: h = Xᵀy − [Xᵀ | I/τ²]·[σ; β] is
+        # the gradient at β, and the column sums and maxima of |X| bound
+        # every |η_i| (see _margin).
+        x, n, r = model.x, model.x.shape[0], model.r
+        self._xty = x.T.dot(model.y)
+        self._xta = np.hstack((x.T, np.eye(r) / model.tau2))
+        self._w = np.empty(n + r)
+        absx = np.abs(x)
+        self._colabs = absx.sum(axis=0)
+        self._colabs_norm = float(np.linalg.norm(self._colabs))
+        self._colmax_norm = float(np.linalg.norm(absx.max(axis=0)))
+        self._n_obs, self._unit = n, 8.0 * (n + r + 8) * 2.0**-53
+        # Set with each block: colabs·S, |S| and the margin δ.
+        self._cs = self._s_norm = 0.0
+        self._delta = math.inf
+        eta = x.dot(beta0)
+        self._grad = self._gradient(beta0, eta, np.logaddexp(0.0, eta))
 
     def _draw_block(self) -> None:
         z = self._rng.standard_normal((_BLOCK, self._p))
         u = self._rng.random(_BLOCK)
         with np.errstate(divide="ignore"):
             self._log_u = np.log(u).tolist()
-        self._steps = list(self._model.proposal_sd * z)
+        steps = self._model.proposal_sd * z
+        self._steps = list(steps)
+        self._half_sq = (
+            np.einsum("ij,ij->i", steps, steps) / (2.0 * self._model.tau2)
+        ).tolist()
+        smax = np.abs(steps).max(axis=0)
+        self._cs = float(self._colabs.dot(smax))
+        self._s_norm = float(np.linalg.norm(smax))
         self._pos = 0
+
+    def _gradient(self, cur, eta, terms) -> np.ndarray:
+        """h = Xᵀ(y − σ(η)) − β/τ² at cur, from its η and log(1 + e^η)."""
+        n = eta.shape[0]
+        w, sig = self._w, self._w[:n]
+        np.subtract(eta, terms, out=sig)
+        np.exp(sig, out=sig)
+        w[n:] = cur
+        return self._xty - self._xta.dot(w)
+
+    def _margin(self, cur_sq: float) -> float:
+        """δ: a step with log u ≥ B + δ is provably a rejection.
+
+        B = h·s − |s|²/2τ² bounds the step's exact log ratio L(β + s) −
+        L(β) from above: the log likelihood is concave and the prior
+        term is exactly quadratic. δ bounds the rounding on both sides
+        of that inequality. Write u = 2⁻⁵³, a_k = |β_k|, S_k = the
+        block's largest |s_k| and P = a + S, so |prop_k| ≤ P_k(1 + u).
+        By Cauchy–Schwarz, with colabs and colmax the column sums and
+        maxima of |X|, m = |colabs|·|β| + colabs·S ≥ colabs·P, which
+        bounds Σ_i |η_i| and Σ_i Σ_k |x_ik| |prop_k| up to that factor,
+        m∞ = |colmax|·|β| ≥ max_i Σ_k |x_ik| a_k and |P| ≤ |β| + |S|.
+        Let N = n + r + 8. A dot product or sum of k terms is off by at
+        most γ_k = ku/(1 − ku) times the sum of the terms' magnitudes,
+        in any order, and NumPy's exp and logaddexp are taken to be
+        within a relative 2u and 4u. With every (1 + O(Nu)) factor
+        ≤ 1.01:
+
+        - the computed log posterior at β or at the proposal is within
+          1.03·N·u·(2m + n·log 2 + |P|²/2τ²) of the true one (η's
+          rounding passes through the 1-Lipschitz softplus, and
+          Σ softplus(η_i) ≤ n·log 2 + Σ |η_i|); their difference adds
+          u·(|lp_prop| + |lp_cur|);
+        - coordinate k of the computed h is within Σ_i |x_ik|·(|σ̂_i −
+          σ_i| + 2Nu) + 1.01·N·u·a_k/τ² + u·|h_k| of the true gradient,
+          where |σ̂_i − σ_i| ≤ 1.01·(r + 8)·u·(1 + m∞) at any |η|: the
+          computed and exact log σ = η − log(1 + e^η) are both ≤ 0,
+          where exp is 1-Lipschitz;
+        - prop − β differs from s by at most u·P_k in coordinate k;
+        - forming B and B + δ rounds by at most 1.02·(r + 3)·u·(m +
+          2|P|²/τ²) + u·δ, since |h_k| ≤ 1.01·(colabs_k + a_k/τ²).
+
+        Summed, the rounding is below N·u·((8.9 + 1.03·m∞)·m + 1.7·n +
+        5.4·|P|²/τ²) + u·δ, and the δ returned is at least 2.5 times
+        each term, which also covers the rounding of |β|, the norms and
+        δ itself, each within a relative O(ru). It scales with the magnitudes summed, not with the log
+        posterior, whose terms cancel on near-separable data while
+        their rounding does not.
+        """
+        a = math.sqrt(cur_sq)
+        m = self._colabs_norm * a + self._cs
+        p_norm = a + self._s_norm
+        return self._unit * (
+            (3.0 + self._colmax_norm * a) * m
+            + self._n_obs
+            + 2.0 * p_norm * p_norm / self._model.tau2
+        )
 
     def _extend(self, n: int) -> None:
         row = self._count
@@ -359,7 +449,8 @@ class RwmLogisticSource(_BlockSource):
         zeros = np.zeros(x.shape[0])
         eta = np.empty(x.shape[0])
         terms = np.empty(x.shape[0])
-        cur, cur_lp = self._cur, self._cur_lp
+        cur, cur_lp, cur_sq = self._cur, self._cur_lp, self._cur_sq
+        h, delta = self._grad, self._delta
         # Rows [held, row) all equal cur and are not yet written: a run of
         # rejections costs one slice assignment when it ends, not a row
         # copy per step.
@@ -367,12 +458,19 @@ class RwmLogisticSource(_BlockSource):
         while row < n:
             if self._pos == _BLOCK:
                 self._draw_block()
+                delta = self._margin(cur_sq)
             pos = self._pos
             stop = min(_BLOCK, pos + n - row)
-            steps, log_u = self._steps, self._log_u
+            steps, log_u, half_sq = self._steps, self._log_u, self._half_sq
             first = row
+            # step t makes row t + off
+            off = first - pos
             accepted = []
             for t in range(pos, stop):
+                # Rejected by the tangent bound (see _margin): skip the
+                # likelihood. A NaN bound fails this test and falls through.
+                if log_u[t] >= float(h.dot(steps[t])) - half_sq[t] + delta:
+                    continue
                 # log_posterior_logistic's arithmetic in the same order,
                 # without its argument checks; .dot and add.reduce give
                 # the bits of @ and .sum() for less call overhead. Its
@@ -382,21 +480,25 @@ class RwmLogisticSource(_BlockSource):
                 # state near the posterior, far from overflow.
                 prop = cur + steps[t]
                 x.dot(prop, out=eta)
+                prop_sq = float(prop.dot(prop))
                 prop_lp = (
                     float(y.dot(eta))
                     - float(add_reduce(logaddexp(zeros, eta, out=terms)))
-                ) - float(prop.dot(prop)) / two_tau2
+                ) - prop_sq / two_tau2
                 if log_u[t] < prop_lp - cur_lp:
-                    buf[held:row] = cur
-                    cur, cur_lp = prop, prop_lp
-                    held = row
-                    accepted.append(row - 1)
-                row += 1
+                    buf[held : t + off] = cur
+                    cur, cur_lp, cur_sq = prop, prop_lp, prop_sq
+                    held = t + off
+                    accepted.append(t + off - 1)
+                    h = self._gradient(cur, eta, terms)
+                    delta = self._margin(cur_sq)
+            row = stop + off
             flags[first - 1 : row - 1] = False
             flags[accepted] = True
             self._pos = stop
         buf[held:row] = cur
-        self._cur, self._cur_lp = cur, cur_lp
+        self._cur, self._cur_lp, self._cur_sq = cur, cur_lp, cur_sq
+        self._grad, self._delta = h, delta
         self._count = row
 
     def _meta(self, n: int) -> dict:

@@ -570,6 +570,25 @@ class TestReadStudyConfig:
         parsed = read_study_config(_write(tmp_path, text + "n_star = 449\n"))
         assert parsed["spec"].stopping.n_star == 449
 
+    @pytest.mark.parametrize("key,value", [
+        ("metric", "absolute"), ("batch", "fixed:7"), ("epsilon", "0.1"),
+    ])
+    def test_batch_sensitivity_refuses_ignored_keys(self, tmp_path, key, value):
+        # every cell runs relative_sd at b_n = floor(n^nu) and its eps_list value
+        text = ("study = batch_sensitivity\nmodel = iid:p=2\nnus = 0.5\n"
+                "eps_list = 0.3\nn_star = 100\nreplications = 1\nseed_base = 0\n")
+        with pytest.raises(ConfigError, match=f"refuses '{key}'"):
+            read_study_config(_write(tmp_path, f"{text}{key} = {value}\n"))
+        assert read_study_config(_write(tmp_path, text))["eps_list"] == (0.3,)
+
+    def test_batch_sensitivity_epsilon_without_eps_list(self, tmp_path):
+        # without eps_list the one cell runs at epsilon
+        text = ("study = batch_sensitivity\nmodel = iid:p=2\nnus = 0.5\n"
+                "epsilon = 0.3\nn_star = 100\nreplications = 1\nseed_base = 0\n")
+        parsed = read_study_config(_write(tmp_path, text))
+        assert parsed["spec"].stopping.epsilon == 0.3
+        assert parsed["eps_list"] is None
+
     def test_batch_forms(self, tmp_path):
         text = self.GOOD + "batch = fixed:50\n"
         parsed = read_study_config(_write(tmp_path, text))
@@ -747,6 +766,14 @@ class TestWorkers:
         monkeypatch.setenv("MCSTOP_WORKERS", raw)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert _workers() == expected
+
+    def test_workers_capped_at_affinity_mask(self, monkeypatch):
+        # a one-CPU mask on a machine with more CPUs online allows 1 worker
+        monkeypatch.setenv("MCSTOP_WORKERS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sysconf", lambda name: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _workers() == 1
 
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("MCSTOP_WORKERS", raising=False)

@@ -419,6 +419,109 @@ class TestRwmReplay:
                 RwmLogisticSource(logit_model, seed=1, init=init)
 
 
+def _design(seed, n_obs, r, scale, separable):
+    """An (n_obs, r) design and 0/1 responses; separable ones split on x·b > 0."""
+    rng = np.random.default_rng(seed)
+    x = scale * rng.standard_normal((n_obs, r))
+    if separable:
+        y = (x @ rng.standard_normal(r) > 0.0).astype(float)
+    else:
+        y = (rng.random(n_obs) < 0.5).astype(float)
+    return x, y
+
+
+def _assert_takes_replay(model, seed, sizes):
+    """Takes of these sizes hold _reference_rwm's rows and acceptance rates."""
+    blocks = max(1, -(-(max(sizes) - 1) // 4096))
+    rows, flags = _reference_rwm(model, seed, blocks)
+    src = RwmLogisticSource(model, seed=seed)
+    for n in sizes:
+        _assert_replays(src, n, rows, flags)
+    return flags
+
+
+class TestTangentBound:
+    """Steps the tangent bound settles are the reference kernel's rejections.
+
+    _reference_rwm evaluates log_posterior_logistic at every step, so any
+    step the bound wrongly skips shows as a row or a rate that differs.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_obs=st.one_of(st.integers(1, 40), st.integers(1, 2000)),
+        r=st.integers(1, 8),
+        log_scale=st.floats(-2.0, 2.5),
+        separable=st.booleans(),
+        log_tau2=st.floats(-3.0, 6.0),
+        log_sd=st.floats(-8.0, math.log10(3.0)),
+        cuts=st.lists(st.integers(1, 8193), min_size=1, max_size=4),
+    )
+    def test_random_models_replay_reference(self, seed, n_obs, r, log_scale,
+                                            separable, log_tau2, log_sd, cuts):
+        # design scales up to 10^2.5 put |η| near 10³ on separable data
+        x, y = _design(seed, n_obs, r, 10.0**log_scale, separable)
+        model = LogisticModel(x=x, y=y, tau2=10.0**log_tau2,
+                              proposal_sd=10.0**log_sd)
+        _assert_takes_replay(model, seed, sorted(cuts))
+
+    def test_tiny_proposal(self):
+        # at proposal_sd = 1e-8 the computed bound can fall below the
+        # computed log ratio (by 1.4e-13 in one seen case): only the
+        # rounding margin keeps those accepted steps from being skipped
+        flags = _assert_takes_replay(load_logit_data(proposal_sd=1e-8), 6,
+                                     [3, 4096, 4097, 8193])
+        assert flags.mean() > 0.999
+
+    @pytest.mark.parametrize("sd", [1e-8, 1e-7])
+    def test_margin_covers_the_computed_ratio(self, sd):
+        # at tiny steps the curvature that separates the exact bound from
+        # the exact ratio is below the rounding, so the computed bound
+        # falls below the computed ratio; bound + δ must not
+        model = load_logit_data(proposal_sd=sd)
+        src = RwmLogisticSource(model, seed=6)
+        src.take(2)
+        cur, lp, h = src._cur, src._cur_lp, src._grad
+        delta = src._margin(src._cur_sq)
+        gaps = []
+        for t in range(src._pos, 4096):
+            s = src._steps[t]
+            bound = float(h.dot(s)) - src._half_sq[t]
+            gaps.append(log_posterior_logistic(cur + s, model) - lp - bound)
+        assert max(gaps) > 0.0
+        assert max(gaps) < delta < 1e-6
+
+    def test_large_design(self):
+        x, y = _design(11, 5000, 5, 1.0, separable=False)
+        model = LogisticModel(x=x, y=y, proposal_sd=0.05)
+        _assert_takes_replay(model, 3, [1000, 4097])
+
+    def test_zero_uniform_still_accepts(self, logit_model, monkeypatch):
+        # u = 0 gives log u = −inf, below any bound: the exact path must run
+        # and accept, in the source as in the reference
+        real = np.random.default_rng
+
+        class ZeroU:
+            def __init__(self, seed):
+                self._rng = real(seed)
+
+            def standard_normal(self, size):
+                return self._rng.standard_normal(size)
+
+            def random(self, size):
+                u = self._rng.random(size)
+                u[::7] = 0.0
+                return u
+
+        monkeypatch.setattr(np.random, "default_rng", ZeroU)
+        model = load_logit_data(proposal_sd=3.0)
+        flags = _assert_takes_replay(model, 5, [100, 4097])
+        # the steps with u > 0 mostly reject at this proposal scale
+        assert flags[::7].all()
+        assert np.delete(flags, np.s_[::7]).mean() < 0.3
+
+
 class TestFileChainSource:
     def test_prefix_and_exhaustion(self, rng):
         ch = ChainMatrix(rng.standard_normal((40, 2)))

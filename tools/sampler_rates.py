@@ -12,6 +12,7 @@ of the VAR(1) sources, out of the timings.
 import argparse
 import json
 import os
+import platform
 import statistics
 import sys
 import time
@@ -29,6 +30,7 @@ def main(argv=None) -> int:
                     help="the mcstop source tree to time (default: this checkout's)")
     args = ap.parse_args(argv)
     sys.path.insert(0, args.src)
+    import numpy as np
     from mcstop.experiments import parse_model_spec
 
     rates = {}
@@ -44,7 +46,9 @@ def main(argv=None) -> int:
         rates[text] = {"median_rows_per_s": round(statistics.median(runs), 1),
                        "runs_rows_per_s": [round(r, 1) for r in runs]}
     print(json.dumps({"src": os.path.relpath(args.src, ROOT), "rows": ROWS,
-                      "runs": RUNS, "rates": rates}))
+                      "runs": RUNS, "python": platform.python_version(),
+                      "numpy": np.__version__,
+                      "nproc": len(os.sched_getaffinity(0)), "rates": rates}))
     return 0
 
 
