@@ -12,7 +12,7 @@ grows with n itself.
 reference_estimate sums the columns of the rows once: the sum of the
 first a_n·b_n rows is mbm's centre and, continued over the tail rows,
 gives θ_n (p >= 2; NumPy sums a single column pairwise, so p = 1 sums
-all rows again).
+all rows again). Its row passes run in estimators' wide kernels.
 
 The engine shifts every row by row 0 and keeps two summaries of the
 shifted rows d_t = y_t - y_0:
@@ -22,12 +22,13 @@ shifted rows d_t = y_t - y_0:
 * cross-products Σ d_t d_tᵀ summed over fixed tiles of rows aligned to
   absolute row numbers, plus the rows of the tile still open.
 
-append subtracts row 0 from the new rows straight into the prefix-sum
-buffer, copies them into the open tile, and then sums them in place, with
-no temporary array. Prefix sums are accumulated strictly left to right
-from the last prefix value, and every tile covers the same rows whatever
-the append sizes, so an estimate is bitwise a function of the rows
-alone, not of how they were appended. The shift keeps the cancellation in
+append subtracts row 0 (tiled once for estimators.centered) from the new
+rows straight into the prefix-sum buffer, copies them into the open
+tile, and then sums them in place, with no temporary array. Prefix sums
+are accumulated strictly left to right from the last prefix value, and
+every tile covers the same rows whatever the append sizes, so an
+estimate is bitwise a function of the rows alone, not of how they were
+appended. The shift keeps the cancellation in
 Λ_n = (Σ d dᵀ - n d̄ d̄ᵀ)/(n-1) at the scale of the draws' spread, not
 of their mean (the shifted one-pass algorithm of Chan, Golub and
 LeVeque, 1983). Both estimates end in estimators.finish, as the batch
@@ -45,11 +46,14 @@ import numpy as np
 from .chain import ChainMatrix
 from .errors import DomainError
 from .estimators import (
+    WIDE_ROWS,
     BatchPolicy,
     CovEstimate,
     batch_means,
     batch_size,
+    centered,
     centered_covariance,
+    column_sums,
     finish,
 )
 
@@ -100,8 +104,8 @@ class CheckpointEstimate:
 
 def _column_variances(data: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """data.var(axis=0, ddof=1) given θ_n, its column means, bit for bit."""
-    dev = data - theta
-    return np.add.reduce(np.multiply(dev, dev, out=dev), axis=0) / (data.shape[0] - 1)
+    dev = centered(data, theta)
+    return column_sums(np.multiply(dev, dev, out=dev)) / (data.shape[0] - 1)
 
 
 def reference_estimate(chain: ChainMatrix, policy: BatchPolicy) -> CheckpointEstimate:
@@ -117,16 +121,16 @@ def reference_estimate(chain: ChainMatrix, policy: BatchPolicy) -> CheckpointEst
     b = batch_size(n, policy)
     a = n // b
     kept = a * b
-    head = np.add.reduce(data[:kept], axis=0)
-    # NumPy sums a C-contiguous (n, p >= 2) array down axis 0 one row at a
-    # time, so head continued over the tail rows is bitwise the sum of all
-    # rows; a single column it sums pairwise, so p = 1 takes its own pass.
+    head = column_sums(data[:kept])
+    # column_sums adds a C-contiguous (n, p >= 2) array one row at a time,
+    # so head continued over the tail rows is bitwise the sum of all rows;
+    # a single column NumPy sums pairwise, so p = 1 takes its own pass.
     if p > 1:
-        total = np.add.reduce(np.concatenate((head[None], data[kept:])), axis=0)
+        total = column_sums(np.concatenate((head[None], data[kept:])))
     else:
-        total = np.add.reduce(data, axis=0)
+        total = column_sums(data)
     theta = total / n
-    lam = centered_covariance(data - theta)
+    lam = centered_covariance(centered(data, theta))
     return CheckpointEstimate(
         n=n,
         p=p,
@@ -153,6 +157,7 @@ class CheckpointEngine:
         self._policy = policy
         self._n = 0
         self._shift = np.zeros(p)
+        self._tiled_shift = None
         # _cum[k] = sum of the first k shifted rows; capacity doubles
         self._cum = np.zeros((1 + _TILE, p))
         # cross-products of the shifted rows of every closed tile
@@ -177,6 +182,8 @@ class CheckpointEngine:
             return
         if self._n == 0:
             self._shift = rows[0].copy()
+            # the shift tiled for centered's wide rows, which one column skips
+            self._tiled_shift = np.tile(self._shift, WIDE_ROWS) if self._p > 1 else None
         n, end = self._n, self._n + m
         if end + 1 > self._cum.shape[0]:
             grown = np.empty((max(end + 1, 2 * self._cum.shape[0]), self._p))
@@ -185,7 +192,7 @@ class CheckpointEngine:
         seg = self._cum[n : end + 1]
         # The shifted rows go straight into the prefix-sum buffer, and are
         # copied into the tiles before they are summed in place.
-        shifted = np.subtract(rows, self._shift, out=seg[1:])
+        shifted = centered(rows, self._shift, seg[1:], self._tiled_shift)
         # Every tile product is taken on the one _open buffer, so its bits
         # cannot depend on the memory layout of the appended chunks.
         start = 0

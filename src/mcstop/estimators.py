@@ -14,16 +14,17 @@ are spent only on a matrix with an entry that is not finite or exceeds
 DBL_MAX/2, where they raise or change the result. The public log_det
 keeps every check for matrices from elsewhere.
 
-The batch means are summed down the columns of one wide copy of the rows
-(p >= 2), which NumPy does one row at a time, in the order of the
-(a_n, b_n, p) view's mean(axis=1) and bitwise equal to it.
+Every O(n·p) pass over the rows runs in one of two kernels, in NumPy
+loops wider than p and with the bits of the plain form: column_sums
+(column means and batch sums) and centered (a centred copy). At p = 1
+both keep the plain form.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -232,6 +233,48 @@ def finish(gram: np.ndarray, scale: float, dof: int, method: str,
     return CovEstimate(matrix=mat, method=method, a_n=a_n, b_n=b_n, log_det=ld)
 
 
+# Rows per wide row of centered: 256·p doubles per inner loop.
+WIDE_ROWS = 256
+
+
+def column_sums(x: np.ndarray) -> np.ndarray:
+    """np.add.reduce(x, axis=-2) of a C-contiguous x, bit for bit.
+
+    For p >= 2 columns NumPy adds the rows one at a time from zero, and so
+    does einsum, with far less overhead per row. A single column NumPy
+    sums pairwise, which einsum does not reproduce, so p = 1 keeps
+    add.reduce.
+    """
+    if x.shape[-1] == 1:
+        return np.add.reduce(x, axis=-2)
+    return np.einsum("...ij->...j", x)
+
+
+def centered(x: np.ndarray, center: np.ndarray, out: Optional[np.ndarray] = None,
+             tiled: Optional[np.ndarray] = None) -> np.ndarray:
+    """x - center for (m, p) rows x, bit for bit, into out (C-contiguous).
+
+    For p >= 2 the first m - m % WIDE_ROWS rows run as rows WIDE_ROWS·p wide
+    against tiled = np.tile(center, WIDE_ROWS), kept by the caller or built
+    here, and the rest as they are: a subtraction is elementwise, so its
+    bits do not depend on the shape. One column less a scalar already runs
+    in one flat loop, and the wide rows made the p = 1 calls that centre
+    1.07-1.8 times slower, so p = 1 subtracts plainly and ignores tiled.
+    """
+    m, p = x.shape
+    if out is None:
+        out = np.empty((m, p))
+    if p == 1:
+        return np.subtract(x, center, out=out)
+    if tiled is None:
+        tiled = np.tile(center, WIDE_ROWS)
+    k = m - m % WIDE_ROWS
+    wide = WIDE_ROWS * p
+    np.subtract(x[:k].reshape(-1, wide), tiled, out=out[:k].reshape(-1, wide))
+    np.subtract(x[k:], center, out=out[k:])
+    return out
+
+
 def centered_covariance(dev: np.ndarray) -> CovEstimate:
     """Λ_n from dev, the (n, p) rows less their column means."""
     n = dev.shape[0]
@@ -243,7 +286,7 @@ def centered_covariance(dev: np.ndarray) -> CovEstimate:
 def sample_covariance(chain: ChainMatrix) -> CovEstimate:
     """The (n-1)-denominator sample covariance Λ_n of the rows."""
     data = chain.data
-    return centered_covariance(data - data.mean(axis=0))
+    return centered_covariance(centered(data, column_sums(data) / data.shape[0]))
 
 
 def mbm(chain: ChainMatrix, b_n: int) -> CovEstimate:
@@ -262,32 +305,22 @@ def mbm(chain: ChainMatrix, b_n: int) -> CovEstimate:
         raise DomainError(f"batch size must be >= 1, got {b_n}")
     a_n = require_batches(chain.n, b_n)
     prefix = chain.data[: a_n * b_n]
-    return batch_means(prefix, b_n, prefix.mean(axis=0))
+    return batch_means(prefix, b_n, column_sums(prefix) / prefix.shape[0])
 
 
 def batch_means(prefix: np.ndarray, b_n: int, center: np.ndarray) -> CovEstimate:
     """The kernel of mbm: Σ_n of prefix, a_n·b_n rows with a_n >= 2.
 
     center is the column means of prefix, passed by a caller that already
-    holds their sum; mbm computes them itself. For p >= 2 the batch sums
-    run down the columns of one (b_n, a_n·p) copy of the rows, whose row
-    j holds row j of every batch: NumPy sums a C-contiguous array of two
-    or more columns one row at a time, so that is bitwise the mean(axis=1)
-    of the (a_n, b_n, p) view, along rows a_n·p wide instead of p wide. A
-    single column NumPy sums pairwise, so p = 1 keeps mean(axis=1).
+    holds their sum; mbm computes them itself. The rows are centred into
+    one contiguous copy and summed batch by batch with column_sums, bit
+    for bit the mean(axis=1) of the (a_n, b_n, p) view.
     """
     a_n = prefix.shape[0] // b_n
     p = prefix.shape[1]
     # Center the rows before batching: Ȳ_k - θ_n then cancels at the scale
     # of the draws' spread, not of their mean.
-    if p == 1:
-        dev = (prefix - center).reshape(a_n, b_n, p).mean(axis=1)
-    else:
-        # copy(), unlike ascontiguousarray, never returns prefix itself (it
-        # would at b_n = 1), so the copy can be centred in place
-        wide = prefix.reshape(a_n, b_n, p).transpose(1, 0, 2).copy().reshape(b_n, a_n * p)
-        wide -= np.tile(center, a_n)
-        dev = (np.add.reduce(wide, axis=0) / b_n).reshape(a_n, p)
+    dev = column_sums(centered(prefix, center).reshape(a_n, b_n, p)) / b_n
     return finish(dev.T @ dev, b_n / (a_n - 1.0), a_n - 1, "mbm", a_n, b_n)
 
 

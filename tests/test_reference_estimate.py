@@ -3,9 +3,11 @@
 reference_estimate sums the first a_n·b_n rows once: that sum is mbm's
 centre and, continued over the tail rows, gives θ_n. That is bitwise the
 separate passes only because NumPy sums a C-contiguous (n, p >= 2) array
-down axis 0 one row at a time. batch_means relies on the same behaviour
-when it sums its batches down the columns of a wide (b_n, a_n·p) copy.
-The guard tests below pin it, so that a NumPy change fails here first.
+down axis 0 one row at a time. The estimators' kernel column_sums takes
+those sums, and batch_means' batch sums, with einsum, which adds the rows
+one at a time too; the kernel centered subtracts a centre along wide rows.
+The guard tests below pin the NumPy behaviour both rely on, and where it
+stops at p = 1, so that a NumPy change fails here first.
 """
 from types import SimpleNamespace
 
@@ -14,8 +16,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mcstop import BatchPolicy, ChainMatrix, IidGaussianSource, StoppingConfig
-from mcstop.checkpoint import reference_estimate
-from mcstop.estimators import batch_size, centered_covariance, mbm
+from mcstop.checkpoint import CheckpointEngine, reference_estimate
+from mcstop.estimators import (
+    WIDE_ROWS,
+    batch_size,
+    centered,
+    centered_covariance,
+    column_sums,
+    mbm,
+)
 from mcstop.stopping import drive_checkpoints
 
 
@@ -136,7 +145,8 @@ class TestNumpyColumnSum:
     @pytest.mark.parametrize("p", [2, 5, 8])
     @pytest.mark.parametrize("a_n, b_n", [(2, 1), (2, 300), (37, 41), (300, 7)])
     def test_wide_axis0_sum_is_the_batch_mean(self, p, a_n, b_n):
-        # batch_means' wide copy: row j holds row j of every batch
+        # the wide copy batch_means summed before einsum: row j holds row j
+        # of every batch
         x = self._rows(a_n * b_n, p).reshape(a_n, b_n, p)
         wide = x.transpose(1, 0, 2).copy().reshape(b_n, a_n * p)
         got = np.add.reduce(wide, axis=0).reshape(a_n, p)
@@ -145,8 +155,115 @@ class TestNumpyColumnSum:
 
     def test_single_column_batches_are_not_summed_sequentially(self):
         # a batch of one column is summed pairwise, unlike the wide copy's
-        # columns: the reason batch_means keeps mean(axis=1) at p = 1
+        # columns: the reason column_sums keeps add.reduce at p = 1
         a_n, b_n = 5, 3_000
         x = self._rows(a_n * b_n, 1).reshape(a_n, b_n, 1)
         wide = x.transpose(1, 0, 2).copy().reshape(b_n, a_n)
         assert np.add.reduce(wide, axis=0).tobytes() != np.add.reduce(x, axis=1).ravel().tobytes()
+
+
+def _sum_from_zero(x):
+    """NumPy's reduction order for p >= 2: zero, then one row at a time.
+
+    Starting from zero, not from the first row, a column of -0.0 sums to
+    +0.0, as add.reduce gives.
+    """
+    total = np.zeros(x.shape[1:])
+    for row in x:
+        total = total + row
+    return total
+
+
+class TestEinsumColumnSum:
+    """column_sums' einsum against NumPy's one-row-at-a-time add.reduce."""
+
+    @pytest.mark.parametrize("p", [2, 5, 50])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 3_000])
+    def test_equals_the_sequential_sum(self, p, n):
+        x = TestNumpyColumnSum._rows(n, p)
+        got = column_sums(x)
+        assert got.tobytes() == np.einsum("ij->j", x).tobytes()
+        assert got.tobytes() == _sum_from_zero(x).tobytes()
+        assert got.tobytes() == np.add.reduce(x, axis=0).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.integers(2, 12),
+        n=st.integers(1, 700),
+        seed=st.integers(0, 2**31),
+        offset=st.sampled_from([0.0, 1e8, -37.5]),
+        zero_column=st.booleans(),
+    )
+    @example(p=2, n=256, seed=1, offset=1e8, zero_column=True)
+    @example(p=3, n=255, seed=2, offset=0.0, zero_column=True)
+    @example(p=5, n=257, seed=3, offset=1e8, zero_column=False)
+    def test_property_equals_the_sequential_sum(self, p, n, seed, offset, zero_column):
+        rng = np.random.default_rng(seed)
+        x = offset + rng.standard_normal((n, p)) * 10.0 ** rng.integers(-6, 7, (n, 1))
+        if zero_column:
+            x[:, 0] = -0.0
+        got = column_sums(x)
+        assert got.tobytes() == _sum_from_zero(x).tobytes()
+        assert got.tobytes() == np.add.reduce(x, axis=0).tobytes()
+
+    @pytest.mark.parametrize("p", [2, 5, 8])
+    @pytest.mark.parametrize("a_n, b_n", [(2, 1), (2, 300), (37, 41), (300, 7)])
+    def test_batch_sums_are_the_batch_mean(self, p, a_n, b_n):
+        # batch_means' batch sums: the (a_n, b_n, p) view summed over b_n
+        x = TestNumpyColumnSum._rows(a_n * b_n, p).reshape(a_n, b_n, p)
+        got = column_sums(x)
+        assert got.tobytes() == np.einsum("abp->ap", x).tobytes()
+        assert got.tobytes() == np.add.reduce(x, axis=1).tobytes()
+        assert (got / b_n).tobytes() == x.mean(axis=1).tobytes()
+
+    def test_single_column_einsum_is_not_add_reduce(self):
+        # (a_n, b_n) = (116, 284) at p = 1, from a seeded search of random
+        # shapes: einsum does not sum one column as add.reduce does, which
+        # is pairwise, so column_sums keeps add.reduce at p = 1
+        x = np.random.default_rng(0).standard_normal((116, 284, 1))
+        assert np.einsum("abp->ap", x).tobytes() != np.add.reduce(x, axis=1).tobytes()
+        assert column_sums(x).tobytes() == np.add.reduce(x, axis=1).tobytes()
+        assert column_sums(x).tobytes() == x.sum(axis=1).tobytes()
+
+
+class TestWideCentredCopy:
+    @pytest.mark.parametrize("p", [1, 2, 5, 50])
+    @pytest.mark.parametrize("m", [0, 1, 255, 256, 257, 513])
+    def test_equals_the_plain_subtraction(self, p, m):
+        rng = np.random.default_rng(m * 100 + p)
+        x = 1e8 + rng.standard_normal((m, p)) * 10.0 ** rng.integers(-6, 7, (m, 1))
+        c = rng.standard_normal(p) + 1e8
+        want = (x - c).tobytes()
+        assert centered(x, c).tobytes() == want
+        out = np.full((m, p), np.nan)
+        assert centered(x, c, out, np.tile(c, WIDE_ROWS)) is out
+        assert out.tobytes() == want
+        # rows that are not C-contiguous are subtracted as they are
+        assert centered(np.asfortranarray(x), c).tobytes() == want
+        assert centered(np.repeat(x, 2, axis=0)[::2], c).tobytes() == want
+
+
+class TestEngineInputLayout:
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_append_reads_rows_not_their_layout(self, p):
+        rng = np.random.default_rng(11)
+        rows = 50.0 + rng.standard_normal((3_000, p)).cumsum(axis=0) / 50
+        wider = np.concatenate((rows, rng.standard_normal((3_000, 2))), axis=1)
+        layouts = {
+            "c": rows.copy(),
+            "fortran": np.asfortranarray(rows),
+            "row_strided": wider[:, :p],
+            "every_other_row": np.repeat(rows, 2, axis=0)[::2],
+        }
+        ests = {}
+        for name, data in layouts.items():
+            assert data.tobytes() == rows.tobytes()
+            eng = CheckpointEngine(p, BatchPolicy.exponent(0.5))
+            for lo, hi in ((0, 1), (1, 200), (200, 457), (457, 2_900), (2_900, 3_000)):
+                eng.append(data[lo:hi])
+            ests[name] = eng.estimate()
+        want = ests.pop("c")
+        for est in ests.values():
+            assert est.theta.tobytes() == want.theta.tobytes()
+            _same_cov(est.lam, want.lam)
+            _same_cov(est.sigma, want.sigma)

@@ -14,9 +14,17 @@ src). The source is wrapped in a thin timing source that has the p,
 rows and take of a chain source and times each rows and take call;
 nothing in mcstop is patched. Each decision reports its checkpoints (one
 rows call each), n_final, its wall time, the time spent in the sampler,
-and the rest: the engine's appends and estimates, the rule, the final
-estimate and the summary. Per config it reports the medians over seeds
-of the wall, sampler and rest milliseconds per checkpoint. One decision
+the tail and the rest:
+
+  tail   from the end of the last rows call to the return: the last
+         checkpoint's engine work and rule, then the final ChainMatrix,
+         reference estimate and summary, paid once per decision;
+  rest   everything else outside the sampler: the engine's appends and
+         estimates and the rule at every earlier checkpoint.
+
+Per config it reports the medians over seeds of the wall, sampler and
+rest milliseconds per checkpoint, and of the tail milliseconds per
+decision. One decision
 at seed 0 runs first, untimed, so that the lazy SciPy imports (the
 VAR(1) source's scipy.signal and the quantiles' scipy.special) are not
 counted. Prints one JSON object. To compare two trees, run it on each
@@ -49,6 +57,7 @@ class TimedSource:
         self._inner = inner
         self.calls = 0
         self.seconds = 0.0
+        self.last_end = None
 
     @property
     def p(self):
@@ -57,7 +66,8 @@ class TimedSource:
     def _timed(self, call, n):
         t0 = time.perf_counter()
         out = call(n)
-        self.seconds += time.perf_counter() - t0
+        self.last_end = time.perf_counter()
+        self.seconds += self.last_end - t0
         self.calls += 1
         return out
 
@@ -72,10 +82,12 @@ def _decision(mcstop, model, config, seed) -> dict:
     source = TimedSource(model.make_source(seed))
     t0 = time.perf_counter()
     result = mcstop.run_sequential(source, None, config)
-    wall = time.perf_counter() - t0
+    end = time.perf_counter()
+    wall, tail = end - t0, end - source.last_end
     return {"seed": seed, "n_final": result.n_final, "reason": result.reason,
             "checkpoints": source.calls, "wall_s": wall,
-            "sampler_s": source.seconds, "rest_s": wall - source.seconds}
+            "sampler_s": source.seconds, "tail_s": tail,
+            "rest_s": wall - source.seconds - tail}
 
 
 def main(argv=None) -> int:
@@ -100,6 +112,8 @@ def main(argv=None) -> int:
             for key in ("wall", "sampler", "rest")
         }
         out[name] = {"config": values, "median_ms_per_checkpoint": per_checkpoint,
+                     "median_tail_ms": statistics.median(1e3 * d["tail_s"]
+                                                         for d in decisions),
                      "decisions": decisions}
     print(json.dumps({"src": os.path.relpath(src, ROOT),
                       "python": platform.python_version(), "numpy": np.__version__,
