@@ -229,7 +229,7 @@ class StudySpec:
         if self.replications < 1:
             raise DomainError(f"replications must be >= 1, got {self.replications}")
         self.model.truth  # a model without a truth is refused before any draw
-        methods = tuple(self.methods)
+        methods = _distinct("methods", self.methods)
         if not methods:
             raise DomainError("methods must be nonempty")
         bad = set(methods) - set(_METHOD_METRIC)
@@ -244,7 +244,7 @@ class StudySpec:
                 )
         else:
             try:
-                sizes = tuple(int(n) for n in self.stopping)
+                sizes = _distinct("fixed-n lengths", (int(n) for n in self.stopping))
             except TypeError:
                 raise DomainError(
                     "stopping must be a StoppingConfig or a sequence of lengths"
@@ -357,6 +357,15 @@ def _jsonable(d: dict) -> dict:
             v = None
         out[k] = v
     return out
+
+
+def _distinct(name: str, values) -> tuple:
+    """values as a tuple, refused if one repeats: it would run its cells twice."""
+    values = tuple(values)
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise DomainError(f"{name}: {repeated[0]!r} is given more than once")
+    return values
 
 
 def _aggregate(rows: list, group_keys: list, value_cols: list) -> tuple:
@@ -518,7 +527,7 @@ def relative_error_study(
         raise DomainError("relative error study needs a model with analytic Σ")
     if sizes is None and not spec.is_fixed_n:
         raise DomainError("relative error study needs sizes or fixed-n lengths")
-    sizes = tuple(int(n) for n in (spec.stopping if sizes is None else sizes))
+    sizes = _distinct("sizes", map(int, spec.stopping if sizes is None else sizes))
     if not sizes or any(n < 2 for n in sizes):
         raise DomainError("sizes must all be >= 2")
     rows = _replicate(_relerr_rows, spec, sizes)
@@ -570,13 +579,12 @@ def batch_sensitivity_study(
     """
     if spec.is_fixed_n:
         raise DomainError("batch sensitivity study needs a sequential StoppingConfig")
-    nus = tuple(float(v) for v in nus)
+    nus = _distinct("nus", map(float, nus))
     if not nus:
         raise DomainError("nus must be nonempty")
-    eps_list = (
-        (spec.stopping.epsilon,) if eps_list is None
-        else tuple(float(e) for e in eps_list)
-    )
+    if eps_list is None:
+        eps_list = (spec.stopping.epsilon,)
+    eps_list = _distinct("eps_list", map(float, eps_list))
     rows = _replicate(_sensitivity_rows, spec, nus, eps_list)
     summary = _aggregate(
         rows, ["nu", "eps"], ["n", "ess", "covered", "vol_p", "max_eigenvalue"]
@@ -588,17 +596,35 @@ def batch_sensitivity_study(
 # study config files
 
 
-_STUDY_KEYS = {
-    "study", "model", "replications", "methods", "mode", "fixed_n",
-    "seed_base", "sizes", "nus", "eps_list", *RULE_PARAMS,
+_COMMON_KEYS = ("study", "model", "replications", "seed_base")
+REQUIRED = object()  # marks a key that a config must give
+_RULE_DEFAULTS = {key: default for key, (_, default, _) in RULE_PARAMS.items()}
+# The keys each (study, mode) reads beyond _COMMON_KEYS, each with its
+# default or REQUIRED. The rule keys take `mcstop stop`'s defaults except
+# alpha's and batch_sensitivity's epsilon. Every batch_sensitivity cell
+# runs relative_sd at b_n = floor(n^nu), so that study reads no metric or
+# batch; absent eps_list, its one cell runs at epsilon.
+STUDY_KEYS = {
+    ("coverage", "fixed"): {
+        "mode": "sequential", "methods": "mbm", "fixed_n": REQUIRED,
+        "alpha": _STUDY_ALPHA, "batch": _RULE_DEFAULTS["batch"]},
+    ("coverage", "sequential"): {
+        "mode": "sequential", "methods": "mbm", **_RULE_DEFAULTS,
+        "epsilon": REQUIRED, "alpha": _STUDY_ALPHA},
+    ("relative_error", None): {"sizes": REQUIRED, "batch": _RULE_DEFAULTS["batch"]},
+    ("batch_sensitivity", None): {
+        "nus": REQUIRED, "n_star": REQUIRED, "eps_list": None, "epsilon": 0.05,
+        "alpha": _STUDY_ALPHA, "check_growth": _RULE_DEFAULTS["check_growth"],
+        "n_max": _RULE_DEFAULTS["n_max"]},
 }
 
 
 def read_study_config(path: str) -> dict:
     """Parse a key = value study config file.
 
-    Returns a validated dict ready for run_study. Unknown keys are an
-    error and are listed, blank lines and # comments are skipped.
+    Returns a validated dict ready for run_study. Unknown keys, and keys
+    that the config's study and mode do not read (STUDY_KEYS), are an
+    error and are listed; blank lines and # comments are skipped.
     """
     with open(path) as fh:
         text = fh.read()
@@ -614,7 +640,8 @@ def read_study_config(path: str) -> dict:
         if key in raw:
             raise ConfigError(f"line {i}: duplicate key {key!r}")
         raw[key] = val.strip()
-    unknown = sorted(set(raw) - _STUDY_KEYS)
+    known = {*_COMMON_KEYS, *(key for keys in STUDY_KEYS.values() for key in keys)}
+    unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     return _validate_study_config(raw)
@@ -634,87 +661,60 @@ def _need_int(raw: dict, key: str) -> int:
         raise ConfigError(f"bad value for {key!r}: {text!r}") from None
 
 
+def _list(raw: dict, key: str, conv) -> tuple:
+    """A comma list key's values, each read by conv and given once."""
+    text = raw[key]
+    try:
+        return _distinct(key, (conv(x) for x in text.split(",")))
+    except ValueError:
+        raise ConfigError(f"bad value for {key!r}: {text!r}") from None
+
+
 def _validate_study_config(raw: dict) -> dict:
     study = _need(raw, "study")
-    if study not in ("coverage", "relative_error", "batch_sensitivity"):
+    if study not in {s for s, _ in STUDY_KEYS}:
         raise ConfigError(f"unknown study {study!r}")
     model = parse_model_spec(_need(raw, "model"))
     replications = _need_int(raw, "replications")
     seed_base = _need_int(raw, "seed_base")
-    # The rule keys take the defaults, readings and checks of `mcstop stop`
-    # (stopping.RULE_PARAMS), except that alpha defaults to _STUDY_ALPHA:
-    # a config without alpha keeps its rows.
-    defaults = {**{key: d for key, (_, d, _) in RULE_PARAMS.items()},
-                "alpha": _STUDY_ALPHA}
+    mode = raw.get("mode", "sequential") if study == "coverage" else None
+    if (study, mode) not in STUDY_KEYS:
+        raise ConfigError(f"unknown mode {mode!r}")
+    keys = STUDY_KEYS[study, mode]
+    name = f"{mode} {study} study" if mode else f"{study} study"
+    unread = sorted(set(raw) - set(keys) - set(_COMMON_KEYS))
+    if unread:
+        raise ConfigError(f"{name} refuses {', '.join(map(repr, unread))}, "
+                          "which it does not read")
+    values = {key: raw.get(key, default) for key, default in keys.items()}
+    missing = [key for key, value in values.items() if value is REQUIRED]
+    if missing:
+        raise ConfigError(f"{name} needs {', '.join(missing)}")
+    if "eps_list" in raw and "epsilon" in raw:
+        raise ConfigError(f"{name} refuses 'epsilon' with eps_list, "
+                          "which sets each cell's epsilon")
+    if study == "batch_sensitivity" and values["n_star"] == "auto":
+        raise ConfigError("batch_sensitivity study needs an integer n_star: "
+                          "auto would resolve at one (nu, eps) for every cell")
+    methods = tuple(m.strip() for m in values.get("methods", "mbm").split(","))
     out = {"study": study, "model": model}
-
-    def floats(key):
-        return tuple(float(x) for x in raw[key].split(","))
-
-    def ints(key):
-        return tuple(int(x) for x in raw[key].split(","))
-
-    def build_config(epsilon):
-        values = {key: raw.get(key, default) for key, default in defaults.items()}
-        return rule_config(dict(values, epsilon=epsilon), model.p)
-
-    def fixed_spec(sizes, methods):
-        return StudySpec(
-            model=model, replications=replications, stopping=sizes,
-            methods=methods, seed_base=seed_base,
-            alpha=rule_value("alpha", raw.get("alpha", defaults["alpha"])),
-            batch_policy=BatchPolicy.parse(raw.get("batch", defaults["batch"])),
-        )
-
     try:
-        if study == "coverage":
-            mode = raw.get("mode", "sequential")
-            methods = tuple(
-                m.strip() for m in raw.get("methods", "mbm").split(",")
-            )
-            if mode == "fixed":
-                sizes = ints("fixed_n") if "fixed_n" in raw else None
-                if sizes is None:
-                    raise ConfigError("fixed mode needs fixed_n = <comma list>")
-                spec = fixed_spec(sizes, methods)
-            elif mode == "sequential":
-                if "epsilon" not in raw:
-                    raise ConfigError("sequential mode needs epsilon")
-                spec = StudySpec(
-                    model=model, replications=replications,
-                    stopping=build_config(raw["epsilon"]),
-                    methods=methods, seed_base=seed_base,
-                )
-            else:
-                raise ConfigError(f"unknown mode {mode!r}")
-            out.update({"spec": spec})
-        elif study == "relative_error":
-            if "sizes" not in raw:
-                raise ConfigError("relative_error study needs sizes = <comma list>")
-            out.update({"spec": fixed_spec(ints("sizes"), ("mbm",))})
+        if "epsilon" in keys:  # a sequential study
+            stopping = rule_config(
+                {key: values.get(key, _RULE_DEFAULTS[key]) for key in RULE_PARAMS},
+                model.p)
+            out["spec"] = StudySpec(model, replications, stopping, methods, seed_base)
         else:
-            if "nus" not in raw:
-                raise ConfigError("batch_sensitivity study needs nus = <comma list>")
-            if raw.get("n_star", "auto") == "auto":
-                raise ConfigError("batch_sensitivity study needs an integer n_star: "
-                                  "auto would resolve at one (nu, eps) for every cell")
-            # Every cell runs relative_sd at b_n = floor(n^nu) and at each
-            # eps_list value, so these keys would be read and then ignored.
-            ignored = ["metric", "batch"] + (["epsilon"] if "eps_list" in raw else [])
-            for key in ignored:
-                if key in raw:
-                    raise ConfigError(
-                        f"batch_sensitivity study refuses {key!r}: every cell runs "
-                        "relative_sd at b_n = floor(n^nu) and at each eps_list value")
-            spec = StudySpec(
-                model=model, replications=replications,
-                stopping=build_config(raw.get("epsilon", 0.05)),
-                methods=("mbm",), seed_base=seed_base,
-            )
-            eps_list = floats("eps_list") if "eps_list" in raw else None
-            out.update({"spec": spec, "nus": floats("nus"), "eps_list": eps_list})
-    except ValueError:
-        raise ConfigError("bad numeric list in config") from None
+            # relative_error reads no alpha; its spec keeps the default
+            out["spec"] = StudySpec(
+                model, replications,
+                _list(raw, "fixed_n" if "fixed_n" in keys else "sizes", int),
+                methods, seed_base,
+                alpha=rule_value("alpha", values.get("alpha", _STUDY_ALPHA)),
+                batch_policy=BatchPolicy.parse(values["batch"]))
+        if study == "batch_sensitivity":
+            out["nus"] = _list(raw, "nus", float)
+            out["eps_list"] = _list(raw, "eps_list", float) if "eps_list" in raw else None
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     return out
@@ -727,6 +727,4 @@ def run_study(parsed: dict) -> StudyReport:
         return coverage_study(parsed["spec"])
     if study == "relative_error":
         return relative_error_study(parsed["spec"])
-    return batch_sensitivity_study(
-        parsed["spec"], parsed["nus"], parsed.get("eps_list")
-    )
+    return batch_sensitivity_study(parsed["spec"], parsed["nus"], parsed["eps_list"])

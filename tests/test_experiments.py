@@ -24,6 +24,7 @@ from mcstop import (
     run_study,
     var1_benchmark,
 )
+from mcstop import experiments
 from mcstop.errors import ConfigError, DomainError, InsufficientData
 from mcstop.experiments import _workers
 
@@ -130,6 +131,15 @@ class TestStudySpec:
             with pytest.raises(DomainError, match=r"^alpha must lie in \(0,1\), got "):
                 StudySpec(model=IidGaussianSpec(2), replications=2, stopping=[100],
                           alpha=alpha)
+
+    def test_repeated_entries_refused(self):
+        # a repeated entry runs its cells twice: count 40 for 20 replications
+        model = IidGaussianSpec(2)
+        with pytest.raises(DomainError, match=r"^methods: 'mbm' is given more than once$"):
+            StudySpec(model, 20, [300], methods=("mbm", "ubm", "mbm"))
+        with pytest.raises(DomainError,
+                           match=r"^fixed-n lengths: 300 is given more than once$"):
+            StudySpec(model, 20, [300, 600, 300])
 
     def test_logistic_truth_only_at_tau2_1(self, tmp_path):
         # the proxy truth is the posterior mean at tau2 = 1; at another tau2
@@ -394,6 +404,11 @@ class TestRelativeErrorStudy:
         with pytest.raises(DomainError, match="needs sizes"):
             relative_error_study(sequential)
 
+    def test_repeated_sizes_refused(self):
+        spec = StudySpec(model=var1_benchmark(3), replications=2, stopping=(300,))
+        with pytest.raises(DomainError, match=r"^sizes: 300 is given more than once$"):
+            relative_error_study(spec, sizes=(300, 1200, 300))
+
 
 class TestBatchSensitivityStudy:
     def test_grid_shape(self):
@@ -417,6 +432,15 @@ class TestBatchSensitivityStudy:
         )
         with pytest.raises(DomainError):
             batch_sensitivity_study(spec, nus=(0.5,))
+
+    @pytest.mark.parametrize("nus,eps_list,message", [
+        ((0.4, 0.5, 0.4), None, "nus: 0.4"),
+        ((0.5,), (0.3, 0.3), "eps_list: 0.3"),
+    ])
+    def test_repeated_cells_refused(self, nus, eps_list, message):
+        spec = StudySpec(model=IidGaussianSpec(2), replications=2, stopping=_seq_config())
+        with pytest.raises(DomainError, match=f"^{message} is given more than once$"):
+            batch_sensitivity_study(spec, nus, eps_list)
 
     def test_cells_share_one_source(self, monkeypatch):
         made = []
@@ -563,8 +587,12 @@ class TestReadStudyConfig:
         # 7180 rows for this eps = 0.2 cell, whose own floor is 449
         text = ("study = batch_sensitivity\nmodel = var1_bench5\nnus = 0.5\n"
                 "eps_list = 0.2\nreplications = 1\nseed_base = 0\n")
-        with pytest.raises(ConfigError, match="needs an integer n_star"):
+        message = ("batch_sensitivity study needs an integer n_star: auto would "
+                    "resolve at one (nu, eps) for every cell" if line
+                    else "batch_sensitivity study needs n_star")
+        with pytest.raises(ConfigError) as exc:
             read_study_config(_write(tmp_path, text + line))
+        assert str(exc.value) == message
         with pytest.raises(ConfigError, match="nus"):
             read_study_config(_write(tmp_path, text.replace("nus = 0.5\n", "") + line))
         parsed = read_study_config(_write(tmp_path, text + "n_star = 449\n"))
@@ -580,6 +608,14 @@ class TestReadStudyConfig:
         with pytest.raises(ConfigError, match=f"refuses '{key}'"):
             read_study_config(_write(tmp_path, f"{text}{key} = {value}\n"))
         assert read_study_config(_write(tmp_path, text))["eps_list"] == (0.3,)
+
+    def test_batch_sensitivity_epsilon_with_eps_list(self, tmp_path):
+        text = ("study = batch_sensitivity\nmodel = iid:p=2\nnus = 0.5\neps_list = 0.3\n"
+                "epsilon = 0.1\nn_star = 100\nreplications = 1\nseed_base = 0\n")
+        with pytest.raises(ConfigError) as exc:
+            read_study_config(_write(tmp_path, text))
+        assert str(exc.value) == ("batch_sensitivity study refuses 'epsilon' with "
+                                  "eps_list, which sets each cell's epsilon")
 
     def test_batch_sensitivity_epsilon_without_eps_list(self, tmp_path):
         # without eps_list the one cell runs at epsilon
@@ -616,9 +652,122 @@ class TestReadStudyConfig:
             read_study_config(_write(tmp_path, text))
         assert str(exc.value) == "bad value for 'n_max': 'x'"
 
-    def test_fixed_mode_ignores_sequential_keys(self, tmp_path):
+    def test_fixed_mode_refuses_sequential_keys(self, tmp_path):
+        # a fixed-n study would read none of them: refused by name, not ignored
+        for line in ("n_star = 100", "metric = absolute", "n_max = 1000",
+                     "check_growth = 0.2", "epsilon = 0.1"):
+            key = line.split()[0]
+            with pytest.raises(ConfigError) as exc:
+                read_study_config(_write(tmp_path, f"{self.GOOD}{line}\n"))
+            assert str(exc.value) == (
+                f"fixed coverage study refuses {key!r}, which it does not read")
         text = self.GOOD + "n_star = abc\nmetric = nosuch\nn_max = x\ncheck_growth = y\n"
-        assert read_study_config(_write(tmp_path, text))["spec"].stopping == (300, 600)
+        with pytest.raises(ConfigError) as exc:
+            read_study_config(_write(tmp_path, text))
+        assert str(exc.value) == ("fixed coverage study refuses 'check_growth', "
+                                  "'metric', 'n_max', 'n_star', which it does not read")
+
+    # One minimal config per (study, mode), and the keys it does not read.
+    COMMON = "model = iid:p=2\nreplications = 1\nseed_base = 0\n"
+    MINIMAL = {
+        "fixed coverage": "study = coverage\nmode = fixed\nfixed_n = 300\n",
+        "sequential coverage": "study = coverage\nepsilon = 0.2\n",
+        "relative_error": "study = relative_error\nsizes = 300\n",
+        "batch_sensitivity": "study = batch_sensitivity\nnus = 0.5\nn_star = 100\n",
+    }
+    VALID = {"mode": "sequential", "methods": "ubm", "fixed_n": "300", "alpha": "0.2",
+             "epsilon": "0.1", "n_star": "100", "metric": "absolute",
+             "batch": "fixed:7", "check_growth": "0.2", "n_max": "1000",
+             "sizes": "300", "nus": "0.5", "eps_list": "0.2"}
+    UNREAD = {
+        "fixed coverage": ("epsilon", "n_star", "metric", "check_growth", "n_max",
+                           "sizes", "nus", "eps_list"),
+        "sequential coverage": ("fixed_n", "sizes", "nus", "eps_list"),
+        "relative_error": ("mode", "methods", "fixed_n", "alpha", "epsilon", "n_star",
+                           "metric", "check_growth", "n_max", "nus", "eps_list"),
+        "batch_sensitivity": ("mode", "methods", "fixed_n", "metric", "batch", "sizes"),
+    }
+
+    @pytest.mark.parametrize("name,key", [(name, key) for name, keys in UNREAD.items()
+                                          for key in keys])
+    def test_keys_a_study_does_not_read_are_refused(self, tmp_path, name, key):
+        # each of these configs ran, ignoring the key; the mode key of a
+        # sequential coverage config is the one way to pick the fixed row
+        value = "fixed" if key == "mode" else self.VALID[key]
+        text = f"{self.MINIMAL[name]}{self.COMMON}{key} = {value}\n"
+        with pytest.raises(ConfigError) as exc:
+            read_study_config(_write(tmp_path, text))
+        assert str(exc.value) == f"{name} study refuses {key!r}, which it does not read"
+
+    def test_minimal_configs_read_every_other_key(self, tmp_path):
+        for name, minimal in self.MINIMAL.items():
+            given = {line.split(" = ")[0] for line in minimal.splitlines()}
+            extra = "".join(f"{key} = {value}\n" for key, value in self.VALID.items()
+                            if key not in (*self.UNREAD[name], *given)
+                            and not (name == "batch_sensitivity" and key == "epsilon"))
+            assert read_study_config(_write(tmp_path, minimal + self.COMMON + extra))
+
+    @pytest.mark.parametrize("name,keys", [
+        ("fixed coverage", ("fixed_n",)), ("sequential coverage", ("epsilon",)),
+        ("relative_error", ("sizes",)), ("batch_sensitivity", ("nus",)),
+        ("batch_sensitivity", ("n_star",)), ("batch_sensitivity", ("nus", "n_star")),
+    ])
+    def test_one_needs_wording(self, tmp_path, name, keys):
+        text = "".join(line + "\n" for line in self.MINIMAL[name].splitlines()
+                       if not line.startswith(keys))
+        with pytest.raises(ConfigError) as exc:
+            read_study_config(_write(tmp_path, text + self.COMMON))
+        assert str(exc.value) == f"{name} study needs {', '.join(keys)}"
+
+    @pytest.mark.parametrize("name,line", [
+        ("fixed coverage", "fixed_n = 1.5"),
+        ("relative_error", "sizes = 100, x"),
+        ("batch_sensitivity", "nus ="),
+        ("batch_sensitivity", "eps_list = 0.2,,0.3"),
+    ])
+    def test_bad_list_names_its_key(self, tmp_path, name, line):
+        key, _, text = line.partition("=")
+        key, text = key.strip(), text.strip()
+        conf = "".join(f"{row}\n" for row in self.MINIMAL[name].splitlines()
+                       if not row.startswith(key))
+        with pytest.raises(ConfigError) as exc:
+            read_study_config(_write(tmp_path, f"{conf}{self.COMMON}{line}\n"))
+        assert str(exc.value) == f"bad value for {key!r}: {text!r}"
+
+    @pytest.mark.parametrize("name,line,message", [
+        ("fixed coverage", "methods = mbm, ubm, mbm", "methods: 'mbm'"),
+        ("fixed coverage", "fixed_n = 300, 600, 300", "fixed_n: 300"),
+        ("relative_error", "sizes = 300, 300", "sizes: 300"),
+        ("batch_sensitivity", "nus = 0.5, 0.50", "nus: 0.5"),
+        ("batch_sensitivity", "eps_list = 0.2, 0.3, 0.2", "eps_list: 0.2"),
+    ])
+    def test_repeated_list_entry_refused(self, tmp_path, name, line, message):
+        # a fixed-n iid:p=2 study at 20 replications with methods = mbm, mbm
+        # reported count 40 and se_coverage 0.057 (20 and 0.082 without)
+        key = line.split()[0]
+        conf = "".join(f"{row}\n" for row in self.MINIMAL[name].splitlines()
+                       if not row.startswith(key))
+        with pytest.raises(ConfigError) as exc:
+            read_study_config(_write(tmp_path, f"{conf}{self.COMMON}{line}\n"))
+        assert str(exc.value) == f"{message} is given more than once"
+
+    def test_readme_key_table_is_the_code_table(self):
+        # README's "applies to" column names each (study, mode) that reads a
+        # key, * where it is required; the four common keys read "all*"
+        readme = (CONFIGS.parent / "README.md").read_text()
+        section = readme.split("## Study configuration files\n", 1)[1].split("\n## ")[0]
+        table = [line for line in section.splitlines() if line.startswith("| `")]
+        applies = {}
+        for line in table:
+            key, column = (cell.strip() for cell in line.split("|")[1:3])
+            applies[key.strip("`")] = column
+        expected = {key: "all*" for key in experiments._COMMON_KEYS}
+        for (study, mode), keys in experiments.STUDY_KEYS.items():
+            name = f"{mode} {study}" if mode else study
+            for key, default in keys.items():
+                star = "*" if default is experiments.REQUIRED else ""
+                expected[key] = ", ".join(filter(None, [expected.get(key), name + star]))
+        assert applies == expected
 
 
 class TestShippedConfigs:

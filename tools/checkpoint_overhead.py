@@ -22,9 +22,15 @@ the tail and the rest:
   rest   everything else outside the sampler: the engine's appends and
          estimates and the rule at every earlier checkpoint.
 
+Each decision also reports its minor page faults: the process's
+ru_minflt (getrusage) after the decision less before it. A fault is
+paid when a fresh allocation, such as the source's doubling buffer or the
+engine's prefix-sum buffer, first touches a page that glibc took from the
+system with mmap or by growing the heap.
+
 Per config it reports the medians over seeds of the wall, sampler and
-rest milliseconds per checkpoint, and of the tail milliseconds per
-decision. One decision
+rest milliseconds per checkpoint, of the tail milliseconds per decision
+and of the minor faults per decision. One decision
 at seed 0 runs first, untimed, so that the lazy SciPy imports (the
 VAR(1) source's scipy.signal and the quantiles' scipy.special) are not
 counted. Prints one JSON object. To compare two trees, run it on each
@@ -34,6 +40,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
 import time
@@ -80,14 +87,16 @@ class TimedSource:
 
 def _decision(mcstop, model, config, seed) -> dict:
     source = TimedSource(model.make_source(seed))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     result = mcstop.run_sequential(source, None, config)
     end = time.perf_counter()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     wall, tail = end - t0, end - source.last_end
     return {"seed": seed, "n_final": result.n_final, "reason": result.reason,
             "checkpoints": source.calls, "wall_s": wall,
             "sampler_s": source.seconds, "tail_s": tail,
-            "rest_s": wall - source.seconds - tail}
+            "rest_s": wall - source.seconds - tail, "minor_faults": faults}
 
 
 def main(argv=None) -> int:
@@ -114,6 +123,8 @@ def main(argv=None) -> int:
         out[name] = {"config": values, "median_ms_per_checkpoint": per_checkpoint,
                      "median_tail_ms": statistics.median(1e3 * d["tail_s"]
                                                          for d in decisions),
+                     "median_minor_faults": statistics.median(d["minor_faults"]
+                                                              for d in decisions),
                      "decisions": decisions}
     print(json.dumps({"src": os.path.relpath(src, ROOT),
                       "python": platform.python_version(), "numpy": np.__version__,

@@ -18,13 +18,19 @@ Runs, on the mcstop package under --src (default: this checkout's src):
     configs/var1_sequential.conf` (its table, CSV rows and JSON summary);
   - `mcstop ess` and `mcstop confregion --directions`, in text and JSON,
     on seeded chain files, including one whose Σ_n is not positive
-    definite (a_n <= p) and one with a_n < 2.
+    definite (a_n <= p) and one with a_n < 2;
+  - read_study_config on a minimal config of each study and mode, on
+    each of those with one more key, with one of its keys left out and
+    with a bad or repeated list, and on the three shipped configs;
+  - `mcstop replicate` on copies of the three shipped configs cut to 2
+    replications and short lengths (exit code, stderr, CSV rows).
 Each output is one line: study rows without their `seconds` column,
 StoppingResult reprs, CLI calls with their exit code, stdout and stderr.
 Paths are printed relative to the checkout or to the scratch directory,
 so the lines do not depend on where either is. Diff the output of two
-checkouts to compare them; the last line is a SHA-256 of all lines
-before it.
+checkouts to compare them. Line 549 and the last line are each a SHA-256
+of all lines before them; line 549 closes the outputs before the study
+configs.
 """
 import argparse
 import contextlib
@@ -163,6 +169,84 @@ def estimators_cli(m, workdir, call):
                         "--directions", dirs, *fmt])
 
 
+# One minimal config per study and mode, and a valid value for every key.
+CONFIG_COMMON = "model = iid:p=2\nreplications = 1\nseed_base = 0\n"
+MINIMAL_CONFIGS = {
+    "fixed coverage": "study = coverage\nmode = fixed\nfixed_n = 300\n",
+    "sequential coverage": "study = coverage\nepsilon = 0.2\n",
+    "relative_error": "study = relative_error\nsizes = 300\n",
+    "batch_sensitivity": "study = batch_sensitivity\nnus = 0.5\nn_star = 100\n",
+}
+CONFIG_VALUES = {"mode": "fixed", "methods": "ubm", "fixed_n": "300", "alpha": "0.2",
+                 "epsilon": "0.1", "n_star": "100", "metric": "absolute",
+                 "batch": "fixed:7", "check_growth": "0.2", "n_max": "1000",
+                 "sizes": "300", "nus": "0.5", "eps_list": "0.2", "zeta": "1"}
+BAD_LISTS = {"methods": ("mbm, mbm",), "fixed_n": ("1.5", "300, 300"),
+             "sizes": ("100, x", "300, 300"), "nus": ("", "0.5, 0.50"),
+             "eps_list": ("0.2,,0.3", "0.2, 0.2")}
+# The shipped configs cut to 2 replications and short lengths.
+REDUCED = {"var1_sequential.conf": {},
+           "logistic_coverage.conf": {"fixed_n": "3000"},
+           "var1_relative_error.conf": {"sizes": "1000, 10000"}}
+
+
+def configs(m, workdir):
+    from mcstop import cli as mcli
+
+    path = os.path.join(workdir, "study.conf")
+
+    def parsed(text):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return config_outcome(m, path)
+
+    for name, minimal in MINIMAL_CONFIGS.items():
+        lines = minimal.splitlines()
+        yield f"config {name}: {parsed(minimal + CONFIG_COMMON)}"
+        for key, value in CONFIG_VALUES.items():
+            if f"{key} =" not in minimal:
+                line = f"{key} = {value}"
+                yield f"config {name} + {line}: {parsed(minimal + CONFIG_COMMON + line)}"
+        for k, line in enumerate(lines[1:], start=1):
+            rest = "".join(f"{x}\n" for x in lines[:k] + lines[k + 1:])
+            yield f"config {name} - {line}: {parsed(rest + CONFIG_COMMON)}"
+        for key, values in BAD_LISTS.items():
+            for value in values:
+                line = f"{key} = {value}"
+                kept = "".join(f"{x}\n" for x in lines if not x.startswith(key))
+                yield f"config {name} + {line}: {parsed(kept + CONFIG_COMMON + line)}"
+    for conf, cuts in REDUCED.items():
+        yield f"config {conf}: {config_outcome(m, str(ROOT / 'configs' / conf))}"
+        cuts = {"replications": "2", **cuts}
+        with open(ROOT / "configs" / conf) as src, open(path, "w") as fh:
+            for line in src:
+                key = line.partition("=")[0].strip()
+                fh.write(f"{key} = {cuts[key]}\n" if key in cuts else line)
+        prefix = os.path.join(workdir, "reduced")
+        err = io.StringIO()
+        # stdout is left out: a relative_error table has a seconds column
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = mcli.main(["replicate", path, "--out-prefix", prefix])
+        yield f"replicate {conf} reduced -> {code} {err.getvalue()!r}"
+        with open(prefix + ".csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                row.pop("seconds")
+                yield repr(row)
+
+
+def config_outcome(m, path):
+    """The parsed spec, its model by kind and p, or the error it raises."""
+    try:
+        parsed = m.read_study_config(path)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    spec = parsed["spec"]
+    fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)
+              if f.name != "model"}
+    rest = {k: v for k, v in parsed.items() if k not in ("study", "model", "spec")}
+    return repr((parsed["study"], type(spec.model).__name__, spec.model.p, fields, rest))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"),
@@ -174,10 +258,15 @@ def main() -> int:
 
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as workdir:
-        for line in (*studies(m), *runs(m), *cli(m, workdir)):
+        # a digest line after each part: the first closes the outputs that
+        # BENCH_17 to BENCH_21 record, the second the study-config outcomes
+        for part in ((*studies(m), *runs(m), *cli(m, workdir)), configs(m, workdir)):
+            for line in part:
+                print(line)
+                digest.update(line.encode() + b"\n")
+            line = f"sha256 {digest.hexdigest()}"
             print(line)
             digest.update(line.encode() + b"\n")
-    print("sha256", digest.hexdigest())
     return 0
 
 
