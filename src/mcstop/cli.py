@@ -8,30 +8,16 @@ replicate (config-driven replication studies).
 Exit codes: 0 success, 1 user error (bad flags, unreadable input,
 config violations), 2 numerical failure (non-positive-definite
 estimates, insufficient data, cap exhaustion).
-
-Resume mode (stop --input F --resume S) runs the checkpoint loop of
-stopping.py from the state's next checkpoint up to the complete lines
-of F; an unterminated last line may still be being written and is not
-counted. The state file pins the rule: a passed flag that would change
-it is refused, and the file is replaced atomically. It also pins
-the length and SHA-256 of the lines read so far, so a chain file whose
-checked rows were rewritten or truncated is refused. The rows read so
-far are kept in a binary row cache next to the state file, pinned by
-its SHA-256, so a call parses only the lines appended since the last.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
-import io
 import json
 import math
 import os
 import sys
 
-import numpy as np
-
-from .chain import ChainMatrix, column_means, load_chain, parse_rows
+from .chain import column_means, load_chain
 from .errors import (
     ConfigError,
     DomainError,
@@ -44,9 +30,8 @@ from .estimators import BatchPolicy, batch_size, mbm
 from .ess import eps_from_ess, ess_report, min_ess
 from .experiments import parse_model_spec, read_study_config, run_study
 from .regions import ellipse_boundary, make_region, scheffe_interval, vol_p
-from .samplers import FileChainSource
-from .stopping import (RULE_PARAMS, RULES, StoppingConfig, drive_checkpoints,
-                       rule_config, rule_value, run_sequential)
+from .resume import stop_resume, stop_rule
+from .stopping import RULE_PARAMS, RULES, run_sequential
 
 _NOT_PD_MSG = "increase n: covariance estimate not positive definite (a_n ≤ p)"
 
@@ -251,32 +236,6 @@ def cmd_confregion(args) -> int:
     return 0
 
 
-def _stop_rule(args, state: dict, p: int) -> tuple[dict, StoppingConfig]:
-    """The rule's state values and its StoppingConfig.
-
-    With no state, the passed flags over the defaults. With a state, its
-    pinned values: each passed flag, put alone into them, must give the
-    same StoppingConfig, so it must also be valid on its own, and the
-    first in key order that does not is refused.
-    """
-    if not state:
-        values = {key: rule_value(key, default if getattr(args, dest) is None
-                                  else getattr(args, dest))
-                  for key, (dest, default, _) in RULE_PARAMS.items()}
-        if values["epsilon"] is None:
-            raise ConfigError("stop needs --eps")
-        config = rule_config(values, p)
-        return dict(values, n_star=config.n_star), config
-    values = {key: state[key] for key in RULE_PARAMS}
-    config = rule_config(values, p)
-    for key, (dest, _, _) in RULE_PARAMS.items():
-        given = getattr(args, dest)
-        if given is not None and rule_config({**values, key: given}, p) != config:
-            raise ConfigError(f"state file pins {key}; rerun without --{dest} "
-                              "or delete the state file")
-    return values, config
-
-
 def _report_stop(result, p: int, as_json: bool, extra: dict) -> None:
     root = vol_p(result.log_volume, p)
     payload = {
@@ -298,6 +257,7 @@ def _report_stop(result, p: int, as_json: bool, extra: dict) -> None:
 
 
 def cmd_stop(args) -> int:
+    flags = {key: getattr(args, dest) for key, (dest, _, _) in RULE_PARAMS.items()}
     if args.model is not None and args.input is not None:
         raise ConfigError("--model and --input are mutually exclusive")
     if args.model is not None:
@@ -305,7 +265,7 @@ def cmd_stop(args) -> int:
             raise ConfigError("--model runs are randomized and require --seed")
         model = parse_model_spec(args.model)
         source = model.make_source(args.seed)
-        _, config = _stop_rule(args, {}, model.p)
+        _, config = stop_rule(flags, {}, model.p)
         result = run_sequential(source, None, config)
         _report_stop(result, model.p, args.json, {"model": args.model,
                                                   "seed": args.seed})
@@ -314,172 +274,10 @@ def cmd_stop(args) -> int:
         raise ConfigError("stop needs --model or --input")
     if args.resume is None:
         raise ConfigError("--input mode needs --resume <state file>")
-    return _stop_resume(args)
-
-
-# The JSON type of each state key, and of the read_prefix keys a call reads.
-# read_prefix's rows_sha256 and rows_format are left out: a value that is
-# not the cache's digest or this call's --format only means a full parse.
-_STATE_KEYS = {**{key: kind for key, (_, _, kind) in RULE_PARAMS.items()},
-               "next_checkpoint": "an integer", "done": "true or false",
-               "read_prefix": "an object"}
-_READ_PREFIX_KEYS = {"bytes": "an integer", "sha256": "a string"}
-_JSON_TYPES = {"a number": (int, float), "an integer": int, "a string": str,
-               "true or false": bool, "an object": dict}
-
-
-def _check_keys(path: str, obj: dict, keys: dict, prefix: str = "") -> None:
-    """Refuse a state file with a key missing or of the wrong JSON type."""
-    for key, kind in keys.items():
-        if key not in obj:
-            raise ConfigError(f"state file {path} is missing key "
-                              f"{prefix + key!r}; delete it to start over")
-        value = obj[key]
-        if (not isinstance(value, _JSON_TYPES[kind])
-                or isinstance(value, bool) != (kind == "true or false")):
-            raise ConfigError(f"state file {path} has {prefix}{key} = "
-                              f"{json.dumps(value)}, not {kind}; "
-                              "delete it to start over")
-
-
-def _written_rows(path: str) -> bytes:
-    """The complete lines of a chain file another process may be appending to.
-
-    An unterminated last line may be a number cut short ("0.12" of
-    "0.1234"), so it counts as not yet written.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    return raw[: raw.rfind(b"\n") + 1]
-
-
-def _pin_read_prefix(written: bytes, pinned: dict) -> dict:
-    """Byte length and SHA-256 of the lines read, checked against the last pin.
-
-    A file that no longer begins with the pinned bytes (pinned is empty
-    on the first call) had checked rows rewritten, say by a sampler
-    restarted with another seed, or cut.
-    """
-    view = memoryview(written)
-    size = pinned.get("bytes", 0)
-    digest = hashlib.sha256(view[:size])
-    if pinned and (len(view) < size or digest.hexdigest() != pinned["sha256"]):
-        raise ConfigError("rows checked by an earlier call were rewritten or "
-                          "truncated; delete the state file to start over")
-    digest.update(view[size:])
-    return {"bytes": len(view), "sha256": digest.hexdigest()}
-
-
-def _replace_file(path: str, write, mode: str = "w") -> None:
-    """Replace path atomically: a crash leaves the old file intact."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, mode) as fh:
-            write(fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def _write_state(path: str, state: dict) -> None:
-    def dump(fh):
-        json.dump(state, fh, indent=2)
-        fh.write("\n")
-
-    _replace_file(path, dump)
-
-
-def _write_row_cache(path: str, rows: np.ndarray) -> str:
-    """Replace the row cache atomically and return its SHA-256."""
-    buf = io.BytesIO()
-    np.save(buf, rows, allow_pickle=False)
-    _replace_file(path, lambda fh: fh.write(buf.getbuffer()), "wb")
-    return hashlib.sha256(buf.getbuffer()).hexdigest()
-
-
-def _read_row_cache(path: str, sha256) -> np.ndarray | None:
-    """The cached rows if the cache's SHA-256 is the pinned one, else None."""
-    if sha256 is None:
-        return None
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except FileNotFoundError:
-        return None
-    if hashlib.sha256(raw).hexdigest() != sha256:
-        return None
-    return np.load(io.BytesIO(raw), allow_pickle=False)
-
-
-def _read_state(path: str) -> dict:
-    """The resume state at path, each key type-checked; {} if there is none."""
-    if not os.path.exists(path):
-        return {}
-    with open(path, "rb") as fh:
-        try:
-            state = json.loads(fh.read())
-        except ValueError:
-            state = None
-    if not isinstance(state, dict):
-        raise ConfigError(f"state file {path} is not a JSON object; "
-                          "delete it to start over")
-    _check_keys(path, state, _STATE_KEYS)
-    _check_keys(path, state["read_prefix"], _READ_PREFIX_KEYS, "read_prefix.")
-    return state
-
-
-def _resume_rows(written: bytes, pinned: dict, cache_path: str,
-                 format: str) -> ChainMatrix:
-    """The chain in written, parsing only the bytes past the pinned prefix.
-
-    The row cache holds the rows of the pinned prefix as read in the
-    pinned format. No pin, a missing cache, one whose SHA-256 is not the
-    pinned one, another --format, or new bytes the fast parser cannot
-    read mean a full parse: it gives the rows, or raises load_chain's
-    error with its absolute line number.
-    """
-    cached = None
-    if pinned.get("rows_format") == format:
-        cached = _read_row_cache(cache_path, pinned.get("rows_sha256"))
-    if cached is not None:
-        new = parse_rows(written[pinned["bytes"]:], format, cached.shape[1])
-        if new is not None:
-            return ChainMatrix(np.concatenate([cached, new]))
-    return load_chain(written, format=format)
-
-
-def _stop_resume(args) -> int:
-    """Checkpoint an externally grown chain file across invocations.
-
-    The sidecar JSON pins the rule parameters and the next checkpoint,
-    so repeated invocations walk the same grid no matter how much the
-    user appends between calls. Each call runs the same checkpoint
-    loop as run_sequential, from the saved checkpoint up to the rows
-    the file holds; the first call, with no state yet, starts the grid.
-    """
-    written = _written_rows(args.input)
-    cache_path = f"{args.resume}.rows.npy"
-    state = _read_state(args.resume)
-    pinned = state.get("read_prefix", {})
-    read_prefix = _pin_read_prefix(written, pinned)
-    chain = _resume_rows(written, pinned, cache_path, args.format)
-    values, config = _stop_rule(args, state, chain.p)
-    if state.get("done"):
+    run, chain = stop_resume(args.input, args.resume, args.format, flags)
+    if run is None:
         print("state file marks this run as finished", file=sys.stderr)
         return 0
-    run = drive_checkpoints(FileChainSource(chain), None, config,
-                            start=state.get("next_checkpoint"), available=chain.n)
-    # The cache goes first: a crash before the state write leaves a cache
-    # whose SHA-256 is not the pinned one, and the next call rebuilds it.
-    read_prefix["rows_sha256"] = _write_row_cache(cache_path, chain.data)
-    read_prefix["rows_format"] = args.format
-    _write_state(args.resume, dict(values, next_checkpoint=run.next_checkpoint,
-                                   done=run.result is not None,
-                                   read_prefix=read_prefix))
     if run.result is None:
         payload = {"command": "stop", "status": "continue",
                    "next_checkpoint": run.next_checkpoint, "n_available": chain.n}

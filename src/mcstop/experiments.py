@@ -515,16 +515,29 @@ def _relerr_rows(spec, source, sizes):
         yield {"n": int(n), "rel_error": rel, "seconds": seconds}
 
 
+def _mbm_only(study: str, spec: StudySpec) -> None:
+    """Refuse methods other than mbm, the one estimator the study runs."""
+    if spec.methods != ("mbm",):
+        raise DomainError(f"{study} study runs mbm only, "
+                          f"got methods {', '.join(spec.methods)}")
+
+
 def relative_error_study(
     spec: StudySpec, sizes: Optional[Sequence[int]] = None
 ) -> StudyReport:
     """Relative Frobenius error of the batch means estimate per size.
 
     sizes defaults to the lengths of a fixed-n spec.stopping. Needs a
-    model with an analytic asymptotic covariance (VAR(1)).
+    model with an analytic asymptotic covariance (VAR(1)). Reads mbm
+    only and no confidence level, so other methods and an alpha other
+    than the studies' default 0.10 raise DomainError.
     """
     if not hasattr(spec.model, "sigma_true"):
         raise DomainError("relative error study needs a model with analytic Σ")
+    _mbm_only("relative_error", spec)
+    # The config reader passes the studies' default alpha, which no row reads.
+    if spec.alpha not in (None, _STUDY_ALPHA):
+        raise DomainError(f"relative_error study reads no alpha, got {spec.alpha!r}")
     if sizes is None and not spec.is_fixed_n:
         raise DomainError("relative error study needs sizes or fixed-n lengths")
     sizes = _distinct("sizes", map(int, spec.stopping if sizes is None else sizes))
@@ -575,10 +588,15 @@ def batch_sensitivity_study(
 
     Each cell reruns the relative-sd rule with b_n = ⌊n^nu⌋ on the
     replication's one chain; the per-replication largest eigenvalue of
-    the final estimate is retained for spread analysis.
+    the final estimate is retained for spread analysis. Methods other
+    than mbm and a metric other than relative_sd raise DomainError.
     """
     if spec.is_fixed_n:
         raise DomainError("batch sensitivity study needs a sequential StoppingConfig")
+    _mbm_only("batch_sensitivity", spec)
+    if spec.stopping.metric != "relative_sd":
+        raise DomainError("batch_sensitivity study runs relative_sd in every cell, "
+                          f"got metric {spec.stopping.metric!r}")
     nus = _distinct("nus", map(float, nus))
     if not nus:
         raise DomainError("nus must be nonempty")

@@ -345,8 +345,8 @@ class CheckpointRun:
 _MEMORY_BUDGET_BYTES = 4 * 2**30
 
 
-def _length_cap(config: StoppingConfig, p: int) -> int:
-    """n_max, lowered to the memory budget of a p-column chain."""
+def length_cap(config: StoppingConfig, p: int) -> int:
+    """The last checkpoint of a p-column chain: n_max, lowered to the memory budget."""
     cap = min(config.n_max, _MEMORY_BUDGET_BYTES // (8 * int(p)))
     if cap < max(config.n_star, 2):
         raise ConfigError(
@@ -372,7 +372,7 @@ def drive_checkpoints(
     decision's one summary also holds the coverage.
     """
     metric = _engine_metric(rule, config)
-    cap = _length_cap(config, sampler.p)
+    cap = length_cap(config, sampler.p)
     read = getattr(sampler, "rows", lambda k: sampler.take(k).data)
     engine = None
     n = max(config.n_star, 2) if start is None else start

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ import pytest
 from mcstop import (ChainMatrix, IidGaussianSource, RwmLogisticSource, load_chain,
                     min_ess, read_study_config)
 import mcstop.cli as cli
+import mcstop.resume as resume
 from mcstop.cli import main
 from mcstop.errors import ParseError
 from mcstop.stopping import RULE_PARAMS, RULES
@@ -520,13 +522,12 @@ class TestResumeSafety:
     def test_failed_state_write_keeps_old_state(self, capsys, tmp_path, monkeypatch):
         path, state = self._first_call(capsys, tmp_path)
         before = state.read_text()
-        import mcstop.cli as cli
 
         def torn_dump(obj, fh, **kw):
             fh.write('{"epsilon": 0.0')
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli.json, "dump", torn_dump)
+        monkeypatch.setattr(resume.json, "dump", torn_dump)
         with pytest.raises(OSError):
             main(["stop", "--input", path, "--resume", str(state)])
         monkeypatch.undo()
@@ -668,6 +669,28 @@ class TestResumeSafety:
         assert payload["n_available"] == 60
         assert payload["next_checkpoint"] == 66
 
+    @pytest.mark.parametrize("value", [2, 1500, 10**15, 0, 1, -5])
+    def test_next_checkpoint_off_the_grid_refused(self, capsys, tmp_path, value):
+        # n* 2000 and the cap of 10^8 bound the grid; a checkpoint below
+        # would fire below n*, one above would answer "continue" forever
+        rows = np.random.default_rng(7).standard_normal((1600, 2))
+        path = _write_chain(tmp_path, rows, name="grown.csv")
+        state = tmp_path / "state.json"
+        argv = ["stop", "--input", path, "--resume", str(state)]
+        code, _, _ = _run(capsys, argv + ["--eps", "0.05", "--nstar", "2000"])
+        assert code == 0
+        old = json.loads(state.read_text())
+        assert old["next_checkpoint"] == 2000
+        old["next_checkpoint"] = value
+        state.write_text(json.dumps(old))
+        cache = tmp_path / "state.json.rows.npy"
+        before = state.read_bytes(), cache.read_bytes()
+        code, out, err = _run(capsys, argv + ["--json"])
+        assert (code, out) == (1, "")
+        assert err == (f"mcstop: error: state file {state} has next_checkpoint = "
+                       f"{value}, outside [2000, 100000000]; delete it to start over\n")
+        assert (state.read_bytes(), cache.read_bytes()) == before
+
 
 class TestStopRuleTable:
     """The state pins the rule's seven keys; passed flags are checked against them."""
@@ -766,7 +789,8 @@ class TestOneRuleTable:
 
     def _stop_config(self, flags):
         args = cli._build_parser().parse_args(self.STOP + flags)
-        return cli._stop_rule(args, {}, 3)[1]
+        given = {key: getattr(args, dest) for key, (dest, _, _) in RULE_PARAMS.items()}
+        return resume.stop_rule(given, {}, 3)[1]
 
     def test_stop_flags_are_the_rule_table(self):
         (sub,) = [a for a in cli._build_parser()._actions
@@ -883,7 +907,7 @@ class TestResumeRowCache:
     def _reference(self, capsys, monkeypatch, d, rows, sizes):
         """The same walk with every call parsing the whole file."""
         with monkeypatch.context() as m:
-            m.setattr(cli, "_read_row_cache", lambda path, sha256: None)
+            m.setattr(resume, "_read_row_cache", lambda path, sha256: None)
             return self._walk(capsys, d, rows, sizes)
 
     def test_each_call_parses_only_new_rows(self, capsys, tmp_path, rows,
@@ -891,7 +915,7 @@ class TestResumeRowCache:
         parsed = []
 
         def spy(name):
-            real = getattr(cli, name)
+            real = getattr(resume, name)
 
             def wrapper(*a, **kw):
                 out = real(*a, **kw)
@@ -899,8 +923,8 @@ class TestResumeRowCache:
                 return out
             return wrapper
 
-        monkeypatch.setattr(cli, "load_chain", spy("load_chain"))
-        monkeypatch.setattr(cli, "parse_rows", spy("parse_rows"))
+        monkeypatch.setattr(resume, "load_chain", spy("load_chain"))
+        monkeypatch.setattr(resume, "parse_rows", spy("parse_rows"))
         _, state, outs = self._walk(capsys, tmp_path, rows, [100, 150, 150, 220])
         assert all(code == 0 for code, _, _ in outs)
         assert parsed == [("load_chain", 100), ("parse_rows", 50),
@@ -969,7 +993,7 @@ class TestResumeRowCache:
         before = state.read_bytes()
         self._grow(path, rows, sizes[2])
         with monkeypatch.context() as m:
-            m.setattr(cli, "_write_state", _raise_oserror)
+            m.setattr(resume, "_write_state", _raise_oserror)
             with pytest.raises(OSError):
                 self._call(capsys, path, state)
         assert state.read_bytes() == before
@@ -1047,6 +1071,53 @@ class TestResumeRowCache:
         assert err == f"mcstop: error: {exc.value}\n"
         assert (state.read_bytes(), self._cache(state).read_bytes()) == before
 
+
+class TestResumeWriteOrder:
+    """Every file write of a call goes through _replace_file: cache, then state."""
+
+    FLAGS = ["--eps", "0.05", "--alpha", "0.10", "--nstar", "60", "--nmax", "100"]
+    CACHE_THEN_STATE = ["state.json.rows.npy", "state.json"]
+
+    @pytest.mark.parametrize("case,code,writes", [
+        ("continue", 0, CACHE_THEN_STATE),
+        ("decide", 2, CACHE_THEN_STATE),
+        ("rewritten", 1, []),
+        ("conflict", 1, []),
+        ("bad state", 1, []),
+        ("next_checkpoint", 1, []),
+        ("done", 0, []),
+    ])
+    def test_writes(self, capsys, tmp_path, monkeypatch, case, code, writes):
+        rows = np.random.default_rng(7).standard_normal((120, 2))
+        path = _write_chain(tmp_path, rows[:80], name="grown.csv")
+        state = tmp_path / "state.json"
+        argv = ["stop", "--input", path, "--resume", str(state)]
+        assert _run(capsys, argv + self.FLAGS)[0] == 0
+        pinned = json.loads(state.read_text())
+        assert (pinned["next_checkpoint"], pinned["done"]) == (81, False)
+        _write_chain(tmp_path, rows[:85] if case == "continue" else rows,
+                     name="grown.csv")
+        if case == "rewritten":
+            changed = rows.copy()
+            changed[2] += 1.0
+            _write_chain(tmp_path, changed, name="grown.csv")
+        elif case == "conflict":
+            argv += ["--eps", "0.2"]
+        elif case in ("bad state", "next_checkpoint", "done"):
+            pinned.update({"bad state": {"done": "yes"},
+                           "next_checkpoint": {"next_checkpoint": 2},
+                           "done": {"done": True}}[case])
+            state.write_text(json.dumps(pinned))
+        written = []
+        real = resume._replace_file
+
+        def record(target, *args):
+            written.append(os.path.basename(target))
+            return real(target, *args)
+
+        monkeypatch.setattr(resume, "_replace_file", record)
+        assert _run(capsys, argv)[0] == code
+        assert written == writes
 
 def _raise_oserror(*args, **kwargs):
     raise OSError("disk full")

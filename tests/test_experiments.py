@@ -1,5 +1,6 @@
 """Replication studies: model specs, config files, aggregation, output."""
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -404,6 +405,17 @@ class TestRelativeErrorStudy:
         with pytest.raises(DomainError, match="needs sizes"):
             relative_error_study(sequential)
 
+    @pytest.mark.parametrize("unread,message", [
+        ({"methods": ("ubm",)}, "relative_error study runs mbm only, got methods ubm"),
+        ({"methods": ("mbm", "ubm")},
+         "relative_error study runs mbm only, got methods mbm, ubm"),
+        ({"alpha": 0.5}, "relative_error study reads no alpha, got 0.5"),
+    ])
+    def test_unread_fields_refused(self, unread, message):
+        spec = StudySpec(var1_benchmark(3), 1, (300,), **unread)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            relative_error_study(spec)
+
     def test_repeated_sizes_refused(self):
         spec = StudySpec(model=var1_benchmark(3), replications=2, stopping=(300,))
         with pytest.raises(DomainError, match=r"^sizes: 300 is given more than once$"):
@@ -431,6 +443,17 @@ class TestBatchSensitivityStudy:
             model=IidGaussianSpec(2), replications=2, stopping=[100]
         )
         with pytest.raises(DomainError):
+            batch_sensitivity_study(spec, nus=(0.5,))
+
+    @pytest.mark.parametrize("methods,metric,message", [
+        (("ubm",), "relative_sd", "batch_sensitivity study runs mbm only, got methods ubm"),
+        (("mbm",), "absolute",
+         "batch_sensitivity study runs relative_sd in every cell, got metric 'absolute'"),
+        (("mbm",), "univariate_bonferroni", "got metric 'univariate_bonferroni'"),
+    ])
+    def test_unread_fields_refused(self, methods, metric, message):
+        spec = StudySpec(IidGaussianSpec(2), 1, _seq_config(metric=metric), methods=methods)
+        with pytest.raises(DomainError, match=message):
             batch_sensitivity_study(spec, nus=(0.5,))
 
     @pytest.mark.parametrize("nus,eps_list,message", [
@@ -881,7 +904,8 @@ class TestWorkers:
                 sizes=(500, 2000),
             ),
             "sensitivity": lambda: batch_sensitivity_study(
-                seq, nus=(0.4, 0.5), eps_list=(0.2, 0.3)
+                dataclasses.replace(seq, methods=("mbm",)), nus=(0.4, 0.5),
+                eps_list=(0.2, 0.3)
             ),
         }[study]
         monkeypatch.setenv("MCSTOP_WORKERS", "1")

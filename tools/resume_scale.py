@@ -9,7 +9,8 @@ the next checkpoint of the rule (eps 0.002, alpha 0.10, n* 1000, growth 0.10,
 which does not fire at this length). It runs `mcstop stop --resume` once
 to pin the state, which parses the whole file, appends the rows and runs
 the second call, which parses only the appended rows. Both calls are
-timed and split by what each layer of mcstop.cli calls: parse
+timed and split by what each layer of the resume protocol calls
+(mcstop.resume, or mcstop.cli in a tree without it): parse
 (load_chain and parse_rows), hash (the SHA-256 pin of the file), row
 cache (read and write), checkpoint (drive_checkpoints) and state (the
 state write). Each call also reports the rows its parse read per
@@ -49,9 +50,10 @@ def _checkpoint_after(n: int) -> int:
     return cp
 
 
-def _timed_call(cli, argv) -> dict:
+def _timed_call(cli, protocol, argv) -> dict:
     spent = dict.fromkeys(LAYERS.values(), 0.0)
-    originals = {name: getattr(cli, name) for name in LAYERS if hasattr(cli, name)}
+    originals = {name: getattr(protocol, name) for name in LAYERS
+                 if hasattr(protocol, name)}
 
     def wrap(name, fn):
         def timed(*args, **kwargs):
@@ -63,7 +65,7 @@ def _timed_call(cli, argv) -> dict:
         return timed
 
     for name, fn in originals.items():
-        setattr(cli, name, wrap(name, fn))
+        setattr(protocol, name, wrap(name, fn))
     out = io.StringIO()
     try:
         t0 = time.perf_counter()
@@ -72,7 +74,7 @@ def _timed_call(cli, argv) -> dict:
         total = time.perf_counter() - t0
     finally:
         for name, fn in originals.items():
-            setattr(cli, name, fn)
+            setattr(protocol, name, fn)
     layers = {k: round(v, 4) for k, v in spent.items()
               if any(LAYERS[n] == k for n in originals)}
     return {"exit": code, "total_s": round(total, 4), "layers_s": layers,
@@ -89,6 +91,10 @@ def main(argv=None) -> int:
     import numpy as np
     import mcstop
     import mcstop.cli as cli
+    try:
+        import mcstop.resume as protocol
+    except ImportError:
+        protocol = cli
 
     n0 = _checkpoint_after(ROWS) - APPEND // 2
     x = mcstop.var1_benchmark(5).make_source(1).take(n0 + APPEND).data
@@ -98,10 +104,10 @@ def main(argv=None) -> int:
             fh.write("y1,y2,y3,y4,y5\n")
             np.savetxt(fh, x[:n0], fmt="%.17g", delimiter=",")
         base = ["stop", "--input", path, "--resume", state]
-        first = _timed_call(cli, base + FLAGS)
+        first = _timed_call(cli, protocol, base + FLAGS)
         with open(path, "a") as fh:
             np.savetxt(fh, x[n0:], fmt="%.17g", delimiter=",")
-        second = _timed_call(cli, base + ["--json"])
+        second = _timed_call(cli, protocol, base + ["--json"])
         size = os.path.getsize(path)
     for call, rows in ((first, n0), (second, APPEND)):
         call["parse_rows_per_s"] = round(rows / call["layers_s"]["parse"])

@@ -23,14 +23,16 @@ Runs, on the mcstop package under --src (default: this checkout's src):
     each of those with one more key, with one of its keys left out and
     with a bad or repeated list, and on the three shipped configs;
   - `mcstop replicate` on copies of the three shipped configs cut to 2
-    replications and short lengths (exit code, stderr, CSV rows).
+    replications and short lengths (exit code, stderr, CSV rows);
+  - three 12-call `mcstop stop --input --resume` walks (RESUME_WALKS),
+    with the SHA-256 of the state file and the row cache after each call.
 Each output is one line: study rows without their `seconds` column,
 StoppingResult reprs, CLI calls with their exit code, stdout and stderr.
 Paths are printed relative to the checkout or to the scratch directory,
 so the lines do not depend on where either is. Diff the output of two
-checkouts to compare them. Line 549 and the last line are each a SHA-256
-of all lines before them; line 549 closes the outputs before the study
-configs.
+checkouts to compare them. Lines 549 and 660 and the last line are each
+a SHA-256 of all lines before them; line 549 closes the outputs before
+the study configs, and line 660 the study configs.
 """
 import argparse
 import contextlib
@@ -38,6 +40,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -234,6 +237,85 @@ def configs(m, workdir):
                 yield repr(row)
 
 
+# Three 12-call resume walks on seeded two-column chains with a header:
+# (name, seed, --format, the first call's flags, calls). A call is (the rows
+# the file holds, flags, an event before it). "rewritten" changes row 3 and
+# "truncated" cuts the file to half; "partial" appends an unterminated line;
+# "no cache" deletes the row cache; "cut state" cuts the state file, and a
+# dict edits its keys. Edits of the chain or the state last for that call.
+RESUME_WALKS = (
+    ("csv", 41, "csv", ["--eps", "0.1", "--alpha", "0.10", "--nstar", "100"], (
+        (80, [], None), (150, ["--json"], None), (150, [], None),
+        (300, ["--eps", "0.2"], None), (300, [], "rewritten"),
+        (300, ["--json"], None), (500, [], None), (800, ["--json"], None),
+        (1100, ["--alpha", "0.1", "--json"], None), (1400, [], None),
+        (1400, ["--json"], None), (1500, ["--eps", "0.2", "--json"], None))),
+    ("tsv", 42, "tsv", ["--eps", "0.05", "--rule", "absolute", "--nstar", "200"], (
+        (150, ["--json"], None), (250, ["--json"], "partial"), (400, ["--json"], None),
+        (400, ["--format", "csv"], None), (1000, ["--json"], None),
+        (2200, ["--json"], "no cache"), (3200, ["--json"], None), (4500, [], None),
+        (6500, ["--json"], None), (8000, ["--json"], None), (9300, ["--json"], None),
+        (9300, [], None))),
+    ("univariate", 43, "csv", ["--eps", "0.05", "--rule", "univariate_bonferroni",
+                               "--nstar", "300", "--nmax", "5000"], (
+        (200, [], None), (400, [], None), (400, [], {"next_checkpoint": 2}),
+        (400, [], {"done": "yes"}), (400, [], "cut state"), (900, [], None),
+        (900, [], "truncated"), (1600, ["--nstar", "auto"], None),
+        (2500, ["--json"], None), (3600, [], None), (5200, ["--json"], None),
+        (5200, [], None))),
+)
+
+
+def resume_walks(workdir):
+    """One line per call: argv, exit code, stdout, stderr, state and cache SHA-256."""
+    from mcstop import cli as mcli
+
+    def read(path):
+        with open(path, "rb") as fh:
+            return fh.read()
+
+    def write(path, raw):
+        with open(path, "wb") as fh:
+            fh.write(raw)
+
+    for name, seed, fmt, first, calls in RESUME_WALKS:
+        rows = np.random.default_rng(seed).standard_normal((10000, 2))
+        delim = "\t" if fmt == "tsv" else ","
+        path = os.path.join(workdir, f"walk-{name}.{fmt}")
+        state = os.path.join(workdir, f"walk-{name}.json")
+        cache = state + ".rows.npy"
+        for k, (n, flags, event) in enumerate(calls):
+            kept = {p: read(p) for p in (state, cache) if os.path.exists(p)}
+            data = rows[:n // 2 if event == "truncated" else n].copy()
+            if event == "rewritten":
+                data[3] += 1.0
+            lines = [delim.join(("a", "b"))] + [delim.join(map(repr, r))
+                                                for r in data.tolist()]
+            tail = "0.5" if event == "partial" else ""
+            write(path, ("\n".join(lines) + "\n" + tail).encode())
+            if event == "no cache":
+                os.remove(cache)
+            elif event == "cut state":
+                write(state, kept[state][:40])
+            elif isinstance(event, dict):
+                write(state, json.dumps({**json.loads(kept[state]), **event}).encode())
+            argv = ["stop", "--input", path, "--resume", state,
+                    *([] if "--format" in flags else ["--format", fmt]),
+                    *(first if k == 0 else []), *flags]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = mcli.main(argv)
+            digests = [hashlib.sha256(read(p)).hexdigest() if os.path.exists(p)
+                       else "absent" for p in (state, cache)]
+            line = (f"resume {name} {k + 1} {event or ''}: {argv} -> {code} "
+                    f"{out.getvalue()!r} {err.getvalue()!r} "
+                    f"state {digests[0]} cache {digests[1]}")
+            yield line.replace(workdir, "<workdir>")
+            if event == "cut state" or isinstance(event, dict):
+                for p, raw in kept.items():
+                    write(p, raw)
+
+
 def config_outcome(m, path):
     """The parsed spec, its model by kind and p, or the error it raises."""
     try:
@@ -260,7 +342,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         # a digest line after each part: the first closes the outputs that
         # BENCH_17 to BENCH_21 record, the second the study-config outcomes
-        for part in ((*studies(m), *runs(m), *cli(m, workdir)), configs(m, workdir)):
+        # and the third the resume walks
+        for part in ((*studies(m), *runs(m), *cli(m, workdir)), configs(m, workdir),
+                     resume_walks(workdir)):
             for line in part:
                 print(line)
                 digest.update(line.encode() + b"\n")
