@@ -527,19 +527,21 @@ def relative_error_study(
 ) -> StudyReport:
     """Relative Frobenius error of the batch means estimate per size.
 
-    sizes defaults to the lengths of a fixed-n spec.stopping. Needs a
-    model with an analytic asymptotic covariance (VAR(1)). Reads mbm
-    only and no confidence level, so other methods and an alpha other
-    than the studies' default 0.10 raise DomainError.
+    spec is fixed-n: sizes defaults to its lengths, and its batch_policy
+    sets b_n. Needs a model with an analytic asymptotic covariance
+    (VAR(1)). Reads mbm only and no confidence level, so a sequential
+    spec, other methods and an alpha other than the studies' default
+    0.10 raise DomainError.
     """
     if not hasattr(spec.model, "sigma_true"):
         raise DomainError("relative error study needs a model with analytic Σ")
+    if not spec.is_fixed_n:
+        raise DomainError("relative_error study needs fixed-n lengths, "
+                          "got a StoppingConfig")
     _mbm_only("relative_error", spec)
     # The config reader passes the studies' default alpha, which no row reads.
     if spec.alpha not in (None, _STUDY_ALPHA):
         raise DomainError(f"relative_error study reads no alpha, got {spec.alpha!r}")
-    if sizes is None and not spec.is_fixed_n:
-        raise DomainError("relative error study needs sizes or fixed-n lengths")
     sizes = _distinct("sizes", map(int, spec.stopping if sizes is None else sizes))
     if not sizes or any(n < 2 for n in sizes):
         raise DomainError("sizes must all be >= 2")
@@ -589,7 +591,8 @@ def batch_sensitivity_study(
     Each cell reruns the relative-sd rule with b_n = ⌊n^nu⌋ on the
     replication's one chain; the per-replication largest eigenvalue of
     the final estimate is retained for spread analysis. Methods other
-    than mbm and a metric other than relative_sd raise DomainError.
+    than mbm, a metric other than relative_sd and a batch policy other
+    than the default nu:0.5 raise DomainError.
     """
     if spec.is_fixed_n:
         raise DomainError("batch sensitivity study needs a sequential StoppingConfig")
@@ -597,6 +600,9 @@ def batch_sensitivity_study(
     if spec.stopping.metric != "relative_sd":
         raise DomainError("batch_sensitivity study runs relative_sd in every cell, "
                           f"got metric {spec.stopping.metric!r}")
+    if spec.stopping.batch_policy != BatchPolicy.exponent():
+        raise DomainError("batch_sensitivity study sets b_n = floor(n^nu) in every "
+                          f"cell, got batch_policy {spec.stopping.batch_policy!r}")
     nus = _distinct("nus", map(float, nus))
     if not nus:
         raise DomainError("nus must be nonempty")

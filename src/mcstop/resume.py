@@ -1,13 +1,16 @@
 """The resume protocol of `mcstop stop --input F --resume S`.
 
-A call runs the checkpoint loop of stopping.py from the state's next
-checkpoint up to the complete lines of F; an unterminated last line may
-still be being written and is not counted. The state file S pins the
-rule: a passed flag that would change it is refused. It also pins the
-length and SHA-256 of the lines read so far, so a chain file whose
-checked rows were rewritten or truncated is refused. The rows read so
-far are kept in a binary row cache, S.rows.npy, pinned by its SHA-256,
-so a call parses only the lines appended since the last.
+A call runs the checkpoint loop of stopping.py over the complete lines
+of F; an unterminated last line may still be being written and is not
+counted. The state file S pins the rule: a passed flag that would change
+it is refused. It also pins the length and SHA-256 of the lines read so
+far, so a chain file whose checked rows were rewritten or truncated is
+refused. The rows read so far are kept in a binary row cache,
+S.rows.npy, pinned by its SHA-256, so a call parses only the lines
+appended since the last and checks only the grid points past the cached
+rows, which earlier calls checked. Without a valid cache it checks
+again from n*: the verdicts there depend only on the rows, so they are
+the same.
 
 Writes, each replacing its file atomically through _replace_file, in
 this order: the row cache, then the state file. A crash between them
@@ -27,14 +30,13 @@ from .chain import ChainMatrix, load_chain, parse_rows
 from .errors import ConfigError
 from .samplers import FileChainSource
 from .stopping import (RULE_PARAMS, CheckpointRun, StoppingConfig, drive_checkpoints,
-                       length_cap, rule_config, rule_value)
+                       rule_config, rule_value)
 
 # The JSON type of each state key, and of the read_prefix keys a call reads.
 # read_prefix's rows_sha256 and rows_format are left out: a value that is
 # not the cache's digest or this call's --format only means a full parse.
 _STATE_KEYS = {**{key: kind for key, (_, _, kind) in RULE_PARAMS.items()},
-               "next_checkpoint": "an integer", "done": "true or false",
-               "read_prefix": "an object"}
+               "done": "true or false", "read_prefix": "an object"}
 _READ_PREFIX_KEYS = {"bytes": "an integer", "sha256": "a string"}
 _JSON_TYPES = {"a number": (int, float), "an integer": int, "a string": str,
                "true or false": bool, "an object": dict}
@@ -169,14 +171,14 @@ def _read_state(path: str) -> dict:
 
 
 def _resume_rows(written: bytes, pinned: dict, cache_path: str,
-                 format: str) -> ChainMatrix:
-    """The chain in written, parsing only the bytes past the pinned prefix.
+                 format: str) -> tuple[ChainMatrix, int]:
+    """The chain in written and how many of its rows the row cache gave.
 
     The row cache holds the rows of the pinned prefix as read in the
     pinned format. No pin, a missing cache, one whose SHA-256 is not the
     pinned one, another --format, or new bytes the fast parser cannot
-    read mean a full parse: it gives the rows, or raises load_chain's
-    error with its absolute line number.
+    read mean a full parse, and 0: it gives the rows, or raises
+    load_chain's error with its absolute line number.
     """
     cached = None
     if pinned.get("rows_format") == format:
@@ -184,39 +186,31 @@ def _resume_rows(written: bytes, pinned: dict, cache_path: str,
     if cached is not None:
         new = parse_rows(written[pinned["bytes"]:], format, cached.shape[1])
         if new is not None:
-            return ChainMatrix(np.concatenate([cached, new]))
-    return load_chain(written, format=format)
+            return ChainMatrix(np.concatenate([cached, new])), len(cached)
+    return load_chain(written, format=format), 0
 
 
 def stop_resume(chain_path: str, state_path: str, format: str,
                 flags: dict) -> tuple[CheckpointRun | None, ChainMatrix]:
     """One call: its checkpoint run (None on a finished state) and chain.
 
-    The state pins the rule and the next checkpoint, so repeated calls
-    walk one grid however much is appended between them; the first
-    call, with no state yet, starts it. flags is as for stop_rule.
+    The state pins the rule, so repeated calls walk one grid however
+    much is appended between them; the first call, with no state yet,
+    starts it. flags is as for stop_rule.
     """
     written = _written_rows(chain_path)
     cache_path = f"{state_path}.rows.npy"
     state = _read_state(state_path)
     pinned = state.get("read_prefix", {})
     read_prefix = _pin_read_prefix(written, pinned)
-    chain = _resume_rows(written, pinned, cache_path, format)
+    chain, checked = _resume_rows(written, pinned, cache_path, format)
     values, config = stop_rule(flags, state, chain.p)
     if state.get("done"):
         return None, chain
-    start = state.get("next_checkpoint")
-    first, cap = max(config.n_star, 2), length_cap(config, chain.p)
-    # The rule holds only on its grid from n* on: a checkpoint below
-    # would fire below n*, one above the cap would never be reached.
-    if start is not None and not first <= start <= cap:
-        raise ConfigError(f"state file {state_path} has next_checkpoint = {start}, "
-                          f"outside [{first}, {cap}]; delete it to start over")
     run = drive_checkpoints(FileChainSource(chain), None, config,
-                            start=start, available=chain.n)
+                            checked=checked, available=chain.n)
     read_prefix["rows_sha256"] = _write_row_cache(cache_path, chain.data)
     read_prefix["rows_format"] = format
-    _write_state(state_path, dict(values, next_checkpoint=run.next_checkpoint,
-                                  done=run.result is not None,
+    _write_state(state_path, dict(values, done=run.result is not None,
                                   read_prefix=read_prefix))
     return run, chain

@@ -345,7 +345,7 @@ class CheckpointRun:
 _MEMORY_BUDGET_BYTES = 4 * 2**30
 
 
-def length_cap(config: StoppingConfig, p: int) -> int:
+def _length_cap(config: StoppingConfig, p: int) -> int:
     """The last checkpoint of a p-column chain: n_max, lowered to the memory budget."""
     cap = min(config.n_max, _MEMORY_BUDGET_BYTES // (8 * int(p)))
     if cap < max(config.n_star, 2):
@@ -357,25 +357,29 @@ def length_cap(config: StoppingConfig, p: int) -> int:
 
 
 def drive_checkpoints(
-    sampler, rule, config: StoppingConfig, start: Optional[int] = None,
+    sampler, rule, config: StoppingConfig, checked: int = 0,
     available: Optional[int] = None, truth=None,
 ) -> CheckpointRun:
     """The checkpoint loop behind run_sequential and the resume protocol.
 
-    Checks run at start (default max(n*, 2)) and, after each failure,
-    at n + ⌈check_growth · n⌉, capped at the effective n_max. With
-    available set, the loop stops before the first checkpoint beyond
-    that many rows and reports it instead of taking it. sampler is a
-    chain source (samplers.ChainSource: p and take). The engine reads
+    The grid runs from max(n*, 2) by n + ⌈check_growth · n⌉, capped at
+    the effective n_max. Checks start at its first point past checked,
+    the rows earlier calls checked, or at the cap. With available set,
+    the loop stops before the first checkpoint beyond that many rows and
+    reports it instead of taking it. sampler is a chain source
+    (samplers.ChainSource: p and take). The engine reads
     sampler.rows(n), or take(n).data from a source without rows; a
     ChainMatrix rule gets take(n). A study passes its truth, so that the
     decision's one summary also holds the coverage.
     """
     metric = _engine_metric(rule, config)
-    cap = length_cap(config, sampler.p)
+    cap = _length_cap(config, sampler.p)
     read = getattr(sampler, "rows", lambda k: sampler.take(k).data)
     engine = None
-    n = max(config.n_star, 2) if start is None else start
+    grown = lambda n: min(n + int(math.ceil(config.check_growth * n)), cap)
+    n = max(config.n_star, 2)
+    while n <= checked and n < cap:
+        n = grown(n)
     while available is None or n <= available:
         if metric is None:
             chain = sampler.take(n)
@@ -393,7 +397,7 @@ def drive_checkpoints(
         if n >= cap:
             reason = "n_max_reached"
             break
-        n = min(n + int(math.ceil(config.check_growth * n)), cap)
+        n = grown(n)
     else:
         return CheckpointRun(result=None, next_checkpoint=n)
     # The final estimate reads the rows, not the engine: release its buffers.

@@ -221,21 +221,21 @@ class TestEngine:
 
 class TestCheckpointLoop:
     def test_resumed_walk_matches_one_run(self):
-        # feeding the loop a growing file in pieces, from the saved
-        # checkpoint each time, reaches run_sequential's result bitwise
+        # feeding the loop a growing file in pieces, past the rows the
+        # last piece checked each time, reaches run_sequential's result bitwise
         chain = var1_benchmark(5).make_source(4).take(40_000)
         cfg = StoppingConfig(epsilon=0.08, alpha=0.10, n_star=500)
         whole = run_sequential(FileChainSource(chain), None, cfg)
-        start, rows = None, 0
+        checked, rows = 0, 0
         while True:
             rows += 1700
             run = drive_checkpoints(
-                FileChainSource(chain), None, cfg, start=start, available=rows
+                FileChainSource(chain), None, cfg, checked=checked, available=rows
             )
             if run.result is not None:
                 break
             assert run.next_checkpoint > rows
-            start = run.next_checkpoint
+            checked = rows
         assert run.result == whole
         assert run.final.n == whole.n_final
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -315,7 +316,7 @@ class TestStopResumeProtocol:
         st = json.loads(state.read_text())
         assert st["done"] is False
         assert st["epsilon"] == 0.3
-        first_cp = st["next_checkpoint"]
+        first_cp = payload["next_checkpoint"]
 
         # phase 2: epsilon conflict is refused
         code, _, err = _run(
@@ -354,14 +355,14 @@ class TestStopResumeProtocol:
         path = _write_chain(tmp_path, rows, name="grown.csv")
         state = tmp_path / "state.json"
         argv = ["stop", "--input", path, "--resume", str(state),
-                "--eps", "0.05", "--nstar", "60"]
-        code, _, _ = _run(capsys, argv)
+                "--eps", "0.05", "--nstar", "60", "--json"]
+        code, out, _ = _run(capsys, argv)
         assert code == 0
-        cp1 = json.loads(state.read_text())["next_checkpoint"]
-        code, _, _ = _run(capsys, ["stop", "--input", path,
-                                   "--resume", str(state)])
+        cp1 = json.loads(out)["next_checkpoint"]
+        code, out, _ = _run(capsys, ["stop", "--input", path,
+                                     "--resume", str(state), "--json"])
         assert code == 0
-        cp2 = json.loads(state.read_text())["next_checkpoint"]
+        cp2 = json.loads(out)["next_checkpoint"]
         assert cp1 == cp2
 
     def test_corrupt_state_rejected(self, capsys, tmp_path):
@@ -532,7 +533,7 @@ class TestResumeSafety:
             main(["stop", "--input", path, "--resume", str(state)])
         monkeypatch.undo()
         assert state.read_text() == before
-        assert json.loads(before)["next_checkpoint"] > 80
+        assert json.loads(before)["done"] is False
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "grown.csv", "state.json", "state.json.rows.npy"]
 
@@ -620,7 +621,6 @@ class TestResumeSafety:
         ("batch", 0.5),
         ("check_growth", "0.1"),
         ("n_max", 1e8),
-        ("next_checkpoint", "7"),
         ("done", "yes"),
         ("read_prefix", 5),
         ("read_prefix.bytes", "x"),
@@ -669,27 +669,54 @@ class TestResumeSafety:
         assert payload["n_available"] == 60
         assert payload["next_checkpoint"] == 66
 
-    @pytest.mark.parametrize("value", [2, 1500, 10**15, 0, 1, -5])
-    def test_next_checkpoint_off_the_grid_refused(self, capsys, tmp_path, value):
-        # n* 2000 and the cap of 10^8 bound the grid; a checkpoint below
-        # would fire below n*, one above would answer "continue" forever
-        rows = np.random.default_rng(7).standard_normal((1600, 2))
-        path = _write_chain(tmp_path, rows, name="grown.csv")
-        state = tmp_path / "state.json"
-        argv = ["stop", "--input", path, "--resume", str(state)]
-        code, _, _ = _run(capsys, argv + ["--eps", "0.05", "--nstar", "2000"])
+    @pytest.mark.parametrize("value", [2, 1500, 10**15, 0, 1, -5, 2001, "x"])
+    def test_stale_next_checkpoint_ignored(self, capsys, tmp_path, value):
+        # a state written by an earlier version holds next_checkpoint; the
+        # call ignores it and walks the grid from n* 2000: it checks 2000
+        # and 2200 and asks for 2420
+        rows = np.random.default_rng(7).standard_normal((2300, 2))
+        path = _write_chain(tmp_path, rows[:1600], name="grown.csv")
+        states = [tmp_path / "state.json", tmp_path / "stale.json"]
+        caches = [tmp_path / "state.json.rows.npy", tmp_path / "stale.json.rows.npy"]
+        code, _, _ = _run(capsys, ["stop", "--input", path, "--resume", str(states[0]),
+                                   "--eps", "0.05", "--nstar", "2000"])
         assert code == 0
-        old = json.loads(state.read_text())
-        assert old["next_checkpoint"] == 2000
-        old["next_checkpoint"] = value
-        state.write_text(json.dumps(old))
-        cache = tmp_path / "state.json.rows.npy"
-        before = state.read_bytes(), cache.read_bytes()
-        code, out, err = _run(capsys, argv + ["--json"])
-        assert (code, out) == (1, "")
-        assert err == (f"mcstop: error: state file {state} has next_checkpoint = "
-                       f"{value}, outside [2000, 100000000]; delete it to start over\n")
-        assert (state.read_bytes(), cache.read_bytes()) == before
+        old = json.loads(states[0].read_text())
+        assert "next_checkpoint" not in old
+        states[1].write_text(json.dumps(dict(old, next_checkpoint=value)))
+        shutil.copy(caches[0], caches[1])
+        _write_chain(tmp_path, rows, name="grown.csv")
+        calls = [_run(capsys, ["stop", "--input", path, "--resume", str(s), "--json"])
+                 for s in states]
+        assert calls[0] == calls[1]
+        code, out, err = calls[0]
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"command": "stop", "status": "continue",
+                                   "next_checkpoint": 2420, "n_available": 2300}
+        assert states[0].read_bytes() == states[1].read_bytes()
+        assert caches[0].read_bytes() == caches[1].read_bytes()
+
+    def test_walk_without_row_cache_prints_the_same(self, capsys, tmp_path):
+        # with no valid cache a call checks again from n*; the engine's
+        # verdicts depend only on the rows, so every payload is the same
+        rows = np.random.default_rng(3).standard_normal((3000, 2))
+        printed = []
+        for drop_cache in (False, True):
+            state = tmp_path / f"state-{drop_cache}.json"
+            argv = ["stop", "--input", str(tmp_path / "grown.csv"), "--resume",
+                    str(state), "--json"]
+            outs = []
+            for n in (70, 90, 90, 130, 400, 1000, 3000):
+                if drop_cache and state.exists():
+                    os.remove(f"{state}.rows.npy")
+                _write_chain(tmp_path, rows[:n], name="grown.csv")
+                flags = [] if outs else ["--eps", "0.1", "--nstar", "60"]
+                outs.append(_run(capsys, argv + flags))
+            printed.append(outs)
+        assert printed[0] == printed[1]
+        statuses = [json.loads(out).get("status") for _, out, _ in printed[0]]
+        assert statuses[:-1] == ["continue"] * 6 and statuses[-1] is None
+        assert json.loads(printed[0][-1][1])["n_final"] == 1787
 
 
 class TestStopRuleTable:
@@ -717,7 +744,7 @@ class TestStopRuleTable:
         assert list(got.items())[:7] == [
             ("epsilon", 0.2), ("alpha", 0.1), ("n_star", 70), ("metric", "absolute"),
             ("batch", "nu:.45"), ("check_growth", 0.2), ("n_max", 5000)]
-        assert list(got)[7:] == ["next_checkpoint", "done", "read_prefix"]
+        assert list(got)[7:] == ["done", "read_prefix"]
 
     @pytest.mark.parametrize("pin,flag", [
         (["--batch", "nu:0.5"], ["--batch", "nu:.5"]),
@@ -731,7 +758,7 @@ class TestStopRuleTable:
         assert (code, err) == (0, "")
         assert json.loads(out)["status"] == "continue"
         assert state.read_text().splitlines()[:8] == rule
-        assert json.loads(state.read_text())["next_checkpoint"] > 120
+        assert json.loads(out)["next_checkpoint"] > 120
 
     @pytest.mark.parametrize("flags,key,flag", [
         (["--rule", "absolute", "--nstar", "70"], "n_star", "--nstar"),
@@ -1084,7 +1111,7 @@ class TestResumeWriteOrder:
         ("rewritten", 1, []),
         ("conflict", 1, []),
         ("bad state", 1, []),
-        ("next_checkpoint", 1, []),
+        ("next_checkpoint", 2, CACHE_THEN_STATE),
         ("done", 0, []),
     ])
     def test_writes(self, capsys, tmp_path, monkeypatch, case, code, writes):
@@ -1092,9 +1119,10 @@ class TestResumeWriteOrder:
         path = _write_chain(tmp_path, rows[:80], name="grown.csv")
         state = tmp_path / "state.json"
         argv = ["stop", "--input", path, "--resume", str(state)]
-        assert _run(capsys, argv + self.FLAGS)[0] == 0
+        first = _run(capsys, argv + self.FLAGS + ["--json"])
+        assert first[0] == 0
         pinned = json.loads(state.read_text())
-        assert (pinned["next_checkpoint"], pinned["done"]) == (81, False)
+        assert (json.loads(first[1])["next_checkpoint"], pinned["done"]) == (81, False)
         _write_chain(tmp_path, rows[:85] if case == "continue" else rows,
                      name="grown.csv")
         if case == "rewritten":

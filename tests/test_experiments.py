@@ -402,8 +402,17 @@ class TestRelativeErrorStudy:
             relative_error_study(spec, sizes=spec.stopping))
         sequential = StudySpec(model=var1_benchmark(3), replications=1,
                                stopping=_seq_config())
-        with pytest.raises(DomainError, match="needs sizes"):
+        with pytest.raises(DomainError, match="needs fixed-n lengths"):
             relative_error_study(sequential)
+
+    def test_sequential_spec_refused_with_sizes(self):
+        # sizes and b_n come from a fixed-n spec only: none of this
+        # StoppingConfig's values would reach a row
+        spec = StudySpec(var1_benchmark(3), 1,
+                         _seq_config(metric="absolute", n_max=500))
+        with pytest.raises(DomainError, match="^relative_error study needs fixed-n "
+                           "lengths, got a StoppingConfig$"):
+            relative_error_study(spec, sizes=(300,))
 
     @pytest.mark.parametrize("unread,message", [
         ({"methods": ("ubm",)}, "relative_error study runs mbm only, got methods ubm"),
@@ -456,6 +465,15 @@ class TestBatchSensitivityStudy:
         with pytest.raises(DomainError, match=message):
             batch_sensitivity_study(spec, nus=(0.5,))
 
+    def test_batch_policy_refused(self):
+        # every cell sets b_n = floor(n^nu), so fixed:7 would reach no row
+        spec = StudySpec(IidGaussianSpec(2), 1,
+                         _seq_config(batch_policy=BatchPolicy.fixed(7)))
+        with pytest.raises(DomainError, match=r"^batch_sensitivity study sets b_n = "
+                           r"floor\(n\^nu\) in every cell, got batch_policy "
+                           r"BatchPolicy\(kind='fixed', nu=0.5, b=7\)$"):
+            batch_sensitivity_study(spec, nus=(0.5,))
+
     @pytest.mark.parametrize("nus,eps_list,message", [
         ((0.4, 0.5, 0.4), None, "nus: 0.4"),
         ((0.5,), (0.3, 0.3), "eps_list: 0.3"),
@@ -487,12 +505,12 @@ class TestBatchSensitivityStudy:
         spec = StudySpec(
             model=var1_benchmark(5),
             replications=1,
-            stopping=_seq_config(
-                n_star=2, n_max=3, batch_policy=BatchPolicy.exponent(0.9)
-            ),
+            stopping=_seq_config(n_star=2, n_max=3),
         )
+        nu9 = dataclasses.replace(spec, stopping=dataclasses.replace(
+            spec.stopping, batch_policy=BatchPolicy.exponent(0.9)))
         with pytest.raises(InsufficientData) as cov:
-            coverage_study(spec)
+            coverage_study(nu9)
         with pytest.raises(InsufficientData) as sens:
             batch_sensitivity_study(spec, nus=(0.9,))
         assert "at least 2 batches" in str(sens.value)

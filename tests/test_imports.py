@@ -92,16 +92,16 @@ def test_import_loads_no_scipy_and_no_process_pool():
 
 
 def _cli(*argv):
-    """The modules a fresh `mcstop` call with argv loaded, after its exit code."""
+    """A fresh `mcstop` call's stdout lines, its exit code and the modules it loaded."""
     script = ("import sys\nfrom mcstop.cli import main\n"
               "try:\n    code = main(sys.argv[1:])\n"
               "except SystemExit as exc:\n    code = exc.code\n"
               "print(code)\n" + LOADED)
-    return _python(script, *argv)[-2:]
+    return _python(script, *argv)
 
 
-def test_cli_call_without_a_quantile_loads_no_scipy(tmp_path):
-    assert _cli("--help") == ["0", "[]"]
+def test_cli_call_without_a_quantile_loads_no_scipy(tmp_path, capsys):
+    assert _cli("--help")[-2:] == ["0", "[]"]
     rows = np.random.default_rng(5).standard_normal((3000, 2)).tolist()
     chain, state = tmp_path / "chain.csv", tmp_path / "state.json"
 
@@ -110,13 +110,14 @@ def test_cli_call_without_a_quantile_loads_no_scipy(tmp_path):
 
     grow(100)
     argv = ["stop", "--input", chain, "--resume", state]
-    assert main([str(x) for x in argv] + ["--eps", "0.2"]) == 0
-    due = json.loads(state.read_text())["next_checkpoint"]
+    assert main([str(x) for x in argv] + ["--eps", "0.2", "--json"]) == 0
+    due = json.loads(capsys.readouterr().out)["next_checkpoint"]
     grow(due - 1)
-    assert _cli(*argv) == ["0", "[]"]
-    assert json.loads(state.read_text())["next_checkpoint"] == due
+    payload, code, loaded = _cli(*argv, "--json")
+    assert (code, loaded) == ("0", "[]")
+    assert json.loads(payload)["next_checkpoint"] == due
     grow(due)
-    code, loaded = _cli(*argv)
+    *_, code, loaded = _cli(*argv)
     assert code == "0"
     assert "'scipy.special'" in loaded and "'scipy.signal'" not in loaded
 

@@ -10,10 +10,9 @@ which does not fire at this length). It runs `mcstop stop --resume` once
 to pin the state, which parses the whole file, appends the rows and runs
 the second call, which parses only the appended rows. Both calls are
 timed and split by what each layer of the resume protocol calls
-(mcstop.resume, or mcstop.cli in a tree without it): parse
-(load_chain and parse_rows), hash (the SHA-256 pin of the file), row
-cache (read and write), checkpoint (drive_checkpoints) and state (the
-state write). Each call also reports the rows its parse read per
+(mcstop.resume): parse (load_chain and parse_rows), hash (the SHA-256
+pin of the file), row cache (read and write), checkpoint
+(drive_checkpoints) and state (the state write). Each call also reports the rows its parse read per
 second. Layers the tree under --src lacks are left out. Prints one JSON
 object.
 """
@@ -91,10 +90,7 @@ def main(argv=None) -> int:
     import numpy as np
     import mcstop
     import mcstop.cli as cli
-    try:
-        import mcstop.resume as protocol
-    except ImportError:
-        protocol = cli
+    import mcstop.resume as protocol
 
     n0 = _checkpoint_after(ROWS) - APPEND // 2
     x = mcstop.var1_benchmark(5).make_source(1).take(n0 + APPEND).data
