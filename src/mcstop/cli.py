@@ -24,6 +24,7 @@ from .errors import (
     EmptyInput,
     McstopError,
     NotPositiveDefinite,
+    NotStationary,
     ParseError,
 )
 from .estimators import BatchPolicy, batch_size, mbm
@@ -35,11 +36,14 @@ from .stopping import RULE_PARAMS, RULES, run_sequential
 
 _NOT_PD_MSG = "increase n: covariance estimate not positive definite (a_n ≤ p)"
 
+# NotStationary is raised only while a model is built from a --model or
+# config model spec.
 _USER_ERRORS = (
     ConfigError,
     ParseError,
     EmptyInput,
     DomainError,
+    NotStationary,
     FileNotFoundError,
     IsADirectoryError,
     PermissionError,

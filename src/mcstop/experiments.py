@@ -153,6 +153,8 @@ def parse_model_spec(text: str):
       var1_bench5 | var1_bench50
       var1:phi=0.9,0.5,0.1;rho=0.9[;scale=1.0]   (diagonal Φ, AR(1) Ω)
       logistic[:tau2=1.0;proposal_sd=0.35]
+
+    Each kind's options are MODEL_KEYS', refused like a config's keys.
     """
     text = text.strip()
     if text == "var1_bench5":
@@ -160,46 +162,20 @@ def parse_model_spec(text: str):
     if text == "var1_bench50":
         return var1_benchmark(50)
     head, _, rest = text.partition(":")
-    if head not in ("iid", "logistic", "var1"):
+    if head not in MODEL_KEYS:
         raise ConfigError(f"unknown model kind {head!r} in {text!r}")
-    opts = {}
-    if rest:
-        for item in rest.split(";"):
-            k, sep, v = item.partition("=")
-            if not sep:
-                raise ConfigError(f"bad model option {item!r} in {text!r}")
-            opts[k.strip()] = v.strip()
-    if head == "iid":
-        if set(opts) != {"p"}:
-            raise ConfigError(f"iid model takes exactly p=<dim>, got {text!r}")
-        try:
-            return IidGaussianSpec(int(opts["p"]))
-        except ValueError:
-            raise ConfigError(f"bad dimension in {text!r}") from None
-    if head == "logistic":
-        bad = set(opts) - {"tau2", "proposal_sd"}
-        if bad:
-            raise ConfigError(f"unknown logistic options {sorted(bad)}")
-        try:
-            return logistic_benchmark(
-                tau2=float(opts.get("tau2", 1.0)),
-                proposal_sd=float(opts.get("proposal_sd", 0.35)),
-            )
-        except ValueError:
-            raise ConfigError(f"bad numeric option in {text!r}") from None
-    bad = set(opts) - {"phi", "rho", "scale"}
-    if bad:
-        raise ConfigError(f"unknown var1 options {sorted(bad)}")
-    if "phi" not in opts or "rho" not in opts:
-        raise ConfigError("var1 model needs phi=<floats> and rho=<float>")
+    raw = _pairs((repr(text), item) for item in rest.split(";")) if rest else {}
+    opts = _read_keys(f"{head} model", raw, MODEL_KEYS[head])
     try:
+        if head == "iid":
+            return IidGaussianSpec(int(opts["p"]))
+        if head == "logistic":
+            return logistic_benchmark(float(opts["tau2"]), float(opts["proposal_sd"]))
         diag = [float(x) for x in opts["phi"].split(",")]
-        rho = float(opts["rho"])
-        scale = float(opts.get("scale", 1.0))
+        rho, scale = float(opts["rho"]), float(opts["scale"])
     except ValueError:
         raise ConfigError(f"bad numeric option in {text!r}") from None
-    phi = np.diag(np.array(diag))
-    return Var1Spec(Var1Model(phi=phi, omega=ar1_cov(rho, len(diag), scale)))
+    return Var1Spec(Var1Model(phi=np.diag(diag), omega=ar1_cov(rho, len(diag), scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +464,14 @@ def coverage_study(spec: StudySpec) -> StudyReport:
     Fixed-n studies evaluate each method on one reference estimate of
     the same chain prefix; sequential studies run each method's own
     stopping rule on a shared underlying chain realization per
-    replication.
+    replication. A sequential metric other than relative_sd that no method
+    runs, so that each method would run its own, raises DomainError.
     """
+    metric = None if spec.is_fixed_n else spec.stopping.metric
+    if metric not in (None, "relative_sd") and not any(
+            metric in _METHOD_METRIC[method] for method in spec.methods):
+        raise DomainError(f"metric {metric!r} is run by none of the methods "
+                          f"{', '.join(spec.methods)}")
     rows = _replicate(_fixed_n_rows if spec.is_fixed_n else _sequential_rows, spec)
     if spec.is_fixed_n:
         summary = _aggregate(rows, ["method", "n"], ["ess", "covered", "vol_p"])
@@ -620,27 +602,63 @@ def batch_sensitivity_study(
 # study config files
 
 
-_COMMON_KEYS = ("study", "model", "replications", "seed_base")
-REQUIRED = object()  # marks a key that a config must give
+REQUIRED = object()  # marks a key that a config or a model spec must give
 _RULE_DEFAULTS = {key: default for key, (_, default, _) in RULE_PARAMS.items()}
-# The keys each (study, mode) reads beyond _COMMON_KEYS, each with its
-# default or REQUIRED. The rule keys take `mcstop stop`'s defaults except
-# alpha's and batch_sensitivity's epsilon. Every batch_sensitivity cell
-# runs relative_sd at b_n = floor(n^nu), so that study reads no metric or
+# Every study reads these; study is read first, because it picks the row.
+_COMMON_KEYS = dict.fromkeys(("study", "model", "replications", "seed_base"), REQUIRED)
+# The keys each (study, mode) reads, each with its default or REQUIRED.
+# The rule keys take `mcstop stop`'s defaults except alpha's and
+# batch_sensitivity's epsilon. Every batch_sensitivity cell runs
+# relative_sd at b_n = floor(n^nu), so that study reads no metric or
 # batch; absent eps_list, its one cell runs at epsilon.
 STUDY_KEYS = {
     ("coverage", "fixed"): {
-        "mode": "sequential", "methods": "mbm", "fixed_n": REQUIRED,
+        **_COMMON_KEYS, "mode": "sequential", "methods": "mbm", "fixed_n": REQUIRED,
         "alpha": _STUDY_ALPHA, "batch": _RULE_DEFAULTS["batch"]},
     ("coverage", "sequential"): {
-        "mode": "sequential", "methods": "mbm", **_RULE_DEFAULTS,
+        **_COMMON_KEYS, "mode": "sequential", "methods": "mbm", **_RULE_DEFAULTS,
         "epsilon": REQUIRED, "alpha": _STUDY_ALPHA},
-    ("relative_error", None): {"sizes": REQUIRED, "batch": _RULE_DEFAULTS["batch"]},
+    ("relative_error", None): {**_COMMON_KEYS, "sizes": REQUIRED,
+                               "batch": _RULE_DEFAULTS["batch"]},
     ("batch_sensitivity", None): {
-        "nus": REQUIRED, "n_star": REQUIRED, "eps_list": None, "epsilon": 0.05,
-        "alpha": _STUDY_ALPHA, "check_growth": _RULE_DEFAULTS["check_growth"],
-        "n_max": _RULE_DEFAULTS["n_max"]},
+        **_COMMON_KEYS, "nus": REQUIRED, "n_star": REQUIRED, "eps_list": None,
+        "epsilon": 0.05, "alpha": _STUDY_ALPHA,
+        "check_growth": _RULE_DEFAULTS["check_growth"], "n_max": _RULE_DEFAULTS["n_max"]},
 }
+# The options each kind of parse_model_spec reads, with its default text or REQUIRED.
+MODEL_KEYS = {
+    "iid": {"p": REQUIRED},
+    "var1": {"phi": REQUIRED, "rho": REQUIRED, "scale": "1.0"},
+    "logistic": {"tau2": "1.0", "proposal_sd": "0.35"},
+}
+
+
+def _pairs(items) -> dict:
+    """(where, "key = value") items as a dict; a repeated key or no = names where."""
+    raw = {}
+    for where, item in items:
+        key, sep, val = item.partition("=")
+        if not sep:
+            raise ConfigError(f"{where}: expected key = value, got {item!r}")
+        key = key.strip()
+        if key in raw:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        raw[key] = val.strip()
+    return raw
+
+
+def _read_keys(name: str, raw: dict, keys: dict) -> dict:
+    """Each of keys' values, raw's or its default; name refuses a key of
+    raw that keys lacks and needs each REQUIRED key that raw lacks."""
+    unread = sorted(set(raw) - set(keys))
+    if unread:
+        raise ConfigError(f"{name} refuses {', '.join(map(repr, unread))}, "
+                          "which it does not read")
+    values = {key: raw.get(key, default) for key, default in keys.items()}
+    missing = [key for key, value in values.items() if value is REQUIRED]
+    if missing:
+        raise ConfigError(f"{name} needs {', '.join(missing)}")
+    return values
 
 
 def read_study_config(path: str) -> dict:
@@ -652,68 +670,45 @@ def read_study_config(path: str) -> dict:
     """
     with open(path) as fh:
         text = fh.read()
-    raw = {}
-    for i, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, val = stripped.partition("=")
-        if not sep:
-            raise ConfigError(f"line {i}: expected key = value, got {stripped!r}")
-        key = key.strip()
-        if key in raw:
-            raise ConfigError(f"line {i}: duplicate key {key!r}")
-        raw[key] = val.strip()
-    known = {*_COMMON_KEYS, *(key for keys in STUDY_KEYS.values() for key in keys)}
+    lines = enumerate((line.strip() for line in text.splitlines()), start=1)
+    raw = _pairs((f"line {i}", line) for i, line in lines
+                 if line and not line.startswith("#"))
+    known = {key for keys in STUDY_KEYS.values() for key in keys}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     return _validate_study_config(raw)
 
 
-def _need(raw: dict, key: str) -> str:
-    if key not in raw:
-        raise ConfigError(f"missing required config key {key!r}")
-    return raw[key]
-
-
-def _need_int(raw: dict, key: str) -> int:
-    text = _need(raw, key)
+def _read(key: str, text: str, conv):
+    """conv(text), refused with the key and its text if it does not read."""
     try:
-        return int(text)
+        return conv(text)
     except ValueError:
         raise ConfigError(f"bad value for {key!r}: {text!r}") from None
 
 
 def _list(raw: dict, key: str, conv) -> tuple:
     """A comma list key's values, each read by conv and given once."""
-    text = raw[key]
-    try:
-        return _distinct(key, (conv(x) for x in text.split(",")))
-    except ValueError:
-        raise ConfigError(f"bad value for {key!r}: {text!r}") from None
+    return _read(key, raw[key],
+                 lambda text: _distinct(key, (conv(x) for x in text.split(","))))
 
 
 def _validate_study_config(raw: dict) -> dict:
-    study = _need(raw, "study")
+    study = raw.get("study")
+    if study is None:
+        raise ConfigError("study config needs study")
     if study not in {s for s, _ in STUDY_KEYS}:
         raise ConfigError(f"unknown study {study!r}")
-    model = parse_model_spec(_need(raw, "model"))
-    replications = _need_int(raw, "replications")
-    seed_base = _need_int(raw, "seed_base")
     mode = raw.get("mode", "sequential") if study == "coverage" else None
     if (study, mode) not in STUDY_KEYS:
         raise ConfigError(f"unknown mode {mode!r}")
     keys = STUDY_KEYS[study, mode]
     name = f"{mode} {study} study" if mode else f"{study} study"
-    unread = sorted(set(raw) - set(keys) - set(_COMMON_KEYS))
-    if unread:
-        raise ConfigError(f"{name} refuses {', '.join(map(repr, unread))}, "
-                          "which it does not read")
-    values = {key: raw.get(key, default) for key, default in keys.items()}
-    missing = [key for key, value in values.items() if value is REQUIRED]
-    if missing:
-        raise ConfigError(f"{name} needs {', '.join(missing)}")
+    values = _read_keys(name, raw, keys)
+    model = parse_model_spec(values["model"])
+    replications = _read("replications", values["replications"], int)
+    seed_base = _read("seed_base", values["seed_base"], int)
     if "eps_list" in raw and "epsilon" in raw:
         raise ConfigError(f"{name} refuses 'epsilon' with eps_list, "
                           "which sets each cell's epsilon")

@@ -18,7 +18,7 @@ from typing import Protocol, Union
 import numpy as np
 
 from .chain import ChainMatrix, load_chain
-from .errors import DomainError, InsufficientData, NotStationary
+from .errors import DomainError, InsufficientData, NotStationary, require_positive
 
 # Posterior mean for the bundled logistic dataset, used by the
 # replication studies as the proxy truth.
@@ -36,8 +36,7 @@ def ar1_cov(rho: float, p: int, scale: float = 1.0) -> np.ndarray:
         raise DomainError(f"autocorrelation must lie in (-1,1), got {rho}")
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
-    if scale <= 0.0:
-        raise DomainError(f"scale must be positive, got {scale}")
+    require_positive("scale", scale)
     idx = np.arange(p)
     return scale * rho ** np.abs(idx[:, None] - idx[None, :])
 
@@ -66,6 +65,8 @@ def var1_true_cov(phi: np.ndarray, omega: np.ndarray) -> tuple:
         raise DomainError("phi must be square")
     if omega.shape != phi.shape:
         raise DomainError("omega must match phi's shape")
+    if not np.isfinite(omega).all():
+        raise DomainError("omega must be finite")
     p = phi.shape[0]
     if np.abs(omega - omega.T).max() > 1e-10 * max(1.0, np.abs(omega).max()):
         raise DomainError("omega must be symmetric")
@@ -122,7 +123,7 @@ class LogisticModel:
     y : ndarray
         Length-K binary responses.
     tau2 : float
-        Prior variance, positive.
+        Prior variance, finite and positive.
     proposal_sd : float
         Random walk proposal scale; 0.35 approximates the optimal
         acceptance probability for this posterior.
@@ -142,10 +143,8 @@ class LogisticModel:
             raise DomainError("design matrix must be finite")
         if not np.isin(y, (0.0, 1.0)).all():
             raise DomainError("responses must be 0 or 1")
-        if self.tau2 <= 0.0:
-            raise DomainError(f"tau2 must be positive, got {self.tau2}")
-        if self.proposal_sd <= 0.0:
-            raise DomainError(f"proposal_sd must be positive, got {self.proposal_sd}")
+        require_positive("tau2", self.tau2)
+        require_positive("proposal_sd", self.proposal_sd)
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "x", x)

@@ -257,6 +257,23 @@ class TestStopCommand:
         )
         assert (code, out, err) == (1, "", "mcstop: error: epsilon must be finite, got nan\n")
 
+    @pytest.mark.parametrize("model,message", [
+        # a Φ with spectral radius 1 exited 2, as a numerical failure
+        ("var1:phi=1.0;rho=0.5", "spectral radius 1.000000000000 is not below 1"),
+        ("var1:phi=0.5;rho=1.0", "autocorrelation must lie in (-1,1), got 1.0"),
+        ("iid:p=2;p=3", "'iid:p=2;p=3': duplicate key 'p'"),
+    ])
+    def test_invalid_model_exit_1(self, capsys, tmp_path, model, message):
+        code, out, err = _run(capsys, ["stop", "--model", model, "--seed", "1",
+                                       "--eps", "0.1"])
+        assert (code, out, err) == (1, "", f"mcstop: error: {message}\n")
+        cfg = tmp_path / "model.conf"
+        cfg.write_text(f"study = coverage\nmodel = {model}\nepsilon = 0.3\n"
+                       "replications = 1\nseed_base = 0\n")
+        code, out, err = _run(capsys, ["replicate", str(cfg),
+                                       "--out-prefix", str(tmp_path / "out")])
+        assert (code, out, err) == (1, "", f"mcstop: error: {message}\n")
+
     def test_model_needs_seed(self, capsys):
         code, _, err = _run(
             capsys, ["stop", "--model", "iid:p=2", "--eps", "0.1"]
@@ -453,6 +470,17 @@ class TestReplicateCommand:
         code, out, _ = _run(capsys, ["stop", "--model", "logistic:tau2=4", "--seed",
                                      "1", "--eps", "0.3", "--json"])
         assert (code, json.loads(out)["reason"]) == (0, "criterion_met")
+
+    def test_metric_no_method_runs_exit_1(self, capsys, tmp_path):
+        cfg = tmp_path / "metric.conf"
+        cfg.write_text("study = coverage\nmodel = iid:p=2\nepsilon = 0.3\n"
+                       "metric = absolute\nmethods = ubm\nreplications = 1\n"
+                       "seed_base = 0\n")
+        code, out, err = _run(capsys, ["replicate", str(cfg),
+                                       "--out-prefix", str(tmp_path / "out")])
+        assert (code, out) == (1, "")
+        assert err == ("mcstop: error: metric 'absolute' is run by none of the "
+                       "methods ubm\n")
 
     def test_unknown_key_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "bad.conf"

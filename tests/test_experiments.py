@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ from mcstop import (
     LogisticSpec,
     StoppingConfig,
     StudySpec,
+    Var1Model,
     Var1Spec,
+    ar1_cov,
     batch_sensitivity_study,
     batch_size,
     coverage_study,
+    logistic_benchmark,
     parse_model_spec,
     read_study_config,
     relative_error_study,
@@ -43,6 +47,18 @@ def _write(tmp_path, text, name="study.conf"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _var1(diag, rho, scale=1.0):
+    return Var1Spec(Var1Model(phi=np.diag(diag), omega=ar1_cov(rho, len(diag), scale)))
+
+
+def _model_params(spec):
+    """A study model's type, p, Φ, Ω, τ² and proposal sd (None where absent)."""
+    model = getattr(spec, "model", None)
+    return (type(spec), spec.p, *(np.asarray(getattr(model, name)).tolist()
+                                  if hasattr(model, name) else None
+                                  for name in ("phi", "omega", "tau2", "proposal_sd")))
 
 
 class TestParseModelSpec:
@@ -74,18 +90,107 @@ class TestParseModelSpec:
     def test_errors(self):
         with pytest.raises(ConfigError, match="unknown model kind"):
             parse_model_spec("nosuch:p=2")
-        with pytest.raises(ConfigError, match="bad model option"):
+        with pytest.raises(ConfigError, match="'iid:p5': expected key = value"):
             parse_model_spec("iid:p5")
         with pytest.raises(ConfigError):
             parse_model_spec("iid:p=5;extra=1")
-        with pytest.raises(ConfigError, match="bad dimension"):
+        with pytest.raises(ConfigError, match="bad numeric option"):
             parse_model_spec("iid:p=abc")
         with pytest.raises(ConfigError):
             parse_model_spec("var1:phi=0.5")
-        with pytest.raises(ConfigError, match="unknown var1 options"):
+        with pytest.raises(ConfigError, match="var1 model refuses 'q'"):
             parse_model_spec("var1:phi=0.5;rho=0.5;q=2")
-        with pytest.raises(ConfigError, match="unknown logistic options"):
+        with pytest.raises(ConfigError, match="logistic model refuses 'sigma'"):
             parse_model_spec("logistic:sigma=1")
+
+    # Every form the minilanguage accepted before MODEL_KEYS, with the spec
+    # it built, written out with the builders.
+    ACCEPTED = [
+        ("iid:p=5", lambda: IidGaussianSpec(5)),
+        ("  iid:p = 5 ", lambda: IidGaussianSpec(5)),
+        ("var1_bench5", lambda: var1_benchmark(5)),
+        (" var1_bench50 ", lambda: var1_benchmark(50)),
+        ("var1:phi=0.9,0.5;rho=0.8", lambda: _var1([0.9, 0.5], 0.8)),
+        ("var1:rho=0.8;phi=0.9,0.5", lambda: _var1([0.9, 0.5], 0.8)),
+        ("var1:phi=0.9,0.5;rho=0.8;scale=2.0", lambda: _var1([0.9, 0.5], 0.8, 2.0)),
+        ("var1: phi = 0.9, 0.5 ; rho = 0.8 ; scale = 2",
+         lambda: _var1([0.9, 0.5], 0.8, 2.0)),
+        ("var1:phi=-0.3;rho=-0.5;scale=1e-3", lambda: _var1([-0.3], -0.5, 1e-3)),
+        ("logistic", lambda: logistic_benchmark()),
+        ("logistic:", lambda: logistic_benchmark()),
+        ("logistic:tau2=2.0", lambda: logistic_benchmark(tau2=2.0)),
+        ("logistic:proposal_sd=0.2", lambda: logistic_benchmark(proposal_sd=0.2)),
+        ("logistic:tau2=2.0;proposal_sd=0.2", lambda: logistic_benchmark(2.0, 0.2)),
+        ("logistic: proposal_sd = .2 ;tau2= 2", lambda: logistic_benchmark(2.0, 0.2)),
+    ]
+
+    @pytest.mark.parametrize("text,build", ACCEPTED, ids=[t for t, _ in ACCEPTED])
+    def test_accepted_forms_build_equal_specs(self, text, build):
+        assert _model_params(parse_model_spec(text)) == _model_params(build())
+
+    @pytest.mark.parametrize("text,message", [
+        ("nosuch:p=2", "unknown model kind 'nosuch' in 'nosuch:p=2'"),
+        ("iid:p5", "'iid:p5': expected key = value, got 'p5'"),
+        ("logistic:tau2=2;", "'logistic:tau2=2;': expected key = value, got ''"),
+        ("iid:p=5;extra=1", "iid model refuses 'extra', which it does not read"),
+        ("var1:phi=0.5;rho=0.5;q=2", "var1 model refuses 'q', which it does not read"),
+        ("logistic:sigma=1;eta=2",
+         "logistic model refuses 'eta', 'sigma', which it does not read"),
+        # a repeated option was taken, its last value kept: iid:p=2;p=3 built
+        # a 3-dimensional model
+        ("iid:p=2;p=3", "'iid:p=2;p=3': duplicate key 'p'"),
+        ("var1:phi=0.5;rho=0.5;rho=0.9",
+         "'var1:phi=0.5;rho=0.5;rho=0.9': duplicate key 'rho'"),
+        ("iid:", "iid model needs p"),
+        ("var1:phi=0.5", "var1 model needs rho"),
+        ("var1:scale=2", "var1 model needs phi, rho"),
+        ("iid:p=abc", "bad numeric option in 'iid:p=abc'"),
+        ("iid:p=2.0", "bad numeric option in 'iid:p=2.0'"),
+        ("var1:phi=0.5,x;rho=0.5", "bad numeric option in 'var1:phi=0.5,x;rho=0.5'"),
+        ("var1:phi=0.5;rho=0.5;scale=",
+         "bad numeric option in 'var1:phi=0.5;rho=0.5;scale='"),
+        ("logistic:tau2=one", "bad numeric option in 'logistic:tau2=one'"),
+    ])
+    def test_each_refusal(self, text, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_model_spec(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text,message", [
+        # proposal_sd=nan built a chain that never moved; tau2=inf failed
+        # later with "beta must be finite"; scale=nan built Ω = [[nan]]
+        ("logistic:proposal_sd=nan", "proposal_sd must be finite, got nan"),
+        ("logistic:proposal_sd=inf", "proposal_sd must be finite, got inf"),
+        ("logistic:tau2=inf", "tau2 must be finite, got inf"),
+        ("logistic:tau2=nan", "tau2 must be finite, got nan"),
+        ("var1:phi=0.5;rho=0.5;scale=nan", "scale must be finite, got nan"),
+        ("var1:phi=0.5;rho=0.5;scale=inf", "scale must be finite, got inf"),
+        ("var1:phi=0.5;rho=nan", "autocorrelation must lie in (-1,1), got nan"),
+        ("var1:phi=nan;rho=0.5", "spectral radius requires finite entries"),
+    ])
+    def test_non_finite_values_refused(self, text, message):
+        with pytest.raises(DomainError) as exc:
+            parse_model_spec(text)
+        assert str(exc.value) == message
+
+    def test_readme_model_specs_are_the_code_table(self):
+        # each `kind:...` form of README's "Model specs" paragraph names the
+        # kind's options, an optional one in brackets with its default
+        readme = (CONFIGS.parent / "README.md").read_text()
+        para = readme.split("\nModel specs: ", 1)[1].split("\n\n")[0]
+        table = {}
+        for span in re.findall(r"`([^`]*)`", para):
+            form = re.fullmatch(r"(\w+)(\[?:.*)", span)
+            if form is None:
+                continue
+            kind, rest = form.groups()
+            required, _, optional = rest.partition("[")
+            options = table.setdefault(kind, {})
+            for part, is_optional in ((required, False), (optional.rstrip("]"), True)):
+                for item in filter(None, part.strip(":;").split(";")):
+                    key, _, value = item.partition("=")
+                    options[key] = value if is_optional else experiments.REQUIRED
+        assert table == experiments.MODEL_KEYS
 
 
 class TestStudySpec:
@@ -171,6 +276,32 @@ class TestCoverageStudy:
         (group,) = report.summary
         assert group["count"] == 200
         assert 0.815 <= group["coverage"] <= 0.985
+
+    @pytest.mark.parametrize("metric,methods", [
+        ("univariate_bonferroni", ("mbm",)),
+        ("absolute", ("ubm",)),
+        ("univariate_uncorrected", ("mbm", "ubm_bonferroni")),
+    ])
+    def test_metric_no_method_runs_refused(self, monkeypatch, metric, methods):
+        # each method fell back to its default rule: the rows were the
+        # default config's, with no word about the metric
+        def no_draws(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(experiments, "_replicate", no_draws)
+        spec = StudySpec(IidGaussianSpec(2), 1, _seq_config(metric=metric), methods)
+        with pytest.raises(DomainError) as exc:
+            coverage_study(spec)
+        assert str(exc.value) == (f"metric {metric!r} is run by none of the methods "
+                                  f"{', '.join(methods)}")
+
+    @pytest.mark.parametrize("metric,methods", [
+        ("relative_sd", ("ubm",)), ("absolute", ("ubm", "mbm")),
+        ("univariate_bonferroni", ("mbm", "ubm_bonferroni")),
+    ])
+    def test_metric_some_method_runs_accepted(self, metric, methods):
+        spec = StudySpec(IidGaussianSpec(2), 1, _seq_config(metric=metric), methods)
+        assert [row["method"] for row in coverage_study(spec).rows] == list(methods)
 
     def test_rows_and_summary_consistent(self):
         spec = StudySpec(
@@ -587,6 +718,15 @@ class TestReadStudyConfig:
                     "fixed_n = 100\nreplications = 2\n",
                 )
             )
+        # the common keys are required entries of each row, read with it;
+        # study is read first, because it picks the row
+        for line, message in (
+                ("study = coverage\n", "study config needs study"),
+                ("model = iid:p=2\n", "fixed coverage study needs model"),
+                ("fixed_n = 300, 600\n", "fixed coverage study needs fixed_n")):
+            with pytest.raises(ConfigError) as exc:
+                read_study_config(_write(tmp_path, self.GOOD.replace(line, "")))
+            assert str(exc.value) == message
 
     def test_bad_values(self, tmp_path):
         with pytest.raises(ConfigError, match="bad value for 'replications'"):
@@ -794,7 +934,7 @@ class TestReadStudyConfig:
 
     def test_readme_key_table_is_the_code_table(self):
         # README's "applies to" column names each (study, mode) that reads a
-        # key, * where it is required; the four common keys read "all*"
+        # key, * where it is required; a key that every row requires reads "all*"
         readme = (CONFIGS.parent / "README.md").read_text()
         section = readme.split("## Study configuration files\n", 1)[1].split("\n## ")[0]
         table = [line for line in section.splitlines() if line.startswith("| `")]
@@ -802,13 +942,18 @@ class TestReadStudyConfig:
         for line in table:
             key, column = (cell.strip() for cell in line.split("|")[1:3])
             applies[key.strip("`")] = column
-        expected = {key: "all*" for key in experiments._COMMON_KEYS}
+        readers = {}
         for (study, mode), keys in experiments.STUDY_KEYS.items():
             name = f"{mode} {study}" if mode else study
             for key, default in keys.items():
                 star = "*" if default is experiments.REQUIRED else ""
-                expected[key] = ", ".join(filter(None, [expected.get(key), name + star]))
+                readers.setdefault(key, []).append(name + star)
+        expected = {key: "all*" if len(names) == len(experiments.STUDY_KEYS)
+                    and all(name.endswith("*") for name in names) else ", ".join(names)
+                    for key, names in readers.items()}
         assert applies == expected
+        assert [key for key, column in applies.items() if column == "all*"] == [
+            "study", "model", "replications", "seed_base"]
 
 
 class TestShippedConfigs:

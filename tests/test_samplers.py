@@ -47,6 +47,12 @@ class TestAr1Cov:
         with pytest.raises(DomainError):
             ar1_cov(0.5, 3, scale=0.0)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_non_finite_scale_refused(self, scale):
+        # nan passed the scale <= 0 check and built a covariance of nan
+        with pytest.raises(DomainError, match=f"^scale must be finite, got {scale}$"):
+            ar1_cov(0.5, 2, scale=scale)
+
 
 class TestSpectralRadius:
     def test_matches_eigvals(self, rng):
@@ -114,6 +120,16 @@ class TestVar1TrueCov:
     def test_asymmetric_omega_rejected(self):
         with pytest.raises(DomainError):
             var1_true_cov(np.zeros((2, 2)), np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_omega_rejected(self, bad):
+        # a nan Ω passed the symmetry check and built a Var1Model of nan
+        omega = np.eye(2)
+        omega[1, 1] = bad
+        with pytest.raises(DomainError, match="^omega must be finite$"):
+            var1_true_cov(np.diag([0.5, 0.2]), omega)
+        with pytest.raises(DomainError, match="^omega must be finite$"):
+            Var1Model(phi=np.diag([0.5, 0.2]), omega=omega)
 
 
 class TestSimulateVar1:
@@ -243,6 +259,13 @@ class TestLoadLogitData:
             LogisticModel(x=np.ones((3, 2)), y=np.array([0.0, 1.0]))
         with pytest.raises(DomainError):
             LogisticModel(x=np.ones((3, 2)), y=np.zeros(3), tau2=0.0)
+
+    @pytest.mark.parametrize("name", ["tau2", "proposal_sd"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_refused(self, name, value):
+        # proposal_sd = nan gave a chain that never moved
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got {value}$"):
+            LogisticModel(x=np.ones((3, 2)), y=np.zeros(3), **{name: value})
 
 
 class TestRwmLogistic:

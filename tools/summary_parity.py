@@ -25,7 +25,10 @@ Runs, on the mcstop package under --src (default: this checkout's src):
   - `mcstop replicate` on copies of the three shipped configs cut to 2
     replications and short lengths (exit code, stderr, CSV rows);
   - three 12-call `mcstop stop --input --resume` walks (RESUME_WALKS),
-    with the SHA-256 of the state file and the row cache after each call.
+    with the SHA-256 of the state file and the row cache after each call;
+  - parse_model_spec on every form it accepts and on one text per
+    refusal (MODEL_SPECS), each with its spec's type and parameters or
+    its error.
 Each output is one line: study rows without their `seconds` column,
 StoppingResult reprs, CLI calls with their exit code, stdout and stderr.
 Paths are printed relative to the checkout or to the scratch directory,
@@ -316,6 +319,50 @@ def resume_walks(workdir):
                     write(p, raw)
 
 
+# Every accepted model-spec form, with and without each option and with
+# whitespace, then one text per refusal: unknown kind, no =, unread option,
+# repeated option, missing option, bad number and values outside a domain.
+MODEL_SPECS = (
+    "iid:p=5", "  iid:p = 5 ", "var1_bench5", " var1_bench50 ",
+    "var1:phi=0.9,0.5;rho=0.8", "var1:rho=0.8;phi=0.9,0.5",
+    "var1:phi=0.9,0.5;rho=0.8;scale=2.0", "var1: phi = 0.9, 0.5 ; rho = 0.8 ; scale = 2",
+    "var1:phi=-0.3;rho=-0.5;scale=1e-3", "logistic", "logistic:", "logistic:tau2=2.0",
+    "logistic:proposal_sd=0.2", "logistic:tau2=2.0;proposal_sd=0.2",
+    "logistic: proposal_sd = .2 ;tau2= 2",
+    "nosuch:p=2", "var1_bench6", "iid:p5", "logistic:tau2=2;", "iid:p=5;extra=1",
+    "var1:phi=0.5;rho=0.5;q=2", "logistic:sigma=1;eta=2", "iid:p=2;p=3",
+    "var1:phi=0.5;rho=0.5;rho=0.9", "iid:", "var1:phi=0.5", "var1:scale=2",
+    "iid:p=abc", "iid:p=2.0", "var1:phi=0.5,x;rho=0.5", "var1:phi=0.5;rho=0.5;scale=",
+    "logistic:tau2=one", "iid:p=0", "logistic:proposal_sd=nan", "logistic:tau2=inf",
+    "logistic:tau2=-1", "var1:phi=0.5;rho=0.5;scale=nan", "var1:phi=0.5;rho=0.5;scale=0",
+    "var1:phi=0.5;rho=nan", "var1:phi=0.5;rho=1.0", "var1:phi=nan;rho=0.5",
+    "var1:phi=1.0;rho=0.5",
+)
+
+
+def model_specs(m):
+    """One line per MODEL_SPECS text: type, p and parameters, or the error.
+
+    An array prints as its shape and the SHA-256 of its float64 bytes.
+    """
+    for text in MODEL_SPECS:
+        try:
+            spec = m.parse_model_spec(text)
+        except Exception as exc:
+            yield f"model {text!r}: {type(exc).__name__}: {exc}"
+            continue
+        model = getattr(spec, "model", None)
+        params = [f"{type(spec).__name__} p={spec.p}"]
+        for name in ("phi", "omega", "tau2", "proposal_sd"):
+            if hasattr(model, name):
+                value = getattr(model, name)
+                if isinstance(value, np.ndarray):
+                    raw = value.astype(np.float64).tobytes()
+                    value = f"{value.shape} sha256 {hashlib.sha256(raw).hexdigest()}"
+                params.append(f"{name} {value}")
+        yield f"model {text!r}: {', '.join(params)}"
+
+
 def config_outcome(m, path):
     """The parsed spec, its model by kind and p, or the error it raises."""
     try:
@@ -342,9 +389,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         # a digest line after each part: the first closes the outputs that
         # BENCH_17 to BENCH_21 record, the second the study-config outcomes
-        # and the third the resume walks
+        # and the third the resume walks and the model specs
         for part in ((*studies(m), *runs(m), *cli(m, workdir)), configs(m, workdir),
-                     resume_walks(workdir)):
+                     (*resume_walks(workdir), *model_specs(m))):
             for line in part:
                 print(line)
                 digest.update(line.encode() + b"\n")
