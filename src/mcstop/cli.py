@@ -278,20 +278,20 @@ def cmd_stop(args) -> int:
         raise ConfigError("stop needs --model or --input")
     if args.resume is None:
         raise ConfigError("--input mode needs --resume <state file>")
-    run, chain = stop_resume(args.input, args.resume, args.format, flags)
-    if run is None:
+    walk, chain = stop_resume(args.input, args.resume, args.format, flags)
+    if walk is None:
         print("state file marks this run as finished", file=sys.stderr)
         return 0
-    if run.result is None:
+    if walk.result is None:
         payload = {"command": "stop", "status": "continue",
-                   "next_checkpoint": run.next_checkpoint, "n_available": chain.n}
+                   "next_checkpoint": walk.next, "n_available": chain.n}
         _emit(payload, args.json, [
             "criterion not yet met",
-            f"extend the chain to at least {run.next_checkpoint} rows and rerun",
+            f"extend the chain to at least {walk.next} rows and rerun",
         ])
         return 0
-    _report_stop(run.result, chain.p, args.json, {"input": args.input})
-    return 0 if run.result.reason == "criterion_met" else 2
+    _report_stop(walk.result, chain.p, args.json, {"input": args.input})
+    return 0 if walk.result.reason == "criterion_met" else 2
 
 
 def cmd_replicate(args) -> int:

@@ -162,6 +162,7 @@ def parse_model_spec(text: str):
     if text == "var1_bench50":
         return var1_benchmark(50)
     head, _, rest = text.partition(":")
+    head = head.strip()
     if head not in MODEL_KEYS:
         raise ConfigError(f"unknown model kind {head!r} in {text!r}")
     raw = _pairs((repr(text), item) for item in rest.split(";")) if rest else {}
@@ -453,9 +454,9 @@ def _sequential_rows(spec, source):
         metric = config.metric if config.metric in metrics else metrics[0]
         cfg = dataclasses.replace(config, metric=metric)
         t0 = time.perf_counter()
-        run = drive_checkpoints(source, None, cfg, truth=spec.model.truth)
-        yield {"method": method, "n": run.result.n_final, **run.summary,
-               "reason": run.result.reason, "seconds": time.perf_counter() - t0}
+        walk = drive_checkpoints(source, None, cfg, truth=spec.model.truth)
+        yield {"method": method, "n": walk.result.n_final, **walk.summary,
+               "reason": walk.result.reason, "seconds": time.perf_counter() - t0}
 
 
 def coverage_study(spec: StudySpec) -> StudyReport:
@@ -547,20 +548,20 @@ def _sensitivity_rows(spec, source, nus, eps_list):
                 metric="relative_sd",
             )
             t0 = time.perf_counter()
-            run = drive_checkpoints(source, None, cfg, truth=spec.model.truth)
-            sig = run.final.sigma
+            walk = drive_checkpoints(source, None, cfg, truth=spec.model.truth)
+            sig = walk.final.sigma
             max_eig = float("nan")
             if sig.is_pd:
                 max_eig = float(np.linalg.eigvalsh(sig.matrix)[-1])
             yield {
                 "nu": float(nu),
                 "eps": float(eps),
-                "n": run.result.n_final,
-                "ess": run.summary["ess"],
-                "covered": run.summary["covered"],
-                "vol_p": run.summary["vol_p"],
+                "n": walk.result.n_final,
+                "ess": walk.summary["ess"],
+                "covered": walk.summary["covered"],
+                "vol_p": walk.summary["vol_p"],
                 "max_eigenvalue": max_eig,
-                "reason": run.result.reason,
+                "reason": walk.result.reason,
                 "seconds": time.perf_counter() - t0,
             }
 

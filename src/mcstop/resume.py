@@ -1,7 +1,7 @@
 """The resume protocol of `mcstop stop --input F --resume S`.
 
-A call runs the checkpoint loop of stopping.py over the complete lines
-of F; an unterminated last line may still be being written and is not
+A call feeds the complete lines of F to a checkpoint walk of stopping.py;
+an unterminated last line may still be being written and is not
 counted. The state file S pins the rule: a passed flag that would change
 it is refused. It also pins the length and SHA-256 of the lines read so
 far, so a chain file whose checked rows were rewritten or truncated is
@@ -28,9 +28,7 @@ import numpy as np
 
 from .chain import ChainMatrix, load_chain, parse_rows
 from .errors import ConfigError
-from .samplers import FileChainSource
-from .stopping import (RULE_PARAMS, CheckpointRun, StoppingConfig, drive_checkpoints,
-                       rule_config, rule_value)
+from .stopping import RULE_PARAMS, CheckpointWalk, StoppingConfig, rule_config, rule_value
 
 # The JSON type of each state key, and of the read_prefix keys a call reads.
 # read_prefix's rows_sha256 and rows_format are left out: a value that is
@@ -191,12 +189,13 @@ def _resume_rows(written: bytes, pinned: dict, cache_path: str,
 
 
 def stop_resume(chain_path: str, state_path: str, format: str,
-                flags: dict) -> tuple[CheckpointRun | None, ChainMatrix]:
-    """One call: its checkpoint run (None on a finished state) and chain.
+                flags: dict) -> tuple[CheckpointWalk | None, ChainMatrix]:
+    """One call: its checkpoint walk (None on a finished state) and chain.
 
     The state pins the rule, so repeated calls walk one grid however
     much is appended between them; the first call, with no state yet,
-    starts it. flags is as for stop_rule.
+    starts it. The walk is decided, or its next is the length the next
+    check needs. flags is as for stop_rule.
     """
     written = _written_rows(chain_path)
     cache_path = f"{state_path}.rows.npy"
@@ -207,10 +206,12 @@ def stop_resume(chain_path: str, state_path: str, format: str,
     values, config = stop_rule(flags, state, chain.p)
     if state.get("done"):
         return None, chain
-    run = drive_checkpoints(FileChainSource(chain), None, config,
-                            checked=checked, available=chain.n)
+    walk = CheckpointWalk(None, config, chain.p, checked)
+    walk.feed(chain.data)
+    if walk.reason is not None:
+        walk.decide(chain.data)
     read_prefix["rows_sha256"] = _write_row_cache(cache_path, chain.data)
     read_prefix["rows_format"] = format
-    _write_state(state_path, dict(values, done=run.result is not None,
+    _write_state(state_path, dict(values, done=walk.result is not None,
                                   read_prefix=read_prefix))
-    return run, chain
+    return walk, chain

@@ -4,12 +4,12 @@ The headline rule terminates when the confidence region's volume,
 normalized to a length scale, drops below a tolerance times a relative
 standard deviation metric. An absolute variant and two univariate
 fixed-width baselines (with and without Bonferroni correction) share
-one checkpoint loop, drive_checkpoints, which grows the chain geometrically.
+one checkpoint walk, CheckpointWalk, over a grid that grows geometrically.
 
 All four rules are one function, _fires, of a CheckpointEstimate (θ_n,
 Λ_n, Σ_n, the uBM diagonal and the column variances): the size of the
 confidence set plus 1/n must be at most ε times the metric. When the
-rule is None, a metric name or a public check function, the loop feeds
+rule is None, a metric name or a public check function, the walk feeds
 only the new rows of each checkpoint to a streaming CheckpointEngine,
 so a check costs O(new rows) instead of a rescan of the whole prefix.
 Any other callable rule receives a ChainMatrix at every checkpoint. The
@@ -18,9 +18,9 @@ estimators' estimate. summarize reads a decision's
 summary off the reference estimate at n_final, built on the one
 ChainMatrix an engine decision makes: the ESS, and the volume and (given
 a truth) the coverage of the confidence set of the rule that was run.
-StoppingResult and every study row take their values from it. The
-resume protocol of the command line runs the same loop, from a saved
-checkpoint and limited to the rows a file holds so far.
+StoppingResult and every study row take their values from it.
+drive_checkpoints pulls a walk's rows from a chain source; the resume
+protocol feeds one the rows a file holds, past those checked before.
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ class StoppingConfig:
     check_growth : float
         Fractional growth of the checkpoint grid (default 0.10).
     n_max : int
-        Hard cap on the chain length; the driver also caps the chain at
+        Hard cap on the chain length; the walk also caps the chain at
         a 4 GiB storage budget (8 bytes per entry).
 
     These are exactly the keys of RULE_PARAMS, batch_policy read from
@@ -325,96 +325,92 @@ def summarize(est: CheckpointEstimate, metric: str, alpha: float, truth=None) ->
             "vol_p": vol_p(log_vol, p), "log_volume": log_vol}
 
 
-@dataclass(frozen=True)
-class CheckpointRun:
-    """What drive_checkpoints saw.
-
-    result is None when the rows ran out before a decision; then
-    next_checkpoint is the length the next check needs. Once decided,
-    next_checkpoint is n_final, final the reference estimate at n_final
-    and summary its summarize dict, from which result was read.
-    """
-
-    result: Optional[StoppingResult]
-    next_checkpoint: int
-    final: Optional[CheckpointEstimate] = None
-    summary: Optional[dict] = None
-
-
-# The driver refuses to grow a chain past this storage (8 bytes per entry).
+# The walk refuses to grow a chain past this storage (8 bytes per entry).
 _MEMORY_BUDGET_BYTES = 4 * 2**30
 
 
-def _length_cap(config: StoppingConfig, p: int) -> int:
-    """The last checkpoint of a p-column chain: n_max, lowered to the memory budget."""
-    cap = min(config.n_max, _MEMORY_BUDGET_BYTES // (8 * int(p)))
-    if cap < max(config.n_star, 2):
-        raise ConfigError(
-            f"n_star={config.n_star} does not fit the cap of {cap} rows "
-            "(n_max or the memory budget)"
-        )
-    return cap
+class CheckpointWalk:
+    """The checkpoint loop's state over one growing chain.
 
-
-def drive_checkpoints(
-    sampler, rule, config: StoppingConfig, checked: int = 0,
-    available: Optional[int] = None, truth=None,
-) -> CheckpointRun:
-    """The checkpoint loop behind run_sequential and the resume protocol.
-
-    The grid runs from max(n*, 2) by n + ⌈check_growth · n⌉, capped at
-    the effective n_max. Checks start at its first point past checked,
-    the rows earlier calls checked, or at the cap. With available set,
-    the loop stops before the first checkpoint beyond that many rows and
-    reports it instead of taking it. sampler is a chain source
-    (samplers.ChainSource: p and take). The engine reads
-    sampler.rows(n), or take(n).data from a source without rows; a
-    ChainMatrix rule gets take(n). A study passes its truth, so that the
-    decision's one summary also holds the coverage.
+    The grid runs from max(n*, 2) by n + ⌈check_growth · n⌉ up to cap,
+    n_max lowered to the memory budget; next is its first point past
+    checked (rows an earlier walk checked) or cap. Once a point decides,
+    reason is set and next is n_final; decide then sets final, summary
+    and result. A rule of None, a metric name or a public check function
+    is evaluated by the engine; any other callable gets the first n rows
+    as a ChainMatrix (chain).
     """
-    metric = _engine_metric(rule, config)
-    cap = _length_cap(config, sampler.p)
+
+    def __init__(self, rule, config: StoppingConfig, p: int, checked: int = 0):
+        self.metric = _engine_metric(rule, config)
+        self.rule, self.config = rule, config
+        self.cap = min(config.n_max, _MEMORY_BUDGET_BYTES // (8 * int(p)))
+        if self.cap < max(config.n_star, 2):
+            raise ConfigError(
+                f"n_star={config.n_star} does not fit the cap of {self.cap} rows "
+                "(n_max or the memory budget)"
+            )
+        self.engine = CheckpointEngine(p, config.batch_policy)
+        self.chain = self.reason = self.final = self.summary = self.result = None
+        self.next = max(config.n_star, 2)
+        while self.next <= checked and self.next < self.cap:
+            self._grow()
+
+    def _grow(self) -> None:
+        n = self.next
+        self.next = min(n + int(math.ceil(self.config.check_growth * n)), self.cap)
+
+    def feed(self, rows) -> None:
+        """Check every grid point up to len(rows), until one decides.
+
+        rows is the chain so far, an (m, p) array whose earlier rows
+        never change; the engine appends only the rows it has not seen.
+        """
+        while self.reason is None and self.next <= len(rows):
+            n = self.next
+            if self.metric is None:
+                self.chain = ChainMatrix(rows[:n])
+                fired = self.rule(self.chain, self.config)
+            else:
+                self.engine.append(rows[self.engine.n : n])
+                fired = _fires(self.engine.estimate(), self.config, self.metric)
+            if fired:
+                self.reason = "criterion_met"
+            elif n >= self.cap:
+                self.reason = "n_max_reached"
+            else:
+                self._grow()
+
+    def decide(self, rows, truth=None) -> None:
+        """Summarize the decision, with a study's truth for its coverage."""
+        # The final estimate reads the rows, not the engine: release its buffers.
+        self.engine = None
+        chain = self.chain if self.metric is None else ChainMatrix(rows[: self.next])
+        self.final = reference_estimate(chain, self.config.batch_policy)
+        self.summary = summarize(self.final, self.metric or self.config.metric,
+                                 self.config.alpha, truth)
+        self.result = StoppingResult(
+            terminated=(self.reason == "criterion_met"),
+            n_final=self.next,
+            ess_at_termination=self.summary["ess"],
+            log_volume=self.summary["log_volume"],
+            reason=self.reason,
+        )
+
+
+def drive_checkpoints(sampler, rule, config: StoppingConfig, truth=None) -> CheckpointWalk:
+    """The decided walk of a rule over rows pulled from a chain source.
+
+    sampler is a chain source (samplers.ChainSource: p and take), read
+    through sampler.rows(n), or take(n).data from a source without rows.
+    """
+    walk = CheckpointWalk(rule, config, sampler.p)
     read = getattr(sampler, "rows", lambda k: sampler.take(k).data)
-    engine = None
-    grown = lambda n: min(n + int(math.ceil(config.check_growth * n)), cap)
-    n = max(config.n_star, 2)
-    while n <= checked and n < cap:
-        n = grown(n)
-    while available is None or n <= available:
-        if metric is None:
-            chain = sampler.take(n)
-            rows = chain.data
-            fired = rule(chain, config)
-        else:
-            rows = read(n)
-            if engine is None:
-                engine = CheckpointEngine(rows.shape[1], config.batch_policy)
-            engine.append(rows[engine.n : n])
-            fired = _fires(engine.estimate(), config, metric)
-        if fired:
-            reason = "criterion_met"
-            break
-        if n >= cap:
-            reason = "n_max_reached"
-            break
-        n = grown(n)
-    else:
-        return CheckpointRun(result=None, next_checkpoint=n)
-    # The final estimate reads the rows, not the engine: release its buffers.
-    del engine
-    if metric is not None:
-        chain = ChainMatrix(rows)
-    final = reference_estimate(chain, config.batch_policy)
-    summary = summarize(final, metric or config.metric, config.alpha, truth)
-    result = StoppingResult(
-        terminated=(reason == "criterion_met"),
-        n_final=n,
-        ess_at_termination=summary["ess"],
-        log_volume=summary["log_volume"],
-        reason=reason,
-    )
-    return CheckpointRun(result=result, next_checkpoint=n, final=final,
-                         summary=summary)
+    while walk.reason is None:
+        rows = read(walk.next)
+        walk.feed(rows)
+    walk.decide(rows, truth)
+    return walk
 
 
 def run_sequential(sampler, rule, config: StoppingConfig) -> StoppingResult:
@@ -426,7 +422,8 @@ def run_sequential(sampler, rule, config: StoppingConfig) -> StoppingResult:
     is None (config.metric), a metric name, a public check function, or
     any callable taking (ChainMatrix, StoppingConfig). The first three
     are evaluated by the streaming engine on the new rows of each
-    checkpoint; a callable of the last kind receives take(n). A 4 GiB
+    checkpoint; a callable of the last kind receives the first n rows as
+    a ChainMatrix, without take(n)'s meta. A 4 GiB
     memory budget caps the effective n_max; configurations whose n* does
     not fit are refused before any row is drawn.
     """

@@ -22,7 +22,7 @@ from mcstop import (
 )
 from mcstop.checkpoint import CheckpointEngine, reference_estimate
 from mcstop.errors import DomainError
-from mcstop.stopping import drive_checkpoints
+from mcstop.stopping import CheckpointWalk, drive_checkpoints
 
 # Relative to the largest entry of the reference result. The streaming
 # sums differ from the reference only in summation order; the largest
@@ -219,35 +219,77 @@ class TestEngine:
         assert est.sigma.matrix.tobytes() == mbm(chain, b).matrix.tobytes()
 
 
-class TestCheckpointLoop:
-    def test_resumed_walk_matches_one_run(self):
-        # feeding the loop a growing file in pieces, past the rows the
-        # last piece checked each time, reaches run_sequential's result bitwise
-        chain = var1_benchmark(5).make_source(4).take(40_000)
-        cfg = StoppingConfig(epsilon=0.08, alpha=0.10, n_star=500)
-        whole = run_sequential(FileChainSource(chain), None, cfg)
+class TestCheckpointWalk:
+    CFG = StoppingConfig(epsilon=0.08, alpha=0.10, n_star=500)
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        return var1_benchmark(5).make_source(4).take(40_000)
+
+    @staticmethod
+    def _same_final(walk, whole):
+        got, want = walk.final, whole.final
+        assert (got.n, got.b_n, got.a_n) == (want.n, want.b_n, want.a_n)
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert got.lam.matrix.tobytes() == want.lam.matrix.tobytes()
+        assert got.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
+        assert walk.summary == whole.summary
+
+    @pytest.mark.parametrize("piece", [1, 1700, 2049, 40_000])
+    def test_fed_in_pieces_matches_one_run(self, chain, piece):
+        # one walk fed a growing chain in pieces (2049 rows cross an
+        # engine tile edge in every piece) reaches run_sequential's
+        # result and the bits of its final estimate
+        whole = drive_checkpoints(FileChainSource(chain), None, self.CFG)
+        assert whole.result == run_sequential(FileChainSource(chain), None, self.CFG)
+        walk, rows = CheckpointWalk(None, self.CFG, chain.p), 0
+        while walk.reason is None:
+            rows += piece
+            assert rows <= chain.n
+            walk.feed(chain.data[:rows])
+            assert walk.reason is not None or walk.next > rows
+        walk.decide(chain.data[:rows])
+        assert walk.result == whole.result
+        assert walk.next == walk.final.n == whole.result.n_final < rows + piece
+        self._same_final(walk, whole)
+
+    def test_resumed_walks_match_one_run(self, chain):
+        # a fresh walk per piece, past the rows the last piece checked,
+        # as the resume protocol makes them
+        whole = drive_checkpoints(FileChainSource(chain), None, self.CFG)
         checked, rows = 0, 0
         while True:
             rows += 1700
-            run = drive_checkpoints(
-                FileChainSource(chain), None, cfg, checked=checked, available=rows
-            )
-            if run.result is not None:
+            walk = CheckpointWalk(None, self.CFG, chain.p, checked)
+            walk.feed(chain.data[:rows])
+            if walk.reason is not None:
                 break
-            assert run.next_checkpoint > rows
+            assert walk.result is None and walk.next > rows
             checked = rows
-        assert run.result == whole
-        assert run.final.n == whole.n_final
+        walk.decide(chain.data[:rows])
+        assert walk.result == whole.result
+        self._same_final(walk, whole)
 
-    def test_nothing_available_takes_no_rows(self):
+    def test_walk_past_checked_decides_as_from_row_0(self, chain):
+        whole = drive_checkpoints(FileChainSource(chain), None, self.CFG)
+        n_final = whole.result.n_final
+        for checked in (0, 499, 500, 501, 4_321, n_final - 1):
+            walk = CheckpointWalk(None, self.CFG, chain.p, checked)
+            assert walk.next > checked
+            walk.feed(chain.data)
+            walk.decide(chain.data)
+            assert walk.result == whole.result
+            self._same_final(walk, whole)
+
+    def test_short_feed_checks_nothing_and_reads_no_rows(self):
         class Unread:
-            p = 2
+            def __len__(self):
+                return 99
 
-            def take(self, n):
+            def __getitem__(self, key):
                 raise AssertionError("no checkpoint is due")
 
-            rows = take
-
-        cfg = StoppingConfig(epsilon=0.1, alpha=0.1, n_star=100)
-        run = drive_checkpoints(Unread(), None, cfg, available=99)
-        assert run.result is None and run.next_checkpoint == 100
+        walk = CheckpointWalk(None, StoppingConfig(epsilon=0.1, alpha=0.1, n_star=100), 2)
+        walk.feed(Unread())
+        assert walk.next == 100 and walk.engine.n == 0
+        assert walk.reason is None and walk.result is None

@@ -103,8 +103,8 @@ class TestParseModelSpec:
         with pytest.raises(ConfigError, match="logistic model refuses 'sigma'"):
             parse_model_spec("logistic:sigma=1")
 
-    # Every form the minilanguage accepted before MODEL_KEYS, with the spec
-    # it built, written out with the builders.
+    # Every form the minilanguage accepted before MODEL_KEYS, and the last
+    # three, with the spec each builds, written out with the builders.
     ACCEPTED = [
         ("iid:p=5", lambda: IidGaussianSpec(5)),
         ("  iid:p = 5 ", lambda: IidGaussianSpec(5)),
@@ -122,6 +122,10 @@ class TestParseModelSpec:
         ("logistic:proposal_sd=0.2", lambda: logistic_benchmark(proposal_sd=0.2)),
         ("logistic:tau2=2.0;proposal_sd=0.2", lambda: logistic_benchmark(2.0, 0.2)),
         ("logistic: proposal_sd = .2 ;tau2= 2", lambda: logistic_benchmark(2.0, 0.2)),
+        # whitespace around the kind: 'logistic ' was refused as an unknown kind
+        ("logistic : tau2 = 1", lambda: logistic_benchmark(tau2=1.0)),
+        ("iid :p=2", lambda: IidGaussianSpec(2)),
+        ("var1\t: phi=0.5;rho=0.5", lambda: _var1([0.5], 0.5)),
     ]
 
     @pytest.mark.parametrize("text,build", ACCEPTED, ids=[t for t, _ in ACCEPTED])
@@ -130,6 +134,7 @@ class TestParseModelSpec:
 
     @pytest.mark.parametrize("text,message", [
         ("nosuch:p=2", "unknown model kind 'nosuch' in 'nosuch:p=2'"),
+        ("no such : p=2", "unknown model kind 'no such' in 'no such : p=2'"),
         ("iid:p5", "'iid:p5': expected key = value, got 'p5'"),
         ("logistic:tau2=2;", "'logistic:tau2=2;': expected key = value, got ''"),
         ("iid:p=5;extra=1", "iid model refuses 'extra', which it does not read"),

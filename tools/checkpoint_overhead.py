@@ -2,6 +2,7 @@
 
 Usage:
   python3 tools/checkpoint_overhead.py [--src DIR]
+  python3 tools/checkpoint_overhead.py --against PARENT_SRC [--src DIR]
 
 For the two sequential configs of the benchmark on var1_bench5,
 
@@ -33,8 +34,22 @@ rest milliseconds per checkpoint, of the tail milliseconds per decision
 and of the minor faults per decision. One decision
 at seed 0 runs first, untimed, so that the lazy SciPy imports (the
 VAR(1) source's scipy.signal and the quantiles' scipy.special) are not
-counted. Prints one JSON object. To compare two trees, run it on each
-with --src, taking turns.
+counted. Prints one JSON object.
+
+With --against, the tree under --src is the change and the tree under
+PARENT_SRC its parent. Both are loaded into this one process
+(tools/two_trees.py). Per config, one untimed decision at seed 0 runs
+on each tree, then ROUNDS (15) rounds of turns, the trees alternating
+turn by turn: a turn is one run_sequential decision per seed of SEEDS
+(601 to 608) on fresh sources, in CPU time (time.process_time), with
+the process's minor faults counted over the turn. Per config it reports
+each tree's median CPU milliseconds and minor faults per decision, the
+median over rounds of the change/parent ratio of CPU seconds (below 1:
+the change is faster; two copies of one tree read within about 4%), the
+rounds the change won, and each seed's decision: n_final, reason, and
+the float hex of its ESS and log volume. Every decision must be the same
+on both trees and in every round, or the tool exits with the first
+difference.
 """
 import argparse
 import json
@@ -46,8 +61,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
+import two_trees
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = tuple(range(601, 609))
+ROUNDS = 15
 # The benchmark's seq_short and seq_long configs (bench/workloads.py).
 CONFIGS = {
     "seq_short": {"epsilon": 0.05, "alpha": 0.10, "n_star": 1000,
@@ -99,15 +119,54 @@ def _decision(mcstop, model, config, seed) -> dict:
             "rest_s": wall - source.seconds - tail, "minor_faults": faults}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default=str(ROOT / "src"),
-                    help="the mcstop source tree to time (default: this checkout's)")
-    args = ap.parse_args(argv)
-    src = str(Path(args.src).resolve())
+def _outcome(result) -> list:
+    """A decision as the trees must agree on it, floats in hex."""
+    return [result.n_final, result.reason, float.hex(result.ess_at_termination),
+            float.hex(result.log_volume)]
+
+
+def _against(src: str, parent_src: str) -> dict:
+    trees = two_trees.load_pair(src, parent_src, "mcstop")
+    out = {}
+    for name, values in CONFIGS.items():
+        runs = {}
+        for side, tree in trees.items():
+            with two_trees.active(tree):
+                model = tree.mcstop.var1_benchmark(5)
+                config = tree.mcstop.StoppingConfig(**values)
+                tree.mcstop.run_sequential(model.make_source(0), None, config)
+            runs[side] = (tree.mcstop.run_sequential, model, config)
+        times = {side: [] for side in trees}
+        faults = {side: [] for side in trees}
+        decisions = {}
+        for _, side in two_trees.turn_order(ROUNDS):
+            run, model, config = runs[side]
+            with two_trees.active(trees[side]):
+                f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                t0 = time.process_time()
+                seen = [_outcome(run(model.make_source(seed), None, config))
+                        for seed in SEEDS]
+                times[side].append((time.process_time() - t0) / len(SEEDS))
+                f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            faults[side].append((f1 - f0) / len(SEEDS))
+            for seed, outcome in zip(SEEDS, seen):
+                if decisions.setdefault(seed, outcome) != outcome:
+                    raise SystemExit(f"{name} seed {seed}: {side} decided {outcome}, "
+                                     f"not {decisions[seed]}")
+        out[name] = {"config": values,
+                     **{f"{side}_median_cpu_ms_per_decision":
+                        1e3 * statistics.median(times[side]) for side in trees},
+                     **{f"{side}_median_minor_faults_per_decision":
+                        statistics.median(faults[side]) for side in trees},
+                     **two_trees.compare(times["change"], times["parent"]),
+                     "decisions": {str(seed): d for seed, d in decisions.items()}}
+    return {"src": trees["change"].src, "against": trees["parent"].src,
+            "rounds": ROUNDS, "configs": out}
+
+
+def _one_tree(src: str) -> dict:
     sys.path.insert(0, src)
     import mcstop
-    import numpy as np
 
     model = mcstop.var1_benchmark(5)
     out = {}
@@ -126,10 +185,20 @@ def main(argv=None) -> int:
                      "median_minor_faults": statistics.median(d["minor_faults"]
                                                               for d in decisions),
                      "decisions": decisions}
-    print(json.dumps({"src": os.path.relpath(src, ROOT),
-                      "python": platform.python_version(), "numpy": np.__version__,
-                      "nproc": len(os.sched_getaffinity(0)), "configs": out},
-                     indent=2))
+    return {"src": os.path.relpath(src, ROOT), "configs": out}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(ROOT / "src"),
+                    help="the mcstop source tree to time (default: this checkout's)")
+    ap.add_argument("--against", metavar="PARENT_SRC",
+                    help="time --src against this tree, in turns in one process")
+    args = ap.parse_args(argv)
+    src = str(Path(args.src).resolve())
+    out = _one_tree(src) if args.against is None else _against(src, args.against)
+    print(json.dumps({**out, "python": platform.python_version(), "numpy": np.__version__,
+                      "nproc": len(os.sched_getaffinity(0))}, indent=2))
     return 0
 
 

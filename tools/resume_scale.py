@@ -11,10 +11,11 @@ to pin the state, which parses the whole file, appends the rows and runs
 the second call, which parses only the appended rows. Both calls are
 timed and split by what each layer of the resume protocol calls
 (mcstop.resume): parse (load_chain and parse_rows), hash (the SHA-256
-pin of the file), row cache (read and write), checkpoint
-(drive_checkpoints) and state (the state write). Each call also reports the rows its parse read per
-second. Layers the tree under --src lacks are left out. Prints one JSON
-object.
+pin of the file), row cache (read and write), checkpoint (the
+CheckpointWalk's feed and decide; drive_checkpoints in a tree from before
+the walk) and state (the state write). Each call also reports the rows
+its parse read per second. Layers the tree under --src lacks are left
+out. Prints one JSON object.
 """
 import argparse
 import contextlib
@@ -36,6 +37,7 @@ LAYERS = {
     "load_chain": "parse", "parse_rows": "parse",
     "_pin_read_prefix": "hash",
     "_read_row_cache": "row_cache", "_write_row_cache": "row_cache",
+    "CheckpointWalk.feed": "checkpoint", "CheckpointWalk.decide": "checkpoint",
     "drive_checkpoints": "checkpoint",
     "_write_state": "state",
 }
@@ -51,8 +53,14 @@ def _checkpoint_after(n: int) -> int:
 
 def _timed_call(cli, protocol, argv) -> dict:
     spent = dict.fromkeys(LAYERS.values(), 0.0)
-    originals = {name: getattr(protocol, name) for name in LAYERS
-                 if hasattr(protocol, name)}
+    # name -> (owner, attribute, original): a function of mcstop.resume or
+    # a method of a class it imports
+    originals = {}
+    for name in LAYERS:
+        owner, _, attr = name.rpartition(".")
+        target = getattr(protocol, owner, None) if owner else protocol
+        if hasattr(target, attr):
+            originals[name] = (target, attr, getattr(target, attr))
 
     def wrap(name, fn):
         def timed(*args, **kwargs):
@@ -63,8 +71,8 @@ def _timed_call(cli, protocol, argv) -> dict:
                 spent[LAYERS[name]] += time.perf_counter() - t0
         return timed
 
-    for name, fn in originals.items():
-        setattr(protocol, name, wrap(name, fn))
+    for name, (target, attr, fn) in originals.items():
+        setattr(target, attr, wrap(name, fn))
     out = io.StringIO()
     try:
         t0 = time.perf_counter()
@@ -72,8 +80,8 @@ def _timed_call(cli, protocol, argv) -> dict:
             code = cli.main(argv)
         total = time.perf_counter() - t0
     finally:
-        for name, fn in originals.items():
-            setattr(protocol, name, fn)
+        for target, attr, fn in originals.values():
+            setattr(target, attr, fn)
     layers = {k: round(v, 4) for k, v in spent.items()
               if any(LAYERS[n] == k for n in originals)}
     return {"exit": code, "total_s": round(total, 4), "layers_s": layers,
