@@ -157,10 +157,6 @@ def parse_model_spec(text: str):
     Each kind's options are MODEL_KEYS', refused like a config's keys.
     """
     text = text.strip()
-    if text == "var1_bench5":
-        return var1_benchmark(5)
-    if text == "var1_bench50":
-        return var1_benchmark(50)
     head, _, rest = text.partition(":")
     head = head.strip()
     if head not in MODEL_KEYS:
@@ -172,6 +168,8 @@ def parse_model_spec(text: str):
             return IidGaussianSpec(int(opts["p"]))
         if head == "logistic":
             return logistic_benchmark(float(opts["tau2"]), float(opts["proposal_sd"]))
+        if head.startswith("var1_bench"):
+            return var1_benchmark(int(head[len("var1_bench"):]))
         diag = [float(x) for x in opts["phi"].split(",")]
         rho, scale = float(opts["rho"]), float(opts["scale"])
     except ValueError:
@@ -631,6 +629,7 @@ MODEL_KEYS = {
     "iid": {"p": REQUIRED},
     "var1": {"phi": REQUIRED, "rho": REQUIRED, "scale": "1.0"},
     "logistic": {"tau2": "1.0", "proposal_sd": "0.35"},
+    "var1_bench5": {}, "var1_bench50": {},
 }
 
 

@@ -208,8 +208,6 @@ def stop_resume(chain_path: str, state_path: str, format: str,
         return None, chain
     walk = CheckpointWalk(None, config, chain.p, checked)
     walk.feed(chain.data)
-    if walk.reason is not None:
-        walk.decide(chain.data)
     read_prefix["rows_sha256"] = _write_row_cache(cache_path, chain.data)
     read_prefix["rows_format"] = format
     _write_state(state_path, dict(values, done=walk.result is not None,

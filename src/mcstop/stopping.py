@@ -334,16 +334,18 @@ class CheckpointWalk:
 
     The grid runs from max(n*, 2) by n + ⌈check_growth · n⌉ up to cap,
     n_max lowered to the memory budget; next is its first point past
-    checked (rows an earlier walk checked) or cap. Once a point decides,
-    reason is set and next is n_final; decide then sets final, summary
-    and result. A rule of None, a metric name or a public check function
-    is evaluated by the engine; any other callable gets the first n rows
-    as a ChainMatrix (chain).
+    checked (rows an earlier walk checked) or cap. result is None until
+    a point decides; then next is n_final, and final, summary (with a
+    study's truth for its coverage) and result hold the decision. A rule
+    of None, a metric name or a public check function is evaluated by
+    the engine; any other callable gets the first n rows as a
+    ChainMatrix.
     """
 
-    def __init__(self, rule, config: StoppingConfig, p: int, checked: int = 0):
+    def __init__(self, rule, config: StoppingConfig, p: int, checked: int = 0,
+                 truth=None):
         self.metric = _engine_metric(rule, config)
-        self.rule, self.config = rule, config
+        self.rule, self.config, self.truth = rule, config, truth
         self.cap = min(config.n_max, _MEMORY_BUDGET_BYTES // (8 * int(p)))
         if self.cap < max(config.n_star, 2):
             raise ConfigError(
@@ -351,7 +353,7 @@ class CheckpointWalk:
                 "(n_max or the memory budget)"
             )
         self.engine = CheckpointEngine(p, config.batch_policy)
-        self.chain = self.reason = self.final = self.summary = self.result = None
+        self.final = self.summary = self.result = None
         self.next = max(config.n_star, 2)
         while self.next <= checked and self.next < self.cap:
             self._grow()
@@ -365,37 +367,34 @@ class CheckpointWalk:
 
         rows is the chain so far, an (m, p) array whose earlier rows
         never change; the engine appends only the rows it has not seen.
+        The deciding point's rows give the decision's one reference
+        estimate and its summary.
         """
-        while self.reason is None and self.next <= len(rows):
+        while self.result is None and self.next <= len(rows):
             n = self.next
             if self.metric is None:
-                self.chain = ChainMatrix(rows[:n])
-                fired = self.rule(self.chain, self.config)
+                chain = ChainMatrix(rows[:n])
+                fired = self.rule(chain, self.config)
             else:
                 self.engine.append(rows[self.engine.n : n])
                 fired = _fires(self.engine.estimate(), self.config, self.metric)
-            if fired:
-                self.reason = "criterion_met"
-            elif n >= self.cap:
-                self.reason = "n_max_reached"
-            else:
+            if not fired and n < self.cap:
                 self._grow()
-
-    def decide(self, rows, truth=None) -> None:
-        """Summarize the decision, with a study's truth for its coverage."""
-        # The final estimate reads the rows, not the engine: release its buffers.
-        self.engine = None
-        chain = self.chain if self.metric is None else ChainMatrix(rows[: self.next])
-        self.final = reference_estimate(chain, self.config.batch_policy)
-        self.summary = summarize(self.final, self.metric or self.config.metric,
-                                 self.config.alpha, truth)
-        self.result = StoppingResult(
-            terminated=(self.reason == "criterion_met"),
-            n_final=self.next,
-            ess_at_termination=self.summary["ess"],
-            log_volume=self.summary["log_volume"],
-            reason=self.reason,
-        )
+                continue
+            # The final estimate reads the rows, not the engine: release its buffers.
+            self.engine = None
+            if self.metric is not None:
+                chain = ChainMatrix(rows[:n])
+            self.final = reference_estimate(chain, self.config.batch_policy)
+            self.summary = summarize(self.final, self.metric or self.config.metric,
+                                     self.config.alpha, self.truth)
+            self.result = StoppingResult(
+                terminated=bool(fired),
+                n_final=n,
+                ess_at_termination=self.summary["ess"],
+                log_volume=self.summary["log_volume"],
+                reason="criterion_met" if fired else "n_max_reached",
+            )
 
 
 def drive_checkpoints(sampler, rule, config: StoppingConfig, truth=None) -> CheckpointWalk:
@@ -404,12 +403,10 @@ def drive_checkpoints(sampler, rule, config: StoppingConfig, truth=None) -> Chec
     sampler is a chain source (samplers.ChainSource: p and take), read
     through sampler.rows(n), or take(n).data from a source without rows.
     """
-    walk = CheckpointWalk(rule, config, sampler.p)
+    walk = CheckpointWalk(rule, config, sampler.p, truth=truth)
     read = getattr(sampler, "rows", lambda k: sampler.take(k).data)
-    while walk.reason is None:
-        rows = read(walk.next)
-        walk.feed(rows)
-    walk.decide(rows, truth)
+    while walk.result is None:
+        walk.feed(read(walk.next))
     return walk
 
 

@@ -243,12 +243,11 @@ class TestCheckpointWalk:
         whole = drive_checkpoints(FileChainSource(chain), None, self.CFG)
         assert whole.result == run_sequential(FileChainSource(chain), None, self.CFG)
         walk, rows = CheckpointWalk(None, self.CFG, chain.p), 0
-        while walk.reason is None:
+        while walk.result is None:
             rows += piece
             assert rows <= chain.n
             walk.feed(chain.data[:rows])
-            assert walk.reason is not None or walk.next > rows
-        walk.decide(chain.data[:rows])
+            assert walk.result is not None or walk.next > rows
         assert walk.result == whole.result
         assert walk.next == walk.final.n == whole.result.n_final < rows + piece
         self._same_final(walk, whole)
@@ -262,11 +261,10 @@ class TestCheckpointWalk:
             rows += 1700
             walk = CheckpointWalk(None, self.CFG, chain.p, checked)
             walk.feed(chain.data[:rows])
-            if walk.reason is not None:
+            if walk.result is not None:
                 break
-            assert walk.result is None and walk.next > rows
+            assert walk.next > rows
             checked = rows
-        walk.decide(chain.data[:rows])
         assert walk.result == whole.result
         self._same_final(walk, whole)
 
@@ -277,9 +275,19 @@ class TestCheckpointWalk:
             walk = CheckpointWalk(None, self.CFG, chain.p, checked)
             assert walk.next > checked
             walk.feed(chain.data)
-            walk.decide(chain.data)
             assert walk.result == whole.result
             self._same_final(walk, whole)
+
+    def test_decided_walk_reads_no_more_rows(self, chain):
+        # feed decides at the first deciding point and releases the engine;
+        # a later feed checks nothing
+        walk = CheckpointWalk(None, self.CFG, chain.p)
+        walk.feed(chain.data)
+        result, final = walk.result, walk.final
+        assert result is not None and walk.engine is None
+        walk.feed(chain.data[::-1])
+        assert walk.result is result and walk.final is final
+        assert walk.next == result.n_final
 
     def test_short_feed_checks_nothing_and_reads_no_rows(self):
         class Unread:
@@ -292,4 +300,4 @@ class TestCheckpointWalk:
         walk = CheckpointWalk(None, StoppingConfig(epsilon=0.1, alpha=0.1, n_star=100), 2)
         walk.feed(Unread())
         assert walk.next == 100 and walk.engine.n == 0
-        assert walk.reason is None and walk.result is None
+        assert walk.result is None and walk.final is None and walk.summary is None

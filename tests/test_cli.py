@@ -123,6 +123,16 @@ class TestEssCommand:
         assert code == 2
         assert err == "mcstop: increase n: covariance estimate not positive definite (a_n ≤ p)\n"
 
+    @pytest.mark.parametrize("rows, flags, message", [
+        (1, [], "sample covariance needs n >= 2, got n=1"),
+        (4, ["--batch", "nu:0.99"], "mbm needs at least 2 batches, got a_n=1 from n=4, b_n=3"),
+    ])
+    def test_other_numeric_failure_exits_2(self, capsys, tmp_path, rng, rows, flags, message):
+        # a numerical McstopError that is not NotPositiveDefinite prints its own message
+        path = _write_chain(tmp_path, rng.standard_normal((rows, 2)))
+        code, out, err = _run(capsys, ["ess", path, *flags])
+        assert (code, out, err) == (2, "", f"mcstop: {message}\n")
+
     def test_non_utf8_file_is_a_user_error(self, capsys, tmp_path):
         path = tmp_path / "chain.csv"
         path.write_bytes(b"1,2\n\xff,4\n")

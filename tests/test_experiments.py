@@ -72,6 +72,20 @@ class TestParseModelSpec:
         assert parse_model_spec("var1_bench5").p == 5
         assert parse_model_spec("var1_bench50").p == 50
 
+    @pytest.mark.parametrize("text", ["var1_bench5:", "var1_bench5 :", " var1_bench5 : "])
+    def test_benchmark_kinds_take_an_empty_option_list(self, text):
+        # the benchmark names are kinds with no options, read like the others
+        got, want = parse_model_spec(text).model, var1_benchmark(5).model
+        np.testing.assert_array_equal(got.phi, want.phi)
+        np.testing.assert_array_equal(got.omega, want.omega)
+
+    def test_benchmark_kinds_refuse_options(self):
+        with pytest.raises(ConfigError, match="^var1_bench5 model refuses 'p', "
+                                              "which it does not read$"):
+            parse_model_spec("var1_bench5:p=3")
+        with pytest.raises(ConfigError, match="unknown model kind 'var1_bench6'"):
+            parse_model_spec("var1_bench6")
+
     def test_var1_custom(self):
         spec = parse_model_spec("var1:phi=0.9,0.5;rho=0.8;scale=2.0")
         assert isinstance(spec, Var1Spec)
@@ -179,17 +193,17 @@ class TestParseModelSpec:
         assert str(exc.value) == message
 
     def test_readme_model_specs_are_the_code_table(self):
-        # each `kind:...` form of README's "Model specs" paragraph names the
+        # each `kind[:...]` item of README's "Model specs" list names the
         # kind's options, an optional one in brackets with its default
         readme = (CONFIGS.parent / "README.md").read_text()
-        para = readme.split("\nModel specs: ", 1)[1].split("\n\n")[0]
+        forms = readme.split("\nModel specs: ", 1)[1].split(".\n")[0]
         table = {}
-        for span in re.findall(r"`([^`]*)`", para):
-            form = re.fullmatch(r"(\w+)(\[?:.*)", span)
+        for span in re.findall(r"(?:^|,\s+)`([^`]*)`", forms):
+            form = re.fullmatch(r"(\w+)(\[?:.*)?", span)
             if form is None:
                 continue
             kind, rest = form.groups()
-            required, _, optional = rest.partition("[")
+            required, _, optional = (rest or "").partition("[")
             options = table.setdefault(kind, {})
             for part, is_optional in ((required, False), (optional.rstrip("]"), True)):
                 for item in filter(None, part.strip(":;").split(";")):

@@ -9,6 +9,7 @@ import scipy.stats
 from mcstop import (
     BatchPolicy,
     ChainMatrix,
+    FileChainSource,
     IidGaussianSource,
     StoppingConfig,
     batch_size,
@@ -25,8 +26,9 @@ from mcstop import (
     ubm_diag,
     var1_benchmark,
 )
+from mcstop.checkpoint import CheckpointEngine
 from mcstop.errors import ConfigError, DomainError, InsufficientData
-from mcstop.stopping import RULE_PARAMS
+from mcstop.stopping import RULE_PARAMS, _fires, drive_checkpoints
 
 
 def _config(**kw):
@@ -191,6 +193,30 @@ class TestCheckUnivariate:
                 cfg_u = _config(epsilon=eps, metric="univariate_uncorrected")
                 if check_univariate(ch, cfg_b):
                     assert check_univariate(ch, cfg_u)
+
+    def test_fewer_than_two_batches_never_fire(self):
+        # b_n = floor(n^0.9) leaves a_n = 1 from n = 3 to about 1000; under
+        # a loose epsilon none of those points fires, in the engine or the
+        # public check, and the walk decides where the public check first fires
+        policy = BatchPolicy.parse("nu:0.9")
+        cfg = _config(epsilon=2.0, n_star=2, batch_policy=policy,
+                      metric="univariate_bonferroni")
+        chain = IidGaussianSource(2, 7).take(5000)
+        engine, n, few, first = CheckpointEngine(2, policy), 2, 0, None
+        while first is None:
+            engine.append(chain.data[engine.n : n])
+            est = engine.estimate()
+            public = check_univariate(ChainMatrix(chain.data[:n]), cfg)
+            assert _fires(est, cfg, cfg.metric) == public
+            if est.a_n < 2:
+                few += 1
+                assert not public
+            elif public:
+                first = n
+            n += int(math.ceil(0.1 * n))
+        assert few > 40
+        walk = drive_checkpoints(FileChainSource(chain), None, cfg)
+        assert walk.result.terminated and walk.result.n_final == first
 
     def test_p1_first_crossing_matches_relative_sd(self):
         # at p = 1 the elliptical and fixed-width rules are the same
