@@ -4,7 +4,7 @@ A CheckpointEstimate bundles θ_n, the sample covariance Λ_n, the batch
 means estimate Σ_n at b_n (whose diagonal is the uBM variances) and the
 column variances, which are computed when first read: only the
 univariate rules and ess_report read them. reference_estimate builds one
-from a ChainMatrix, bitwise equal to the batch estimators of
+from rows already checked finite, bitwise equal to the batch estimators of
 estimators.py; CheckpointEngine builds one from a growing chain in
 O((new rows + _TILE)·p² + a_n·p² + p³) per checkpoint, with no term that
 grows with n itself.
@@ -43,7 +43,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .chain import ChainMatrix
 from .errors import DomainError
 from .estimators import (
     WIDE_ROWS,
@@ -108,15 +107,15 @@ def _column_variances(data: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return column_sums(np.multiply(dev, dev, out=dev)) / (data.shape[0] - 1)
 
 
-def reference_estimate(chain: ChainMatrix, policy: BatchPolicy) -> CheckpointEstimate:
-    """The estimate at chain.n from the batch estimators (n >= 2).
+def reference_estimate(rows: np.ndarray, policy: BatchPolicy) -> CheckpointEstimate:
+    """The estimate at n from (n, p) rows the caller has checked finite (n >= 2).
 
-    Bitwise equal to the separate passes: θ_n to data.mean(axis=0), Λ_n
-    to sample_covariance(chain), Σ_n to mbm(chain, b_n) and the column
-    variances to data.var(axis=0, ddof=1). The rows centred at θ_n serve
-    Λ_n and are released before the batch means make their own temporary.
+    Read as ChainMatrix stores rows, C-contiguous float64, and bitwise equal
+    to the separate passes: θ_n to data.mean(axis=0), Λ_n to sample_covariance,
+    Σ_n to mbm at b_n and the column variances to data.var(axis=0, ddof=1).
+    The rows centred at θ_n serve Λ_n and are freed before the batch means.
     """
-    data = chain.data
+    data = np.ascontiguousarray(rows, dtype=np.float64)
     n, p = data.shape
     b = batch_size(n, policy)
     a = n // b

@@ -278,19 +278,19 @@ def cmd_stop(args) -> int:
         raise ConfigError("stop needs --model or --input")
     if args.resume is None:
         raise ConfigError("--input mode needs --resume <state file>")
-    walk, chain = stop_resume(args.input, args.resume, args.format, flags)
+    walk, rows = stop_resume(args.input, args.resume, args.format, flags)
     if walk is None:
         print("state file marks this run as finished", file=sys.stderr)
         return 0
     if walk.result is None:
         payload = {"command": "stop", "status": "continue",
-                   "next_checkpoint": walk.next, "n_available": chain.n}
+                   "next_checkpoint": walk.next, "n_available": len(rows)}
         _emit(payload, args.json, [
             "criterion not yet met",
             f"extend the chain to at least {walk.next} rows and rerun",
         ])
         return 0
-    _report_stop(walk.result, chain.p, args.json, {"input": args.input})
+    _report_stop(walk.result, rows.shape[1], args.json, {"input": args.input})
     return 0 if walk.result.reason == "criterion_met" else 2
 
 

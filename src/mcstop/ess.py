@@ -138,7 +138,7 @@ def ess_report(chain: ChainMatrix, policy: BatchPolicy) -> EssReport:
     variances. Fewer than 2 batches raise InsufficientData, an estimate
     that is not positive definite NotPositiveDefinite.
     """
-    est = reference_estimate(chain, policy)
+    est = reference_estimate(chain.data, policy)
     require_batches(chain.n, est.b_n)
     return EssReport(
         ess_multivariate=multivariate_ess(est.lam, est.sigma, chain.n),

@@ -23,6 +23,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,6 +55,7 @@ _METHOD_METRIC = {
 # The studies' alpha when none is given: the 90% level of the coverage
 # studies, where `mcstop stop` defaults to 95% (stopping.RULE_PARAMS).
 _STUDY_ALPHA = 0.10
+_bundled_logit = cache(load_logit_data)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +101,10 @@ class LogisticSpec:
         if self.model.tau2 != 1.0:
             raise DomainError(f"the logistic proxy truth holds at tau2=1 only, "
                               f"got tau2={self.model.tau2}")
+        bundled = _bundled_logit()
+        if not (np.array_equal(self.model.x, bundled.x)
+                and np.array_equal(self.model.y, bundled.y)):
+            raise DomainError("the logistic proxy truth holds for the bundled dataset only")
         return LOGIT_REFERENCE_MEAN
 
     def make_source(self, seed: int) -> RwmLogisticSource:
@@ -434,7 +440,7 @@ def _fixed_n_rows(spec, source):
     for n in spec.stopping:
         chain = source.take(n)
         t0 = time.perf_counter()
-        est = reference_estimate(chain, spec.eff_policy)
+        est = reference_estimate(chain.data, spec.eff_policy)
         shared = time.perf_counter() - t0
         for method in spec.methods:
             t0 = time.perf_counter()

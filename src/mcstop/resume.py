@@ -26,7 +26,7 @@ import os
 
 import numpy as np
 
-from .chain import ChainMatrix, load_chain, parse_rows
+from .chain import load_chain, parse_rows
 from .errors import ConfigError
 from .stopping import RULE_PARAMS, CheckpointWalk, StoppingConfig, rule_config, rule_value
 
@@ -169,14 +169,14 @@ def _read_state(path: str) -> dict:
 
 
 def _resume_rows(written: bytes, pinned: dict, cache_path: str,
-                 format: str) -> tuple[ChainMatrix, int]:
-    """The chain in written and how many of its rows the row cache gave.
+                 format: str) -> tuple[np.ndarray, int]:
+    """The rows in written and how many of them the row cache gave.
 
-    The row cache holds the rows of the pinned prefix as read in the
-    pinned format. No pin, a missing cache, one whose SHA-256 is not the
-    pinned one, another --format, or new bytes the fast parser cannot
-    read mean a full parse, and 0: it gives the rows, or raises
-    load_chain's error with its absolute line number.
+    The row cache holds the rows of the pinned prefix as read, and checked
+    finite, in the pinned format. No pin, a missing cache, one whose
+    SHA-256 is not the pinned one, another --format, or new bytes the fast
+    parser cannot read mean a full parse, and 0: it gives the rows, or
+    raises load_chain's error with its absolute line number.
     """
     cached = None
     if pinned.get("rows_format") == format:
@@ -184,13 +184,13 @@ def _resume_rows(written: bytes, pinned: dict, cache_path: str,
     if cached is not None:
         new = parse_rows(written[pinned["bytes"]:], format, cached.shape[1])
         if new is not None:
-            return ChainMatrix(np.concatenate([cached, new])), len(cached)
-    return load_chain(written, format=format), 0
+            return np.concatenate([cached, new]), len(cached)
+    return load_chain(written, format=format).data, 0
 
 
 def stop_resume(chain_path: str, state_path: str, format: str,
-                flags: dict) -> tuple[CheckpointWalk | None, ChainMatrix]:
-    """One call: its checkpoint walk (None on a finished state) and chain.
+                flags: dict) -> tuple[CheckpointWalk | None, np.ndarray]:
+    """One call: its checkpoint walk (None on a finished state) and rows.
 
     The state pins the rule, so repeated calls walk one grid however
     much is appended between them; the first call, with no state yet,
@@ -202,14 +202,14 @@ def stop_resume(chain_path: str, state_path: str, format: str,
     state = _read_state(state_path)
     pinned = state.get("read_prefix", {})
     read_prefix = _pin_read_prefix(written, pinned)
-    chain, checked = _resume_rows(written, pinned, cache_path, format)
-    values, config = stop_rule(flags, state, chain.p)
+    rows, checked = _resume_rows(written, pinned, cache_path, format)
+    values, config = stop_rule(flags, state, rows.shape[1])
     if state.get("done"):
-        return None, chain
-    walk = CheckpointWalk(None, config, chain.p, checked)
-    walk.feed(chain.data)
-    read_prefix["rows_sha256"] = _write_row_cache(cache_path, chain.data)
+        return None, rows
+    walk = CheckpointWalk(None, config, rows.shape[1], checked)
+    walk.feed(rows)
+    read_prefix["rows_sha256"] = _write_row_cache(cache_path, rows)
     read_prefix["rows_format"] = format
     _write_state(state_path, dict(values, done=walk.result is not None,
                                   read_prefix=read_prefix))
-    return walk, chain
+    return walk, rows

@@ -14,10 +14,10 @@ only the new rows of each checkpoint to a streaming CheckpointEngine,
 so a check costs O(new rows) instead of a rescan of the whole prefix.
 Any other callable rule receives a ChainMatrix at every checkpoint. The
 public check functions evaluate _fires on the reference batch
-estimators' estimate. summarize reads a decision's
-summary off the reference estimate at n_final, built on the one
-ChainMatrix an engine decision makes: the ESS, and the volume and (given
-a truth) the coverage of the confidence set of the rule that was run.
+estimators' estimate. summarize reads a decision's summary off the
+reference estimate at n_final, built on the rows the walk has already
+checked finite: the ESS, and the volume and (given a truth) the
+coverage of the confidence set of the rule that was run.
 StoppingResult and every study row take their values from it.
 drive_checkpoints pulls a walk's rows from a chain source; the resume
 protocol feeds one the rows a file holds, past those checked before.
@@ -32,7 +32,7 @@ import numpy as np
 
 from .chain import ChainMatrix, MeanVector
 from .checkpoint import CheckpointEngine, CheckpointEstimate, reference_estimate
-from .errors import ConfigError, DomainError, require_alpha, require_positive
+from .errors import ConfigError, DomainError, InsufficientData, require_alpha, require_positive
 from .estimators import BatchPolicy, batch_size, require_batches, ubm_diag
 from .ess import min_ess, multivariate_ess
 from .regions import (contains, hotelling_cutoff, make_region, rectangle_volume,
@@ -220,7 +220,7 @@ def _fires(est: CheckpointEstimate, config: StoppingConfig, metric: str) -> bool
 def _check(chain: ChainMatrix, config: StoppingConfig, metric: str) -> bool:
     """The metric's rule on the reference estimate, from n = max(n*, 2) on."""
     return chain.n >= max(config.n_star, 2) and _fires(
-        reference_estimate(chain, config.batch_policy), config, metric
+        reference_estimate(chain.data, config.batch_policy), config, metric
     )
 
 
@@ -339,7 +339,7 @@ class CheckpointWalk:
     study's truth for its coverage) and result hold the decision. A rule
     of None, a metric name or a public check function is evaluated by
     the engine; any other callable gets the first n rows as a
-    ChainMatrix.
+    ChainMatrix, and the walk has no engine.
     """
 
     def __init__(self, rule, config: StoppingConfig, p: int, checked: int = 0,
@@ -352,7 +352,8 @@ class CheckpointWalk:
                 f"n_star={config.n_star} does not fit the cap of {self.cap} rows "
                 "(n_max or the memory budget)"
             )
-        self.engine = CheckpointEngine(p, config.batch_policy)
+        self.engine = None if self.metric is None else CheckpointEngine(
+            p, config.batch_policy)
         self.final = self.summary = self.result = None
         self.next = max(config.n_star, 2)
         while self.next <= checked and self.next < self.cap:
@@ -367,14 +368,13 @@ class CheckpointWalk:
 
         rows is the chain so far, an (m, p) array whose earlier rows
         never change; the engine appends only the rows it has not seen.
-        The deciding point's rows give the decision's one reference
-        estimate and its summary.
+        The deciding point's rows, checked finite by the engine or the
+        rule's ChainMatrix, give the one reference estimate and summary.
         """
         while self.result is None and self.next <= len(rows):
             n = self.next
             if self.metric is None:
-                chain = ChainMatrix(rows[:n])
-                fired = self.rule(chain, self.config)
+                fired = self.rule(ChainMatrix(rows[:n]), self.config)
             else:
                 self.engine.append(rows[self.engine.n : n])
                 fired = _fires(self.engine.estimate(), self.config, self.metric)
@@ -383,9 +383,7 @@ class CheckpointWalk:
                 continue
             # The final estimate reads the rows, not the engine: release its buffers.
             self.engine = None
-            if self.metric is not None:
-                chain = ChainMatrix(rows[:n])
-            self.final = reference_estimate(chain, self.config.batch_policy)
+            self.final = reference_estimate(rows[:n], self.config.batch_policy)
             self.summary = summarize(self.final, self.metric or self.config.metric,
                                      self.config.alpha, self.truth)
             self.result = StoppingResult(
@@ -406,7 +404,10 @@ def drive_checkpoints(sampler, rule, config: StoppingConfig, truth=None) -> Chec
     walk = CheckpointWalk(rule, config, sampler.p, truth=truth)
     read = getattr(sampler, "rows", lambda k: sampler.take(k).data)
     while walk.result is None:
-        walk.feed(read(walk.next))
+        rows = read(walk.next)
+        if len(rows) < walk.next:
+            raise InsufficientData(f"the source gave {len(rows)} rows, {walk.next} asked")
+        walk.feed(rows)
     return walk
 
 

@@ -192,7 +192,7 @@ class TestEngine:
     def test_reference_estimate_is_the_batch_estimators(self, rng):
         chain = ChainMatrix(rng.standard_normal((900, 3)))
         pol = BatchPolicy.exponent(0.5)
-        est = reference_estimate(chain, pol)
+        est = reference_estimate(chain.data, pol)
         sig = mbm(chain, batch_size(900, pol))
         np.testing.assert_array_equal(est.sigma.matrix, sig.matrix)
         np.testing.assert_array_equal(est.lam.matrix, sample_covariance(chain).matrix)
@@ -211,7 +211,7 @@ class TestEngine:
         pol = BatchPolicy.exponent(0.5)
         b = batch_size(n, pol)
         assert n % b != 0
-        est = reference_estimate(chain, pol)
+        est = reference_estimate(chain.data, pol)
         assert est.theta.tobytes() == chain.data.mean(axis=0).tobytes()
         assert est.lam.matrix.tobytes() == sample_covariance(chain).matrix.tobytes()
         assert est.lam.log_det == sample_covariance(chain).log_det
@@ -288,6 +288,14 @@ class TestCheckpointWalk:
         walk.feed(chain.data[::-1])
         assert walk.result is result and walk.final is final
         assert walk.next == result.n_final
+
+    def test_opaque_rule_walk_has_no_engine(self, chain):
+        walk = CheckpointWalk(lambda c, cfg: c.n >= 600, self.CFG, chain.p)
+        assert walk.engine is None
+        walk.feed(chain.data)
+        assert walk.result.n_final == 605 and walk.result.terminated
+        want = reference_estimate(chain.data[:605], self.CFG.batch_policy)
+        assert walk.final.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
 
     def test_short_feed_checks_nothing_and_reads_no_rows(self):
         class Unread:

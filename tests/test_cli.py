@@ -937,6 +937,10 @@ class TestOneRuleTable:
         assert study == dataclasses.replace(stop, alpha=0.10)
 
 
+def _no_full_parse(*args, **kw):
+    raise AssertionError("a call with a valid row cache parsed the whole file")
+
+
 class TestResumeRowCache:
     """A resume call parses only the bytes past the pin; the row cache holds the rest."""
 
@@ -998,6 +1002,21 @@ class TestResumeRowCache:
         assert np.load(self._cache(state)).tobytes() == rows[:220].tobytes()
         assert hashlib.sha256(self._cache(state).read_bytes()).hexdigest() \
             == pin["rows_sha256"]
+
+    def test_cached_call_builds_no_chain_matrix(self, capsys, tmp_path, rows,
+                                                monkeypatch):
+        # the cached rows were checked finite when first parsed, the new
+        # ones by parse_rows' screen: a call with a valid cache wraps neither
+        path, state, _ = self._walk(capsys, tmp_path, rows, [100])
+        self._grow(path, rows, 160)
+        built = []
+        real = ChainMatrix.__post_init__
+        monkeypatch.setattr(ChainMatrix, "__post_init__",
+                            lambda self: built.append(self.data.shape) or real(self))
+        monkeypatch.setattr(resume, "load_chain", _no_full_parse)
+        code, out, _ = self._call(capsys, path, state)
+        assert code == 0 and json.loads(out)["n_available"] == 160
+        assert built == []
 
     def test_twelve_call_walk_matches_full_parse(self, capsys, tmp_path, rows,
                                                  monkeypatch):

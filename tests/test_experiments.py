@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from mcstop import (
+    LOGIT_REFERENCE_MEAN,
     BatchPolicy,
     IidGaussianSpec,
+    LogisticModel,
     LogisticSpec,
     StoppingConfig,
     StudySpec,
@@ -22,6 +24,7 @@ from mcstop import (
     batch_sensitivity_study,
     batch_size,
     coverage_study,
+    load_logit_data,
     logistic_benchmark,
     parse_model_spec,
     read_study_config,
@@ -29,7 +32,7 @@ from mcstop import (
     run_study,
     var1_benchmark,
 )
-from mcstop import experiments
+from mcstop import experiments, samplers
 from mcstop.errors import ConfigError, DomainError, InsufficientData
 from mcstop.experiments import _workers
 
@@ -278,6 +281,26 @@ class TestStudySpec:
                 "fixed_n = 300\nreplications = 1\nseed_base = 0\n")
         with pytest.raises(ConfigError, match="tau2=1 only"):
             read_study_config(_write(tmp_path, text))
+
+    def test_logistic_truth_only_for_the_bundled_data(self, monkeypatch):
+        # the proxy truth is the posterior mean of the bundled dataset;
+        # a model on other data would be scored against it
+        other = LogisticSpec(LogisticModel(x=np.eye(5), y=np.array([0, 1, 0, 1, 1.0])))
+        with pytest.raises(DomainError, match="holds for the bundled dataset only"):
+            other.truth
+        with pytest.raises(DomainError, match="holds for the bundled dataset only"):
+            StudySpec(other, 2, (500,), seed_base=3)
+        bundled = load_logit_data(proposal_sd=0.2)
+        spec = LogisticSpec(LogisticModel(x=bundled.x.copy(), y=bundled.y.copy(),
+                                          proposal_sd=0.2))
+        assert spec.truth is LOGIT_REFERENCE_MEAN
+
+        def no_parse(*args, **kw):
+            raise AssertionError("the bundled data were parsed again")
+
+        # the bundled data are parsed once, not at every read of truth
+        monkeypatch.setattr(samplers, "load_chain", no_parse)
+        assert spec.truth is LOGIT_REFERENCE_MEAN
 
 
 class TestCoverageStudy:

@@ -49,6 +49,21 @@ class _UnreadSource:
     rows = take
 
 
+class _ArraySource:
+    """take(n) over a fixed array; past its end the slice comes back short.
+
+    Asking for the same n twice fails, so a walk that would ask forever
+    fails at once."""
+
+    def __init__(self, x):
+        self.x, self.p, self.asked = x, x.shape[1], set()
+
+    def take(self, n):
+        assert n not in self.asked, f"take({n}) was called twice"
+        self.asked.add(n)
+        return ChainMatrix(self.x[:n])
+
+
 class TestNPos:
     def test_root_policy_p5(self):
         assert n_pos(5, BatchPolicy.exponent(0.5)) == 24
@@ -342,9 +357,9 @@ class TestRunSequential:
         assert finals[0] >= finals[1] >= finals[2]
 
     @pytest.mark.parametrize("rule", [None, "univariate_bonferroni", check_relative_sd])
-    def test_engine_builds_one_chain_per_decision(self, monkeypatch, rule):
-        # rows, not ChainMatrix prefixes, go through the checkpoint loop;
-        # the one matrix is the final summary's
+    def test_engine_rule_builds_no_chain(self, monkeypatch, rule):
+        # rows, not ChainMatrix prefixes, go through the checkpoint loop,
+        # and the final summary reads the rows the engine checked
         built = []
         real = ChainMatrix.__post_init__
 
@@ -357,7 +372,7 @@ class TestRunSequential:
         monkeypatch.setattr(ChainMatrix, "__post_init__", spy)
         res = run_sequential(src, rule, cfg)
         assert res.n_final > 1000  # several checkpoints
-        assert built == [res.n_final]
+        assert built == []
 
     def test_opaque_rule_gets_a_chain_per_checkpoint(self, monkeypatch):
         seen = []
@@ -391,6 +406,38 @@ class TestRunSequential:
         assert res == same
         if rule == "univariate_bonferroni":
             assert (res.n_final, round(res.log_volume, 3)) == (11159, -12.482)
+
+    def test_short_source_raises(self):
+        # 700 rows for a walk that asks for 733 next: the walk cannot go on
+        src = _ArraySource(np.random.default_rng(4).standard_normal((700, 2)))
+        cfg = StoppingConfig(epsilon=0.01, alpha=0.1, n_star=500)
+        with pytest.raises(InsufficientData, match="the source gave 700 rows, 733 asked"):
+            run_sequential(src, None, cfg)
+        assert sorted(src.asked) == [500, 550, 605, 666, 733]
+
+    @pytest.mark.parametrize("layout", [lambda x: x.astype(np.float32), np.asfortranarray])
+    @pytest.mark.parametrize("rule", [None, "univariate_bonferroni"])
+    def test_rows_of_any_layout_decide_as_float64_rows(self, layout, rule):
+        # the walk and its final estimate read rows as C-ordered float64,
+        # whatever dtype or order a source's rows(n) returns
+        class Rows:
+            def __init__(self, x):
+                self.x, self.p = x, x.shape[1]
+
+            def rows(self, n):
+                return self.x[:n]
+
+        given = layout(np.random.default_rng(6).standard_normal((30_000, 3)))
+        plain = np.ascontiguousarray(given, dtype=np.float64)
+        cfg = _config(epsilon=0.1, alpha=0.10, n_star=500)
+        got = drive_checkpoints(Rows(given), rule, cfg)
+        want = drive_checkpoints(Rows(plain), rule, cfg)
+        assert got.result == want.result and got.result.terminated
+        for field in ("theta", "col_var"):
+            assert getattr(got.final, field).tobytes() == getattr(want.final, field).tobytes()
+        for field in ("lam", "sigma"):
+            assert getattr(got.final, field).matrix.tobytes() \
+                == getattr(want.final, field).matrix.tobytes()
 
     def test_result_invariant(self):
         src = IidGaussianSource(2, seed=8)

@@ -18,8 +18,8 @@ rows call each), n_final, its wall time, the time spent in the sampler,
 the tail and the rest:
 
   tail   from the end of the last rows call to the return: the last
-         checkpoint's engine work and rule, then the final ChainMatrix,
-         reference estimate and summary, paid once per decision;
+         checkpoint's engine work and rule, then the final reference
+         estimate and summary, paid once per decision;
   rest   everything else outside the sampler: the engine's appends and
          estimates and the rule at every earlier checkpoint.
 

@@ -8,7 +8,7 @@ For every n in NS (10^4, 10^5, 10^6) and p in PS (1, 2, 5, 50) this
 draws an iid N(0, 1) chain of n rows and p columns (seed 1) and times,
 on the mcstop package under --src (default: this checkout's src):
 
-  reference_estimate   checkpoint.reference_estimate(chain, nu:0.5)
+  reference_estimate   checkpoint.reference_estimate(chain.data, nu:0.5)
   mbm                  estimators.mbm(chain, b_n) at b_n = ⌊√n⌋
   batch_means          estimators.batch_means, mbm's kernel, on the first
                        a_n·b_n rows and their column means
@@ -66,7 +66,7 @@ def _cases(checkpoint, estimators, chain, policy):
     center = prefix.mean(axis=0)
     lam = estimators.sample_covariance(chain).matrix
     return {
-        "reference_estimate": lambda: checkpoint.reference_estimate(chain, policy),
+        "reference_estimate": lambda: checkpoint.reference_estimate(chain.data, policy),
         "mbm": lambda: estimators.mbm(chain, b_n),
         "batch_means": lambda: estimators.batch_means(prefix, b_n, center),
         "sample_covariance": lambda: estimators.sample_covariance(chain),

@@ -12,9 +12,8 @@ the second call, which parses only the appended rows. Both calls are
 timed and split by what each layer of the resume protocol calls
 (mcstop.resume): parse (load_chain and parse_rows), hash (the SHA-256
 pin of the file), row cache (read and write), checkpoint (the
-CheckpointWalk's feed, which also builds a decision; in older trees
-also the walk's decide, or drive_checkpoints from before the walk) and
-state (the state write). Each call also reports the rows
+CheckpointWalk's feed, which also builds a decision) and state (the
+state write). Each call also reports the rows
 its parse read per second. Layers the tree under --src lacks are left
 out. Prints one JSON object.
 """
@@ -38,8 +37,7 @@ LAYERS = {
     "load_chain": "parse", "parse_rows": "parse",
     "_pin_read_prefix": "hash",
     "_read_row_cache": "row_cache", "_write_row_cache": "row_cache",
-    "CheckpointWalk.feed": "checkpoint", "CheckpointWalk.decide": "checkpoint",
-    "drive_checkpoints": "checkpoint",
+    "CheckpointWalk.feed": "checkpoint",
     "_write_state": "state",
 }
 
