@@ -3,7 +3,8 @@
 A ChainMatrix is an ordered n-by-p matrix of draws; row t is the t-th
 retained draw of the transformed output. Row order is simulation order
 and estimators downstream are order sensitive, so the matrix is frozen
-after construction.
+after construction. SpareRows keeps one row buffer per p for reuse by
+the checkpoint engine and the study loop's chain sources.
 """
 from __future__ import annotations
 
@@ -62,6 +63,35 @@ class MeanVector:
     @property
     def p(self) -> int:
         return self.values.size
+
+
+# The largest buffer a SpareRows keeps. The longest chains of the
+# acceptance studies (criterion 8's ubm_bonferroni decisions, about 1.1 M
+# rows of p = 5 in buffers doubled to 2.1 M rows, 84 MB) fit; a spare
+# never pins more than this per p.
+SPARE_BYTES = 2**27
+
+
+class SpareRows:
+    """One spare (rows, p) float64 buffer per p, kept for the next user.
+
+    glibc hands large freed blocks back to the system, so a buffer
+    allocated afresh for every decision faults its pages in again each
+    time. A user that is done with its buffer gives it back, and the
+    next user of the same p takes it, contents and all: it must write
+    every entry before reading it. give keeps the latest buffer of at
+    most SPARE_BYTES; take empties the slot, so no two users share one.
+    """
+
+    def __init__(self):
+        self._slots = {}
+
+    def take(self, p: int) -> Optional[np.ndarray]:
+        return self._slots.pop(p, None)
+
+    def give(self, buf: np.ndarray) -> None:
+        if buf.nbytes <= SPARE_BYTES:
+            self._slots[buf.shape[1]] = buf
 
 
 def _decimal(cell: str):

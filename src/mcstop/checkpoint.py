@@ -34,6 +34,10 @@ of their mean (the shifted one-pass algorithm of Chan, Golub and
 LeVeque, 1983). Both estimates end in estimators.finish, as the batch
 estimators' do: one symmetrising scale and one positive definiteness
 rule for every Λ_n and Σ_n.
+
+An engine takes its prefix-sum buffer from the spare one that the last
+released engine of its p gave back (chain.SpareRows), so a decision
+reuses its predecessor's pages instead of faulting new ones in.
 """
 from __future__ import annotations
 
@@ -43,6 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .chain import SpareRows
 from .errors import DomainError
 from .estimators import (
     WIDE_ROWS,
@@ -59,6 +64,8 @@ from .estimators import (
 # Rows per cross-product tile: the open tile is re-multiplied at every
 # checkpoint, so this bounds that cost at _TILE·p² flops.
 _TILE = 2048
+# The prefix-sum buffer an engine gives back, for the next engine of its p.
+_SPARES = SpareRows()
 
 
 @dataclass(frozen=True)
@@ -146,7 +153,8 @@ class CheckpointEngine:
     """Streaming checkpoint estimates of a chain that only grows.
 
     append() takes the next rows in order; estimate() returns the
-    CheckpointEstimate of all rows appended so far.
+    CheckpointEstimate of all rows appended so far; release() ends the
+    engine and keeps its buffer for the next one.
     """
 
     def __init__(self, p: int, policy: BatchPolicy):
@@ -157,8 +165,11 @@ class CheckpointEngine:
         self._n = 0
         self._shift = np.zeros(p)
         self._tiled_shift = None
-        # _cum[k] = sum of the first k shifted rows; capacity doubles
-        self._cum = np.zeros((1 + _TILE, p))
+        # _cum[k] = sum of the first k shifted rows; capacity doubles. A
+        # spare buffer's rows past 0 hold stale values until append writes them.
+        cum = _SPARES.take(p)
+        self._cum = np.empty((1 + _TILE, p)) if cum is None else cum
+        self._cum[0] = 0.0
         # cross-products of the shifted rows of every closed tile
         self._closed = np.zeros((p, p))
         # shifted rows of the open tile, _open_n of them
@@ -233,3 +244,12 @@ class CheckpointEngine:
             sigma=sigma,
             _col_var=np.diag(lam.matrix).copy,
         )
+
+    def release(self) -> None:
+        """Give the prefix-sum buffer to the next engine of this p; the engine is spent.
+
+        No view of the buffer ever leaves the engine (estimate builds new
+        arrays from it), so it is free to recycle.
+        """
+        _SPARES.give(self._cum)
+        self._cum = None

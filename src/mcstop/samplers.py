@@ -17,7 +17,7 @@ from typing import Protocol, Union
 
 import numpy as np
 
-from .chain import ChainMatrix, load_chain
+from .chain import ChainMatrix, SpareRows, load_chain
 from .errors import DomainError, InsufficientData, NotStationary, require_positive
 
 # Posterior mean for the bundled logistic dataset, used by the
@@ -28,6 +28,8 @@ LOGIT_REFERENCE_MEAN.setflags(write=False)
 # Draws are generated in fixed-size blocks so that the random stream
 # never depends on how take() calls are sliced.
 _BLOCK = 4096
+# The row buffer a released source gives back, for the next source of its p.
+_SPARES = SpareRows()
 
 
 def ar1_cov(rho: float, p: int, scale: float = 1.0) -> np.ndarray:
@@ -202,6 +204,15 @@ class _BlockSource:
     capacity-doubling buffer, and rows(n) returns a read-only view of
     its first n rows. Rows below the count are never written again, so
     earlier views stay valid as the buffer grows.
+
+    The buffer grows into the spare one that the last released source of
+    its p gave back, if that is large enough. release() gives the buffer
+    back and ends the source; the views it handed out then see the next
+    source's rows. So only the owner of a source that keeps no view may
+    release it: the study loop does, for the sources the package's model
+    specs make, once a replication's rows (numbers only) are built. A
+    caller's source, such as one given to run_sequential, is never
+    released, and its views stay valid.
     """
 
     def __init__(self, p: int):
@@ -226,9 +237,16 @@ class _BlockSource:
 
     def _reserve(self, end: int) -> None:
         if end > self._buf.shape[0]:
-            grown = np.empty((max(end, 2 * self._buf.shape[0]), self._p))
+            grown = _SPARES.take(self._p)
+            if grown is None or grown.shape[0] < end:
+                grown = np.empty((max(end, 2 * self._buf.shape[0]), self._p))
             grown[: self._count] = self._buf[: self._count]
             self._buf = grown
+
+    def release(self) -> None:
+        """Give the row buffer to the next source of this p; the source is spent."""
+        _SPARES.give(self._buf)
+        self._buf = None
 
     def _append(self, rows: np.ndarray) -> None:
         end = self._count + rows.shape[0]
@@ -525,6 +543,9 @@ class FileChainSource(_BlockSource):
             raise InsufficientData(
                 f"stored chain has {self._count} rows, {n} requested"
             )
+
+    def release(self) -> None:
+        """Nothing to give back: the stored rows are the caller's chain."""
 
     def _meta(self, n: int) -> dict:
         return dict(self._chain_meta)

@@ -381,8 +381,11 @@ class CheckpointWalk:
             if not fired and n < self.cap:
                 self._grow()
                 continue
-            # The final estimate reads the rows, not the engine: release its buffers.
-            self.engine = None
+            # The final estimate reads the rows, not the engine: give its
+            # buffer back for the next decision's engine.
+            if self.engine is not None:
+                self.engine.release()
+                self.engine = None
             self.final = reference_estimate(rows[:n], self.config.batch_policy)
             self.summary = summarize(self.final, self.metric or self.config.metric,
                                      self.config.alpha, self.truth)

@@ -1,4 +1,6 @@
 """Streaming checkpoint engine against the reference batch estimators."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,10 @@ from mcstop import (
     ubm_diag,
     var1_benchmark,
 )
-from mcstop.checkpoint import CheckpointEngine, reference_estimate
+from mcstop import chain as chain_module
+from mcstop import checkpoint
+from mcstop.chain import SpareRows
+from mcstop.checkpoint import _TILE, CheckpointEngine, reference_estimate
 from mcstop.errors import DomainError
 from mcstop.stopping import CheckpointWalk, drive_checkpoints
 
@@ -309,3 +314,53 @@ class TestCheckpointWalk:
         walk.feed(Unread())
         assert walk.next == 100 and walk.engine.n == 0
         assert walk.result is None and walk.final is None and walk.summary is None
+
+
+def _outcome(result):
+    """A decision's n_final, reason and the float hex of its ESS and log volume."""
+    return (result.n_final, result.reason, float.hex(result.ess_at_termination),
+            float.hex(result.log_volume))
+
+
+class TestSpareBuffer:
+    # n_max ends a walk whose prefix sums went NaN, as n_max_reached
+    CFG = StoppingConfig(epsilon=0.1, alpha=0.10, n_star=500, n_max=30_000)
+
+    @pytest.fixture
+    def spares(self, monkeypatch):
+        spares = SpareRows()
+        monkeypatch.setattr(checkpoint, "_SPARES", spares)
+        return spares
+
+    @pytest.mark.parametrize("metric, eps", [("relative_sd", 0.08),
+                                             ("univariate_bonferroni", 0.15)])
+    def test_nan_spare_gives_the_same_decision(self, spares, metric, eps):
+        # the engine writes every entry of a recycled buffer before reading
+        # it, row 0 included; the decided walk gives the buffer back
+        cfg = dataclasses.replace(self.CFG, metric=metric, epsilon=eps)
+        model = var1_benchmark(5)
+        want = _outcome(run_sequential(model.make_source(4), None, cfg))
+        nan_buf = np.full((1 << 16, 5), np.nan)
+        spares.give(nan_buf)
+        assert _outcome(run_sequential(model.make_source(4), None, cfg)) == want
+        assert want[1] == "criterion_met"
+        assert spares.take(5) is nan_buf
+
+    def test_buffer_above_the_cap_is_not_kept(self, spares, monkeypatch):
+        # the cap holds an engine's first buffer, not one grown past it
+        monkeypatch.setattr(chain_module, "SPARE_BYTES", (1 + _TILE) * 2 * 8)
+        for rows, kept in ((_TILE, True), (_TILE + 1, False)):
+            engine = CheckpointEngine(2, BatchPolicy.exponent())
+            engine.append(np.ones((rows, 2)))
+            buf = engine._cum
+            engine.release()
+            assert (spares.take(2) is buf) is kept
+        assert spares.take(2) is None
+
+    def test_spare_slot_holds_one_buffer_per_p(self):
+        spares = SpareRows()
+        a, b, c = np.empty((4, 3)), np.empty((9, 3)), np.empty((4, 2))
+        for buf in (a, b, c):
+            spares.give(buf)
+        assert spares.take(3) is b and spares.take(2) is c
+        assert spares.take(3) is None and spares.take(2) is None

@@ -29,10 +29,12 @@ from mcstop import (
     parse_model_spec,
     read_study_config,
     relative_error_study,
+    run_sequential,
     run_study,
     var1_benchmark,
 )
-from mcstop import experiments, samplers
+from mcstop import checkpoint, experiments, samplers
+from mcstop.chain import SpareRows
 from mcstop.errors import ConfigError, DomainError, InsufficientData
 from mcstop.experiments import _workers
 
@@ -50,6 +52,18 @@ def _write(tmp_path, text, name="study.conf"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _fresh_spares(monkeypatch):
+    """Empty spare slots for the engine and the sources, for this test only."""
+    for module in (checkpoint, samplers):
+        monkeypatch.setattr(module, "_SPARES", SpareRows())
+
+
+def _nan_spares(p):
+    """NaN-filled spares of p columns for the engine and the sources."""
+    for module in (checkpoint, samplers):
+        module._SPARES.give(np.full((1 << 16, p), np.nan))
 
 
 def _var1(diag, rho, scale=1.0):
@@ -384,6 +398,43 @@ class TestCoverageStudy:
                 if key == "seconds":
                     continue
                 assert ra[key] == rb[key], key
+
+    def test_caller_source_views_survive_later_runs_and_studies(self, monkeypatch):
+        # only a study's own sources are recycled: a caller's source keeps
+        # its buffer, and the views it handed out keep their bytes
+        _fresh_spares(monkeypatch)
+        cfg = _seq_config(epsilon=0.2, n_star=300)
+        source = var1_benchmark(5).make_source(3)
+        view = source.rows(5_000)
+        saved = view.tobytes()
+        run_sequential(source, None, cfg)
+        coverage_study(StudySpec(model=var1_benchmark(5), replications=2,
+                                 stopping=cfg, seed_base=8))
+        assert view.tobytes() == saved
+        assert source.rows(5_000).tobytes() == saved
+
+    def test_sources_a_model_keeps_stay_whole(self, monkeypatch):
+        # a model from elsewhere may read its sources after the study, so
+        # the study recycles only the sources of the package's own models
+        _fresh_spares(monkeypatch)
+
+        class Keeping:
+            def __init__(self):
+                self.inner, self.sources = var1_benchmark(5), []
+
+            truth = property(lambda self: self.inner.truth)
+
+            def make_source(self, seed):
+                self.sources.append(self.inner.make_source(seed))
+                return self.sources[-1]
+
+        model = Keeping()
+        report = coverage_study(StudySpec(model=model, replications=3,
+                                          stopping=[3_000], seed_base=8))
+        assert len(report.rows) == 3
+        for r, source in enumerate(model.sources):
+            want = var1_benchmark(5).make_source(8 + r).rows(3_000)
+            assert source.rows(3_000).tobytes() == want.tobytes()
 
     def test_sequential_methods_share_realization(self):
         spec = StudySpec(
@@ -1113,15 +1164,21 @@ class TestWorkers:
                 eps_list=(0.2, 0.3)
             ),
         }[study]
+        # The first run starts without spares; the serial and parallel
+        # runs after it start from NaN-filled ones (forked workers inherit
+        # them), and every replication after a worker's first recycles.
+        _fresh_spares(monkeypatch)
         monkeypatch.setenv("MCSTOP_WORKERS", "1")
         serial = run()
-        monkeypatch.setenv("MCSTOP_WORKERS", "2")
-        parallel = run()
-        assert len(serial.rows) == len(parallel.rows) > 0
-        for ra, rb in zip(serial.rows, parallel.rows):
-            assert {k: v for k, v in ra.items() if k != "seconds"} == {
-                k: v for k, v in rb.items() if k != "seconds"
-            }
+        for workers in ("1", "2"):
+            _nan_spares(3)
+            monkeypatch.setenv("MCSTOP_WORKERS", workers)
+            again = run()
+            assert len(serial.rows) == len(again.rows) > 0
+            for ra, rb in zip(serial.rows, again.rows):
+                assert {k: v for k, v in ra.items() if k != "seconds"} == {
+                    k: v for k, v in rb.items() if k != "seconds"
+                }
 
     def test_bad_workers_value(self, monkeypatch):
         spec = StudySpec(

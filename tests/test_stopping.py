@@ -26,9 +26,11 @@ from mcstop import (
     ubm_diag,
     var1_benchmark,
 )
+from mcstop import checkpoint
+from mcstop.chain import SpareRows
 from mcstop.checkpoint import CheckpointEngine
 from mcstop.errors import ConfigError, DomainError, InsufficientData
-from mcstop.stopping import RULE_PARAMS, _fires, drive_checkpoints
+from mcstop.stopping import RULE_PARAMS, CheckpointWalk, _fires, drive_checkpoints
 
 
 def _config(**kw):
@@ -445,6 +447,31 @@ class TestRunSequential:
         res = run_sequential(src, None, cfg)
         if res.terminated:
             assert res.n_final >= cfg.n_star
+
+
+class TestWalksInTurn:
+    def test_walks_fed_in_turn_match_each_alone(self, monkeypatch):
+        # Two engines of one p live at once: the spare goes to one of them
+        # only, and each walk decides as if it ran alone.
+        spares = SpareRows()
+        monkeypatch.setattr(checkpoint, "_SPARES", spares)
+        model = var1_benchmark(5)
+        chains = [model.make_source(seed).take(40_000) for seed in (4, 5)]
+        configs = [_config(epsilon=0.08, n_star=500),
+                   _config(epsilon=0.15, n_star=800, metric="univariate_bonferroni")]
+        alone = [drive_checkpoints(FileChainSource(chain), None, cfg).result
+                 for chain, cfg in zip(chains, configs)]
+        spares.give(np.full((1 << 16, 5), np.nan))
+        walks = [CheckpointWalk(None, cfg, 5) for cfg in configs]
+        for rows in range(1700, 40_001, 1700):
+            for walk, chain in zip(walks, chains):
+                walk.feed(chain.data[:rows])
+        def bits(r):
+            return r.n_final, r.reason, float.hex(r.ess_at_termination), float.hex(r.log_volume)
+
+        assert [bits(w.result) for w in walks] == [bits(r) for r in alone]
+        assert all(r.reason == "criterion_met" for r in alone)
+        assert alone[0].n_final != alone[1].n_final
 
 
 class TestStoppingConfig:

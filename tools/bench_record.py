@@ -1,7 +1,7 @@
 """Record the benchmark over a fixed list of seeds in one JSON file.
 
 Usage:
-  python3 tools/bench_record.py BENCH_7.json
+  python3 tools/bench_record.py BENCH_7.json [--against PARENT_SRC]
 
 For every workload that BENCHMARK.json declares and every seed in SEEDS,
 one after another, this runs
@@ -24,6 +24,13 @@ append on an (n, p) grid), that of tools/checkpoint_overhead.py (the
 stopping driver's milliseconds per checkpoint, sampler and the rest) and,
 under "parity", the last line of tools/summary_parity.py: the SHA-256 of
 the outputs a change must keep.
+
+With --against, the file also holds, under "paired", this checkout's src
+timed against the tree under PARENT_SRC in one process: the output of
+tools/checkpoint_overhead.py --against PARENT_SRC (decisions) and of
+tools/two_trees.py --against PARENT_SRC (studies). Unpaired files of two
+trees drift by tens of percent on a shared machine; these ratios are the
+file's paired claim.
 """
 import argparse
 import json
@@ -107,21 +114,23 @@ def tier1() -> dict:
     }
 
 
-def _stdout(script: str) -> str:
+def _stdout(script: str, *args: str) -> str:
     """What a tools/ script prints."""
-    proc = subprocess.run([sys.executable, script], cwd=ROOT,
+    proc = subprocess.run([sys.executable, script, *args], cwd=ROOT,
                           capture_output=True, text=True, check=True)
     return proc.stdout
 
 
-def _tool(script: str) -> dict:
+def _tool(script: str, *args: str) -> dict:
     """The JSON object a tools/ script prints."""
-    return json.loads(_stdout(script))
+    return json.loads(_stdout(script, *args))
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", help="output JSON path, e.g. BENCH_7.json")
+    ap.add_argument("--against", metavar="PARENT_SRC",
+                    help="also time this checkout's src against this tree, in turns")
     args = ap.parse_args(argv)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = []
@@ -141,6 +150,14 @@ def main(argv=None) -> int:
     overhead = _tool("tools/checkpoint_overhead.py")
     print("bench_record: summary_parity", file=sys.stderr, flush=True)
     parity = _stdout("tools/summary_parity.py").splitlines()[-1]
+    paired = {}
+    if args.against is not None:
+        parent = str(Path(args.against).resolve())
+        print("bench_record: paired checkpoint_overhead", file=sys.stderr, flush=True)
+        paired["checkpoint_overhead"] = _tool("tools/checkpoint_overhead.py",
+                                              "--against", parent)
+        print("bench_record: paired studies", file=sys.stderr, flush=True)
+        paired["studies"] = _tool("tools/two_trees.py", "--against", parent)
     print("bench_record: tier-1", file=sys.stderr, flush=True)
     payload = {
         "command": "python3 bench/run.py --workload W --seed S "
@@ -154,6 +171,7 @@ def main(argv=None) -> int:
         "estimator_grid": grid,
         "checkpoint_overhead": overhead,
         "parity": parity,
+        **({"paired": paired} if paired else {}),
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

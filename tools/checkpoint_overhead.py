@@ -25,9 +25,14 @@ the tail and the rest:
 
 Each decision also reports its minor page faults: the process's
 ru_minflt (getrusage) after the decision less before it. A fault is
-paid when a fresh allocation, such as the source's doubling buffer or the
-engine's prefix-sum buffer, first touches a page that glibc took from the
-system with mmap or by growing the heap.
+paid when a fresh allocation first touches a page that glibc took from
+the system with mmap or by growing the heap. The engine's prefix-sum
+buffer is no longer such an allocation after the first decision of a p:
+each decision's engine takes up the buffer the last one gave back
+(chain.SpareRows), and faults only where it grows past it. The source
+here is a fresh caller-owned one per decision, which is never recycled,
+so its doubling buffer is still allocated afresh; glibc often serves it
+from pages the process already holds.
 
 Per config it reports the medians over seeds of the wall, sampler and
 rest milliseconds per checkpoint, of the tail milliseconds per decision
