@@ -4,7 +4,7 @@ A ChainMatrix is an ordered n-by-p matrix of draws; row t is the t-th
 retained draw of the transformed output. Row order is simulation order
 and estimators downstream are order sensitive, so the matrix is frozen
 after construction. SpareRows keeps one row buffer per p for reuse by
-the checkpoint engine and the study loop's chain sources.
+the checkpoint engine, the reference estimate and the chain sources.
 """
 from __future__ import annotations
 
@@ -81,6 +81,12 @@ class SpareRows:
     next user of the same p takes it, contents and all: it must write
     every entry before reading it. give keeps the latest buffer of at
     most SPARE_BYTES; take empties the slot, so no two users share one.
+
+    The pools keep their buffers until the process ends. At most they
+    hold, per p used, one buffer of at most SPARE_BYTES in each of the
+    two row pools (the checkpoint engine's, which the final estimate
+    borrows, and the chain sources'), plus 3·4096·p·8 bytes of VAR(1)
+    block scratch.
     """
 
     def __init__(self):

@@ -38,6 +38,9 @@ rule for every Λ_n and Σ_n.
 An engine takes its prefix-sum buffer from the spare one that the last
 released engine of its p gave back (chain.SpareRows), so a decision
 reuses its predecessor's pages instead of faulting new ones in.
+reference_estimate centres its rows in that spare and gives it back, so
+a decision's final estimate reuses the buffer its engine has just
+released.
 """
 from __future__ import annotations
 
@@ -120,7 +123,9 @@ def reference_estimate(rows: np.ndarray, policy: BatchPolicy) -> CheckpointEstim
     Read as ChainMatrix stores rows, C-contiguous float64, and bitwise equal
     to the separate passes: θ_n to data.mean(axis=0), Λ_n to sample_covariance,
     Σ_n to mbm at b_n and the column variances to data.var(axis=0, ddof=1).
-    The rows centred at θ_n serve Λ_n and are freed before the batch means.
+    The rows are centred into the spare buffer of p, which a decision's
+    engine has just given back: at θ_n for Λ_n, then the first a_n·b_n
+    rows at their mean for the batch means.
     """
     data = np.ascontiguousarray(rows, dtype=np.float64)
     n, p = data.shape
@@ -136,7 +141,13 @@ def reference_estimate(rows: np.ndarray, policy: BatchPolicy) -> CheckpointEstim
     else:
         total = column_sums(data)
     theta = total / n
-    lam = centered_covariance(centered(data, theta))
+    # No view of buf escapes: each estimate below is a new array.
+    buf = _SPARES.take(p)
+    if buf is None or buf.shape[0] < n:
+        buf = np.empty((n, p))
+    lam = centered_covariance(centered(data, theta, buf[:n]))
+    sigma = batch_means(data[:kept], b, head / kept, buf[:kept]) if a >= 2 else None
+    _SPARES.give(buf)
     return CheckpointEstimate(
         n=n,
         p=p,
@@ -144,7 +155,7 @@ def reference_estimate(rows: np.ndarray, policy: BatchPolicy) -> CheckpointEstim
         a_n=a,
         theta=theta,
         lam=lam,
-        sigma=batch_means(data[:kept], b, head / kept) if a >= 2 else None,
+        sigma=sigma,
         _col_var=partial(_column_variances, data, theta),
     )
 

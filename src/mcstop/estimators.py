@@ -308,19 +308,21 @@ def mbm(chain: ChainMatrix, b_n: int) -> CovEstimate:
     return batch_means(prefix, b_n, column_sums(prefix) / prefix.shape[0])
 
 
-def batch_means(prefix: np.ndarray, b_n: int, center: np.ndarray) -> CovEstimate:
+def batch_means(prefix: np.ndarray, b_n: int, center: np.ndarray,
+                out: Optional[np.ndarray] = None) -> CovEstimate:
     """The kernel of mbm: Σ_n of prefix, a_n·b_n rows with a_n >= 2.
 
     center is the column means of prefix, passed by a caller that already
     holds their sum; mbm computes them itself. The rows are centred into
-    one contiguous copy and summed batch by batch with column_sums, bit
-    for bit the mean(axis=1) of the (a_n, b_n, p) view.
+    one contiguous copy, out (C-contiguous, prefix's shape) if given, and
+    summed batch by batch with column_sums, bit for bit the mean(axis=1)
+    of the (a_n, b_n, p) view.
     """
     a_n = prefix.shape[0] // b_n
     p = prefix.shape[1]
     # Center the rows before batching: Ȳ_k - θ_n then cancels at the scale
     # of the draws' spread, not of their mean.
-    dev = column_sums(centered(prefix, center).reshape(a_n, b_n, p)) / b_n
+    dev = column_sums(centered(prefix, center, out).reshape(a_n, b_n, p)) / b_n
     return finish(dev.T @ dev, b_n / (a_n - 1.0), a_n - 1, "mbm", a_n, b_n)
 
 

@@ -392,28 +392,19 @@ def _workers() -> int:
     return min(w, cpus)
 
 
-# The package's own models hand each replication a fresh source that
-# nothing else holds. A model from elsewhere may keep its sources and read
-# them after the study (the benchmark's does), so only these are released.
-_OWN_MODELS = (Var1Spec, LogisticSpec, IidGaussianSpec)
-
-
 def _run_replication(payload) -> list:
     """Rows of replication r: seed seed_base + r, one source for every row.
 
     body(spec, source, *extra) yields the rows without their replication
-    number. The rows hold only numbers, so once they are built the buffer
-    of a source from one of the package's own models goes to the next
-    replication's source. Errors outside the package's own are reported
-    as a failure of replication r.
+    number. The rows hold only numbers, so when the source is collected
+    after them its buffer goes to the next replication's source, unless
+    the model keeps the source. Errors outside the package's own are
+    reported as a failure of replication r.
     """
     body, spec, r, extra = payload
     try:
         source = spec.model.make_source(spec.seed_base + r)
-        rows = [{"replication": r, **row} for row in body(spec, source, *extra)]
-        if type(spec.model) in _OWN_MODELS:
-            source.release()
-        return rows
+        return [{"replication": r, **row} for row in body(spec, source, *extra)]
     except McstopError:
         raise
     except Exception as exc:

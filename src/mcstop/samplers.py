@@ -11,6 +11,7 @@ ChainMatrix, do not depend on how the calls were sliced.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Protocol, Union
@@ -28,8 +29,10 @@ LOGIT_REFERENCE_MEAN.setflags(write=False)
 # Draws are generated in fixed-size blocks so that the random stream
 # never depends on how take() calls are sliced.
 _BLOCK = 4096
-# The row buffer a released source gives back, for the next source of its p.
+# The row buffer a collected source gives back, for the next source of its p.
 _SPARES = SpareRows()
+# A VAR(1) block's (3·_BLOCK, p) scratch, for the next block of its p.
+_BLOCK_SCRATCH = SpareRows()
 
 
 def ar1_cov(rho: float, p: int, scale: float = 1.0) -> np.ndarray:
@@ -205,20 +208,29 @@ class _BlockSource:
     its first n rows. Rows below the count are never written again, so
     earlier views stay valid as the buffer grows.
 
-    The buffer grows into the spare one that the last released source of
-    its p gave back, if that is large enough. release() gives the buffer
-    back and ends the source; the views it handed out then see the next
-    source's rows. So only the owner of a source that keeps no view may
-    release it: the study loop does, for the sources the package's model
-    specs make, once a replication's rows (numbers only) are built. A
-    caller's source, such as one given to run_sequential, is never
-    released, and its views stay valid.
+    The buffer grows into the spare one that the last collected source of
+    its p gave back, if that is large enough. A source gives its buffer
+    back when it is collected, but only if nothing else refers to the
+    buffer: no view from rows(n), no take(n) matrix and no slice of
+    either. This is the reference count test of NumPy's
+    ndarray.resize(refcheck=True); a view keeps its buffer alive, so a
+    buffer with a live view is never recycled and the view keeps its rows.
     """
+
+    # A source whose __init__ failed before any row was drawn gives nothing back.
+    _count = 0
 
     def __init__(self, p: int):
         self._p = p
         self._buf = np.empty((0, p))
         self._count = 0
+
+    def __del__(self, _finalizing=sys.is_finalizing):
+        # getrefcount counts the attribute and its own argument when no
+        # view holds the buffer. At exit the module globals may already be
+        # gone, and the buffer goes with the process.
+        if self._count and not _finalizing() and sys.getrefcount(self._buf) == 2:
+            _SPARES.give(self._buf)
 
     @property
     def p(self) -> int:
@@ -242,11 +254,6 @@ class _BlockSource:
                 grown = np.empty((max(end, 2 * self._buf.shape[0]), self._p))
             grown[: self._count] = self._buf[: self._count]
             self._buf = grown
-
-    def release(self) -> None:
-        """Give the row buffer to the next source of this p; the source is spent."""
-        _SPARES.give(self._buf)
-        self._buf = None
 
     def _append(self, rows: np.ndarray) -> None:
         end = self._count + rows.shape[0]
@@ -295,14 +302,31 @@ class Var1Source(_BlockSource):
         self._append(y0[None, :])
         self._last = y0
 
-    def _generate_block(self) -> np.ndarray:
-        eps = self._rng.standard_normal((_BLOCK, self._p)) @ self._chol_omega.T
+    def _extend(self, n: int) -> None:
+        """Draw blocks until the buffer holds n rows, in one pooled scratch."""
+        if self._count >= n:
+            return
+        scratch = _BLOCK_SCRATCH.take(self._p)
+        if scratch is None:
+            scratch = np.empty((3 * _BLOCK, self._p))
+        while self._count < n:
+            self._append(self._draw_block(scratch))
+        _BLOCK_SCRATCH.give(scratch)
+
+    def _draw_block(self, scratch: np.ndarray) -> np.ndarray:
+        """The next _BLOCK rows, written into the last third of scratch.
+
+        The normals and the innovations fill the first two thirds, with
+        the bits of standard_normal((_BLOCK, p)) @ chol_omega.T.
+        """
+        z, eps, out = scratch[:_BLOCK], scratch[_BLOCK : 2 * _BLOCK], scratch[2 * _BLOCK :]
+        self._rng.standard_normal(out=z)
+        np.matmul(z, self._chol_omega.T, out=eps)
         if self._diag_phi is not None:
             # scipy.signal costs about a second to import, so only the
             # diagonal-Φ recursion that needs lfilter pays for it.
             from scipy.signal import lfilter
 
-            out = np.empty_like(eps)
             for j in range(self._p):
                 phi_j = self._diag_phi[j]
                 col, _ = lfilter(
@@ -310,7 +334,6 @@ class Var1Source(_BlockSource):
                 )
                 out[:, j] = col
         else:
-            out = np.empty_like(eps)
             prev = self._last
             for t in range(_BLOCK):
                 prev = self._model.phi @ prev + eps[t]
@@ -529,7 +552,8 @@ class FileChainSource(_BlockSource):
     """Wrap an already materialized chain as a (finite) source.
 
     The stored rows are the buffer, so rows(n) and take(n) return
-    read-only views of them, not copies.
+    read-only views of them, not copies. They are the caller's array, so
+    the source never gives them to the next source when it is collected.
     """
 
     def __init__(self, chain: ChainMatrix):
@@ -544,8 +568,8 @@ class FileChainSource(_BlockSource):
                 f"stored chain has {self._count} rows, {n} requested"
             )
 
-    def release(self) -> None:
-        """Nothing to give back: the stored rows are the caller's chain."""
+    def __del__(self):
+        pass
 
     def _meta(self, n: int) -> dict:
         return dict(self._chain_meta)

@@ -357,6 +357,32 @@ class TestSpareBuffer:
             assert (spares.take(2) is buf) is kept
         assert spares.take(2) is None
 
+    @pytest.mark.parametrize("rows", [1 << 16, 10])
+    def test_reference_estimate_centres_in_the_spare(self, spares, rows):
+        # a spare of n rows or more, NaN-filled here, is written before it
+        # is read and comes back, with no view of it in the estimate; a
+        # smaller one gives way to a new buffer, which goes back instead
+        data = var1_benchmark(5).make_source(4).rows(30_000)
+        pol = BatchPolicy.exponent()
+        want = reference_estimate(data, pol)
+        want_var = want.col_var
+        spares.take(5)
+        nan_buf = np.full((rows, 5), np.nan)
+        spares.give(nan_buf)
+        got = reference_estimate(data, pol)
+        for arr in (got.theta, got.lam.matrix, got.sigma.matrix, got.col_var):
+            assert not np.shares_memory(arr, nan_buf)
+        assert (got.lam.log_det, got.sigma.log_det) == (want.lam.log_det,
+                                                        want.sigma.log_det)
+        for field in ("theta", "col_var"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert got.lam.matrix.tobytes() == want.lam.matrix.tobytes()
+        assert got.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
+        assert want_var.tobytes() == data.var(axis=0, ddof=1).tobytes()
+        back = spares.take(5)
+        assert (back is nan_buf) == (rows >= 30_000)
+        assert back.shape[0] >= 30_000
+
     def test_spare_slot_holds_one_buffer_per_p(self):
         spares = SpareRows()
         a, b, c = np.empty((4, 3)), np.empty((9, 3)), np.empty((4, 2))

@@ -400,8 +400,8 @@ class TestCoverageStudy:
                 assert ra[key] == rb[key], key
 
     def test_caller_source_views_survive_later_runs_and_studies(self, monkeypatch):
-        # only a study's own sources are recycled: a caller's source keeps
-        # its buffer, and the views it handed out keep their bytes
+        # a source the caller still holds keeps its buffer, and the views it
+        # handed out keep their bytes, while later decisions recycle theirs
         _fresh_spares(monkeypatch)
         cfg = _seq_config(epsilon=0.2, n_star=300)
         source = var1_benchmark(5).make_source(3)
@@ -414,8 +414,8 @@ class TestCoverageStudy:
         assert source.rows(5_000).tobytes() == saved
 
     def test_sources_a_model_keeps_stay_whole(self, monkeypatch):
-        # a model from elsewhere may read its sources after the study, so
-        # the study recycles only the sources of the package's own models
+        # a model from elsewhere may read its sources after the study; they
+        # are alive, so no later study of their p recycles their buffers
         _fresh_spares(monkeypatch)
 
         class Keeping:
@@ -432,6 +432,8 @@ class TestCoverageStudy:
         report = coverage_study(StudySpec(model=model, replications=3,
                                           stopping=[3_000], seed_base=8))
         assert len(report.rows) == 3
+        coverage_study(StudySpec(model=var1_benchmark(5), replications=2,
+                                 stopping=[9_000], seed_base=20))
         for r, source in enumerate(model.sources):
             want = var1_benchmark(5).make_source(8 + r).rows(3_000)
             assert source.rows(3_000).tobytes() == want.tobytes()

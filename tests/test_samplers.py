@@ -1,5 +1,9 @@
 """Verification samplers: analytic oracles, determinism, prefix stability."""
 import math
+import os
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -19,8 +23,11 @@ from mcstop import (
     rwm_logistic,
     simulate_var1,
     spectral_radius,
+    var1_benchmark,
     var1_true_cov,
 )
+from mcstop import samplers
+from mcstop.chain import SpareRows, load_chain
 from mcstop.errors import DomainError, InsufficientData, NotStationary
 
 
@@ -598,10 +605,176 @@ class TestBlockBuffer:
             src.rows(0)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Empty source and block-scratch pools, for this test only."""
+    spares, scratch = SpareRows(), SpareRows()
+    monkeypatch.setattr(samplers, "_SPARES", spares)
+    monkeypatch.setattr(samplers, "_BLOCK_SCRATCH", scratch)
+    return spares, scratch
+
+
+def _var1(p):
+    return Var1Model(phi=np.diag(np.linspace(0.9, 0.1, p)), omega=ar1_cov(0.5, p))
+
+
+class TestRecycledBuffer:
+    # A collected source gives its buffer to the next source of its p only
+    # when no view of it lives. Each case keeps exactly one view, so a
+    # reference count test one too lenient would recycle its buffer.
+    @pytest.mark.parametrize("kept", ["rows", "take", "slice", "memoryview"])
+    def test_a_live_view_keeps_its_rows(self, pools, kept):
+        spares, _ = pools
+        source = Var1Source(_var1(3), seed=1)
+        view = {
+            "rows": lambda: source.rows(9000),
+            "take": lambda: source.take(9000),
+            "slice": lambda: source.take(9000).data[100:7000, 1:],
+            "memoryview": lambda: memoryview(source.rows(9000)[50:]),
+        }[kept]()
+        data = view.data if kept == "take" else view
+        saved = bytes(data)
+        del source
+        assert spares.take(3) is None
+        Var1Source(_var1(3), seed=2).rows(20_000)
+        assert bytes(data) == saved
+
+    def test_an_unviewed_buffer_goes_to_the_next_source(self, pools):
+        spares, _ = pools
+        source = Var1Source(_var1(3), seed=1)
+        want = source.rows(9000).copy()
+        capacity = source._buf.shape[0]
+        del source
+        buf = spares.take(3)
+        assert buf.shape == (capacity, 3)
+        spares.give(buf)
+        again = Var1Source(_var1(3), seed=1)
+        assert again._buf is buf
+        np.testing.assert_array_equal(again.rows(9000), want)
+
+    def test_kept_sources_are_never_recycled(self, pools):
+        # a model that keeps its sources (as the benchmark's does) reads the
+        # same rows after later sources of its p drew past them
+        kept = [Var1Source(_var1(3), seed=s) for s in (1, 2)]
+        saved = [source.rows(9000).tobytes() for source in kept]
+        for seed in (3, 4):
+            Var1Source(_var1(3), seed=seed).rows(30_000)
+        assert [source.rows(9000).tobytes() for source in kept] == saved
+
+    def test_a_file_source_never_gives_the_callers_array(self, pools):
+        # the stored rows are the caller's read-only array: recycled, they
+        # would make the next source of their p fail to write its rows
+        spares, _ = pools
+        text = "".join(f"{k},{k / 3!r},{-k}\n" for k in range(50)).encode()
+        chain = load_chain(text, format="csv")
+        assert not chain.data.flags.writeable
+        stored = weakref.ref(chain.data)
+        source = FileChainSource(chain)
+        del chain
+        assert source.take(10).n == 10
+        del source
+        assert stored() is None and spares.take(3) is None
+        assert Var1Source(_var1(3), seed=5).rows(20_000).shape == (20_000, 3)
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_a_source_without_rows_gives_nothing(self, pools):
+        # neither one that drew no row nor one whose __init__ failed gives
+        # its buffer in place of the spare, or fails when it is collected
+        spares, _ = pools
+        big = np.empty((100, 2))
+        spares.give(big)
+        IidGaussianSource(2, seed=1)
+        with pytest.raises(DomainError):
+            IidGaussianSource(0, seed=1)
+        assert spares.take(2) is big
+
+    def test_a_source_alive_at_exit_prints_nothing(self):
+        # sys holds samplers past the exit's collection of modules, so its
+        # globals are set to None one by one: _SPARES before _kept, whose
+        # source then dies with its module's globals torn down
+        script = (
+            "import sys\n"
+            "import mcstop\n"
+            "from mcstop import samplers\n"
+            "sys._held = samplers\n"
+            "samplers._kept = mcstop.var1_benchmark(5).make_source(1)\n"
+            "samplers._kept.rows(9000)\n"
+            "source = mcstop.IidGaussianSource(3, 2)\n"
+            "source.rows(5000)\n"
+            "print('done')\n"
+        )
+        path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(
+            samplers.__file__)), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "done\n", "")
+
+
+def _var1_reference(model, seed, n):
+    """n VAR(1) rows drawn block by block in fresh arrays, as before the scratch."""
+    from scipy.signal import lfilter
+
+    p = model.p
+    rng = np.random.default_rng(seed)
+    chol_omega = np.linalg.cholesky(model.omega)
+    last = np.linalg.cholesky(model.v) @ rng.standard_normal(p)
+    blocks = [last[None, :]]
+    diag = np.diag(model.phi)
+    while sum(len(b) for b in blocks) < n:
+        eps = rng.standard_normal((4096, p)) @ chol_omega.T
+        out = np.empty_like(eps)
+        if np.array_equal(np.diag(diag), model.phi):
+            for j in range(p):
+                out[:, j] = lfilter([1.0], [1.0, -diag[j]], eps[:, j],
+                                    zi=[diag[j] * last[j]])[0]
+        else:
+            prev = last
+            for t in range(4096):
+                prev = model.phi @ prev + eps[t]
+                out[t] = prev
+        last = out[-1].copy()
+        blocks.append(out)
+    return np.concatenate(blocks)[:n]
+
+
+_DENSE_PHI = np.array([[0.5, 0.2, 0.0], [0.0, 0.4, 0.1], [0.1, 0.0, 0.3]])
+
+
+class TestVar1Scratch:
+    # Each block is drawn in a pooled scratch; its rows keep the bits of
+    # fresh arrays, across block edges.
+    MODELS = {
+        "diag2": lambda: _var1(2),
+        "diag5": lambda: var1_benchmark(5).model,
+        "diag50": lambda: var1_benchmark(50).model,
+        "dense3": lambda: Var1Model(phi=_DENSE_PHI, omega=ar1_cov(0.5, 3)),
+    }
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_rows_equal_fresh_blocks(self, pools, name):
+        model = self.MODELS[name]()
+        want = _var1_reference(model, 7, 3 * 4096 + 2)
+        source = Var1Source(model, seed=7)
+        for n in (1, 4096, 4097, 4098, 8193, 3 * 4096 + 2):
+            assert source.rows(n).tobytes() == want[:n].tobytes()
+        scratch = pools[1].take(model.p)
+        assert scratch.shape == (3 * 4096, model.p)
+
+    def test_sources_in_turn_hand_the_scratch_over(self, pools):
+        # two sources of one p draw in turns: each takes the one scratch,
+        # NaN-filled here, writes it before reading it and gives it back
+        model = var1_benchmark(5).model
+        wants = [_var1_reference(model, seed, 5 * 4096) for seed in (3, 4)]
+        sources = [Var1Source(model, seed=seed) for seed in (3, 4)]
+        for n in range(1000, 5 * 4096 + 1, 3000):
+            for source, want in zip(sources, wants):
+                pools[1].give(np.full((3 * 4096, 5), np.nan))
+                assert source.rows(n).tobytes() == want[:n].tobytes()
+                assert pools[1].take(5).shape == (3 * 4096, 5)
+
+
 class TestBenchmarks:
     def test_var1_benchmark_shapes(self):
-        from mcstop import var1_benchmark
-
         spec = var1_benchmark(5)
         model = spec.model
         np.testing.assert_array_equal(
@@ -613,8 +786,6 @@ class TestBenchmarks:
 
     def test_true_ess_fraction(self):
         # n * (|V| / |Sigma|)^(1/p) / n at p = 5 is 0.5519
-        from mcstop import var1_benchmark
-
         model = var1_benchmark(5).model
         frac = math.exp(
             (np.linalg.slogdet(model.v)[1] - np.linalg.slogdet(model.sigma_true)[1])

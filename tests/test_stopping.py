@@ -26,8 +26,8 @@ from mcstop import (
     ubm_diag,
     var1_benchmark,
 )
-from mcstop import checkpoint
-from mcstop.chain import SpareRows
+from mcstop import checkpoint, samplers
+from mcstop.chain import SPARE_BYTES, SpareRows
 from mcstop.checkpoint import CheckpointEngine
 from mcstop.errors import ConfigError, DomainError, InsufficientData
 from mcstop.stopping import RULE_PARAMS, CheckpointWalk, _fires, drive_checkpoints
@@ -472,6 +472,32 @@ class TestWalksInTurn:
         assert [bits(w.result) for w in walks] == [bits(r) for r in alone]
         assert all(r.reason == "criterion_met" for r in alone)
         assert alone[0].n_final != alone[1].n_final
+
+
+class TestSparePools:
+    def test_pools_hold_at_most_their_stated_bound(self, monkeypatch):
+        # after a seq_long-sized decision each pool keeps one buffer of its
+        # p: the engine's and the source's, each at most SPARE_BYTES, and
+        # one VAR(1) block scratch of 3·4096·p doubles
+        pools = {}
+        for module, name in ((checkpoint, "_SPARES"), (samplers, "_SPARES"),
+                             (samplers, "_BLOCK_SCRATCH")):
+            pools[module.__name__, name] = SpareRows()
+            monkeypatch.setattr(module, name, pools[module.__name__, name])
+        cfg = _config(n_star=50_000, alpha=0.10, metric="univariate_bonferroni")
+        result = run_sequential(var1_benchmark(5).make_source(601), None, cfg)
+        assert result.reason == "criterion_met" and result.n_final > 150_000
+        held = {key: pool._slots for key, pool in pools.items()}
+        assert all(list(slots) == [5] for slots in held.values())
+        engine = held["mcstop.checkpoint", "_SPARES"][5]
+        source = held["mcstop.samplers", "_SPARES"][5]
+        scratch = held["mcstop.samplers", "_BLOCK_SCRATCH"][5]
+        # the decision recycled both row buffers
+        assert engine.shape[0] > result.n_final and source.shape[0] >= result.n_final
+        assert max(engine.nbytes, source.nbytes) <= SPARE_BYTES
+        assert scratch.shape == (3 * 4096, 5)
+        total = sum(buf.nbytes for slots in held.values() for buf in slots.values())
+        assert total <= 2 * SPARE_BYTES + 3 * 4096 * 5 * 8
 
 
 class TestStoppingConfig:

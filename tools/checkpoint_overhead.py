@@ -26,13 +26,13 @@ the tail and the rest:
 Each decision also reports its minor page faults: the process's
 ru_minflt (getrusage) after the decision less before it. A fault is
 paid when a fresh allocation first touches a page that glibc took from
-the system with mmap or by growing the heap. The engine's prefix-sum
-buffer is no longer such an allocation after the first decision of a p:
-each decision's engine takes up the buffer the last one gave back
-(chain.SpareRows), and faults only where it grows past it. The source
-here is a fresh caller-owned one per decision, which is never recycled,
-so its doubling buffer is still allocated afresh; glibc often serves it
-from pages the process already holds.
+the system with mmap or by growing the heap. After the first decision of
+a p, no buffer of a decision is such an allocation until it grows past
+its predecessor's: each decision's engine takes up the buffer the last
+one gave back (chain.SpareRows), and its final estimate centres in that
+buffer; the fresh source of each decision grows into the buffer that the
+last collected source gave back, and its VAR(1) blocks are drawn in a
+pooled scratch.
 
 Per config it reports the medians over seeds of the wall, sampler and
 rest milliseconds per checkpoint, of the tail milliseconds per decision
